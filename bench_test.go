@@ -447,6 +447,47 @@ func BenchmarkSimEventThroughput(b *testing.B) {
 	k.Run()
 }
 
+// BenchmarkProcSwitch times one process switch: two processes hand
+// control to each other through signals, and one op is one park. The
+// steady state allocates nothing.
+func BenchmarkProcSwitch(b *testing.B) {
+	k := sim.New(1)
+	ping, pong := k.NewSignal("ping"), k.NewSignal("pong")
+	turn := 0
+	rounds := (b.N + 1) / 2 // each round parks both processes once
+	k.Spawn("a", func(p *sim.Proc) {
+		for i := 0; i < rounds; i++ {
+			turn = 1
+			pong.Broadcast()
+			p.WaitCond(ping, func() bool { return turn == 0 })
+		}
+	})
+	k.Spawn("b", func(p *sim.Proc) {
+		for i := 0; i < rounds; i++ {
+			p.WaitCond(pong, func() bool { return turn == 1 })
+			turn = 0
+			ping.Broadcast()
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+}
+
+// BenchmarkProcSpawn times the life of a short-lived process, the shape
+// of the mediator's per-command processes: spawn, run once, finish. After
+// the first op every spawn reuses a pooled coroutine.
+func BenchmarkProcSpawn(b *testing.B) {
+	k := sim.New(1)
+	body := func(p *sim.Proc) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Spawn("short", body)
+		k.Run()
+	}
+}
+
 func BenchmarkMediatedReadRedirect(b *testing.B) {
 	// Cost of one copy-on-read redirect (4 KB), end to end through
 	// mediator, AoE, server, and local write-through.

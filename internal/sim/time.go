@@ -1,11 +1,11 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel maintains a virtual clock and an event heap. Model code runs
-// either as plain scheduled callbacks or as processes: goroutines that hand
+// either as plain scheduled callbacks or as processes: coroutines that hand
 // control back to the kernel whenever they block (Sleep, Wait, queue pops).
-// Exactly one goroutine — the kernel loop or a single process — runs at any
-// instant, so simulations are fully deterministic for a given seed and are
-// safe without additional locking.
+// Exactly one of the kernel loop or a single process runs at any instant,
+// so simulations are fully deterministic for a given seed and are safe
+// without additional locking.
 //
 // All of BMcast's simulated hardware (disks, controllers, NICs, the network)
 // and software (guest OS, VMM, mediators, servers) is built on this package.
