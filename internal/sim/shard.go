@@ -65,6 +65,13 @@ type shardDomain struct {
 	outbox []xpost
 	seq    uint64
 	xfree  []*xevent
+
+	// failed and failure record a panic or runtime.Goexit that escaped
+	// this domain's window in a parallel window, for the coordinator to
+	// re-raise after the barrier. failure is the panic value, nil for
+	// Goexit.
+	failed  bool
+	failure any
 }
 
 // ShardSet runs a fixed partition of kernels ("domains") under the
@@ -139,8 +146,57 @@ func (s *ShardSet) work() {
 		if i >= int64(len(s.active)) {
 			return
 		}
-		s.active[i].runWindow(s.windowEnd)
+		s.runDomain(s.active[i])
+	}
+}
+
+// runDomain runs one domain's window in a parallel window. A panic or
+// runtime.Goexit out of the window is recorded on the domain rather than
+// left to end the worker: the domain still counts as done, so the barrier
+// completes, and the coordinator re-raises the failure afterwards. A
+// Goexit still ends the worker goroutine it ran on.
+func (s *ShardSet) runDomain(k *Kernel) {
+	returned := false
+	defer func() {
+		if !returned {
+			k.dom.failed, k.dom.failure = true, recover()
+		}
 		s.done.Add(1)
+	}()
+	k.runWindow(s.windowEnd)
+	returned = true
+}
+
+// helpWindow is a helper worker's share of a window it entered. The exit
+// is counted even when a domain's Goexit ends the worker.
+func (s *ShardSet) helpWindow() {
+	defer s.exits.Add(1)
+	s.work()
+}
+
+// awaitBarrier waits until every active domain ran its window, then shuts
+// the gate and waits out every worker that made it inside, so none can
+// touch window state after the barrier.
+func (s *ShardSet) awaitBarrier() {
+	for s.done.Load() < int64(len(s.active)) {
+		runtime.Gosched()
+	}
+	for entered := s.closeGate(); s.exits.Load() < entered; {
+		runtime.Gosched()
+	}
+}
+
+// raiseFailure re-raises, on the coordinator, the failure of the first
+// active domain (in domain order) whose window panicked or called
+// runtime.Goexit, so the caller of Run sees what a serial run would show.
+func (s *ShardSet) raiseFailure() {
+	for _, k := range s.active {
+		if d := k.dom; d.failed {
+			if d.failure == nil {
+				runtime.Goexit()
+			}
+			panic(d.failure)
+		}
 	}
 }
 
@@ -317,7 +373,9 @@ func (s *ShardSet) Run(stop func() bool) {
 }
 
 // RunUntil executes barrier windows until the frontier reaches horizon,
-// stop reports true, Stop is called, or the set is quiescent.
+// stop reports true, Stop is called, or the set is quiescent. A panic or
+// runtime.Goexit in a domain's window reaches the caller's goroutine,
+// whichever worker ran that window; the set is not usable afterwards.
 func (s *ShardSet) RunUntil(horizon Time, stop func() bool) {
 	s.stopped = false
 	workers := s.reqWorkers
@@ -331,6 +389,7 @@ func (s *ShardSet) RunUntil(horizon Time, stop func() bool) {
 	}
 
 	var quit atomic.Bool
+	inWindow := false // a parallel window is open
 	if workers > 1 {
 		// The helper workers exist only inside this call. They spin through
 		// barrier phases (with Gosched so a loaded scheduler still makes
@@ -353,13 +412,21 @@ func (s *ShardSet) RunUntil(horizon Time, stop func() bool) {
 					// without us (it was drained by the others) or is
 					// mid-setup; the next epoch bump will re-release us.
 					if s.tryEnter() {
-						s.work()
-						s.exits.Add(1)
+						s.helpWindow()
 					}
 				}
 			}()
 		}
 		defer quit.Store(true)
+		defer func() {
+			if inWindow {
+				// A domain the coordinator ran called runtime.Goexit. The
+				// helpers may have missed this window, so the coordinator
+				// finishes it before the helpers are released.
+				s.work()
+				s.awaitBarrier()
+			}
+		}()
 	}
 
 	for !s.stopped && (stop == nil || !stop()) {
@@ -399,16 +466,11 @@ func (s *ShardSet) RunUntil(horizon Time, stop func() bool) {
 			s.exits.Store(0)
 			s.gate.Store(0) // open the window
 			s.epoch.Add(1)  // release workers into it
-			s.work()        // the coordinator is a worker too
-			for s.done.Load() < int64(len(s.active)) {
-				runtime.Gosched()
-			}
-			// All domains ran; shut the door and wait out every worker
-			// that made it inside, so none can touch window state after
-			// this barrier.
-			for entered := s.closeGate(); s.exits.Load() < entered; {
-				runtime.Gosched()
-			}
+			inWindow = true
+			s.work() // the coordinator is a worker too
+			s.awaitBarrier()
+			inWindow = false
+			s.raiseFailure()
 		} else {
 			for _, k := range s.active {
 				k.runWindow(end)
