@@ -407,6 +407,28 @@ func BenchmarkStoreWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreWriteFragmented times one Store.Write on a store
+// fragmented into about 16 k extents, the shape guest writes leave: each
+// op overwrites one scattered 8-sector fragment with the other of two
+// pre-boxed sources, so the extent count stays put. It mirrors
+// bmcast-bench's disk.ns_per_write_fragmented probe.
+func BenchmarkStoreWriteFragmented(b *testing.B) {
+	const frags, stride = 8192, 64
+	s := disk.NewStore(frags * stride * 2)
+	srcs := [2]disk.SectorSource{disk.Synth{Seed: 1}, disk.Synth{Seed: 2}}
+	for i := int64(0); i < frags; i++ {
+		s.Write(i*stride, 8, srcs[i%2])
+	}
+	flip := make([]int, frags)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := (i * 4099) % frags // visit fragments in a scattered order
+		flip[f] ^= 1
+		s.Write(int64(f)*stride, 8, srcs[(f+flip[f])%2])
+	}
+}
+
 // BenchmarkTraceDisabled pins the cost of instrumentation left in place
 // with no recorder attached: every call site pays one nil pointer check
 // and nothing else (no allocations).

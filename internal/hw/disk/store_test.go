@@ -2,6 +2,7 @@ package disk
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -190,7 +191,8 @@ func TestStoreMatchesReferenceProperty(t *testing.T) {
 }
 
 // TestExtentInvariantProperty checks the cover invariant after random writes:
-// extents are sorted, non-overlapping, contiguous, and span [0, Sectors).
+// extents are sorted, non-overlapping, contiguous, span [0, Sectors), and
+// are maximally coalesced (no two neighbours share a source).
 func TestExtentInvariantProperty(t *testing.T) {
 	f := func(writes []uint16) bool {
 		s := NewStore(256)
@@ -207,7 +209,7 @@ func TestExtentInvariantProperty(t *testing.T) {
 			return false
 		}
 		for i := 1; i < len(exts); i++ {
-			if exts[i].Start != exts[i-1].End {
+			if exts[i].Start != exts[i-1].End || exts[i].Source == exts[i-1].Source {
 				return false
 			}
 		}
@@ -215,5 +217,186 @@ func TestExtentInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// checkChunks verifies the two-level layout: every chunk is non-empty and
+// within maxChunk, and no two neighbouring chunks are both shorter than
+// minChunk.
+func checkChunks(t *testing.T, s *Store) {
+	t.Helper()
+	for c, ch := range s.chunks {
+		if len(ch) == 0 || len(ch) > maxChunk {
+			t.Fatalf("chunk %d holds %d extents", c, len(ch))
+		}
+		if c > 0 && len(ch) < minChunk && len(s.chunks[c-1]) < minChunk {
+			t.Fatalf("chunks %d and %d both shorter than %d", c-1, c, minChunk)
+		}
+	}
+}
+
+// checkModel verifies that the extent list is a sorted, contiguous,
+// maximally coalesced cover of the store that agrees with a per-sector
+// model of which source each sector holds.
+func checkModel(t *testing.T, s *Store, model []SectorSource) {
+	t.Helper()
+	exts := s.Extents()
+	pos := int64(0)
+	for i, e := range exts {
+		if e.Start != pos || e.End <= e.Start {
+			t.Fatalf("extent %d = %v does not continue the cover at %d", i, e, pos)
+		}
+		if i > 0 && exts[i-1].Source == e.Source {
+			t.Fatalf("extents %d and %d share a source: %v %v", i-1, i, exts[i-1], e)
+		}
+		for lba := e.Start; lba < e.End; lba++ {
+			if model[lba] != e.Source {
+				t.Fatalf("sector %d: extent %v, model %s", lba, e, model[lba].Name())
+			}
+		}
+		pos = e.End
+	}
+	if pos != s.Sectors() {
+		t.Fatalf("cover ends at %d, store has %d sectors", pos, s.Sectors())
+	}
+	checkChunks(t, s)
+}
+
+// modelBytes materializes [lba, lba+count) of the per-sector model.
+func modelBytes(model []SectorSource, lba, count int64) []byte {
+	buf := make([]byte, count*SectorSize)
+	for i := int64(0); i < count; i++ {
+		model[lba+i].Fill(lba+i, buf[i*SectorSize:(i+1)*SectorSize])
+	}
+	return buf
+}
+
+// FuzzStoreWrite decodes a store size and a write sequence, applies it to
+// a store and to a per-sector reference model, and checks that they agree.
+//
+// The input is a little-endian uint16 size (1 to 4096 sectors) followed
+// by 5-byte records: uint16 lba, a count byte, a source byte and a repeat
+// byte. A count byte below 0x80 is a short write of 1 to 16 sectors;
+// above, a long one of up to the whole store. A record repeats its write
+// 1 to 32 times, each leaving a gap of 1 to 8 sectors after the last, so
+// a few records fragment the store past many chunks and a long write
+// collapses many chunks at once.
+func FuzzStoreWrite(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		sectors := 1 + int64(binary.LittleEndian.Uint16(data))%4096
+		data = data[2:]
+		pattern := func(seed byte) []byte {
+			b := make([]byte, 8*SectorSize)
+			for i := range b {
+				b[i] = byte(i*7) ^ seed
+			}
+			return b
+		}
+		// Synth{Seed: 1} is boxed twice: the two values are equal, so
+		// extents holding either must coalesce. The buffers hold eight
+		// sectors each and read as zero elsewhere, yet are sources of
+		// their own.
+		srcs := []SectorSource{
+			Zero,
+			Synth{Seed: 1},
+			Synth{Seed: 1},
+			Synth{Seed: 2},
+			NewBuffer(sectors/4, pattern(0x11), "buf-a"),
+			NewBuffer(sectors/2, pattern(0x22), "buf-b"),
+		}
+		s := NewStore(sectors)
+		model := make([]SectorSource, sectors)
+		for i := range model {
+			model[i] = Zero
+		}
+		for ; len(data) >= 5; data = data[5:] {
+			lba := int64(binary.LittleEndian.Uint16(data)) % sectors
+			count := 1 + int64(data[2]%16)
+			if data[2] >= 0x80 {
+				count = 1 + int64(data[2]&0x7f)*sectors/128
+			}
+			src := srcs[int(data[3])%len(srcs)]
+			reps, gap := 1+int(data[4]%32), 1+int64(data[4]>>5)
+			first := lba
+			for r := 0; r < reps && lba < sectors; r++ {
+				n := min(count, sectors-lba)
+				s.Write(lba, n, src)
+				for i := lba; i < lba+n; i++ {
+					model[i] = src
+				}
+				lba += n + gap
+			}
+			checkModel(t, s, model)
+			// Read back from just before the first write, from the middle
+			// of the list: up to 64 sectors, one either side of a short
+			// write.
+			lo := max(first-1, 0)
+			hi := min(first+count+1, lo+64, sectors)
+			want := modelBytes(model, lo, hi-lo)
+			got := make([]byte, len(want))
+			s.ReadAt(lo, got)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("ReadAt(%d, %d sectors) differs from the model", lo, hi-lo)
+			}
+			if p := s.ReadPayload(lo, hi-lo); !bytes.Equal(p.Bytes(), want) {
+				t.Fatalf("ReadPayload(%d, %d) differs from the model", lo, hi-lo)
+			}
+		}
+		for lba, want := range model {
+			if got := s.SourceAt(int64(lba)); got != want {
+				t.Fatalf("SourceAt(%d) = %s, model %s", lba, got.Name(), want.Name())
+			}
+		}
+		got := make([]byte, sectors*SectorSize)
+		s.ReadAt(0, got)
+		if !bytes.Equal(got, modelBytes(model, 0, sectors)) {
+			t.Fatal("ReadAt of the whole store differs from the model")
+		}
+	})
+}
+
+// TestFragmentedWriteAllocs pins steady-state writes on a fragmented store
+// at zero allocations. Each cycle collapses a run of chunks with one long
+// write, which retires their arrays, then re-fragments it, which splits
+// chunks onto those arrays again; between the two, scattered fragment
+// overwrites keep the extent count put.
+func TestFragmentedWriteAllocs(t *testing.T) {
+	const frags, stride = 8192, 64
+	s := NewStore(frags * stride * 2)
+	srcs := [2]SectorSource{Synth{Seed: 1}, Synth{Seed: 2}}
+	for i := int64(0); i < frags; i++ {
+		s.Write(i*stride, 8, srcs[i%2])
+	}
+	const lo, hi = 1000, 1600 // the fragments a cycle collapses
+	flip := make([]int, frags)
+	w := 0
+	cycle := func() {
+		s.Write(lo*stride, (hi-lo)*stride, Zero)
+		for f := int64(lo); f < hi; f++ {
+			s.Write(f*stride, 8, srcs[(f+int64(flip[f]))%2])
+		}
+		for i := 0; i < 200; i++ {
+			f := (w * 4099) % frags
+			w++
+			flip[f] ^= 1
+			s.Write(int64(f)*stride, 8, srcs[(f+flip[f])%2])
+		}
+	}
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	before := len(s.Extents())
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Fatalf("fragmented write cycle allocates %v times, want 0", allocs)
+	}
+	if after := len(s.Extents()); after != before || after < 2*frags {
+		t.Fatalf("extent count %d -> %d, want a steady count above %d", before, after, 2*frags)
+	}
+	checkChunks(t, s)
+	if allocs := testing.AllocsPerRun(10, func() { s.Extents() }); allocs != 1 {
+		t.Fatalf("Extents allocates %v times, want 1", allocs)
 	}
 }
