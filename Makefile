@@ -18,6 +18,12 @@ BMCASTLINT := bin/bmcastlint
 # and uploads the file as the lint artifact.
 LINTJSON ?=
 
+# BENCH_SUITE is the gated benchmark run shared by bench, bench-rebase and
+# bench-compare: the micro and macro passes, concatenated on stdout for
+# one bench2json parse.
+BENCH_SUITE = ( $(GO) test -run '^$$' -bench '$(MICRO)' -benchmem -benchtime=1s -count 3 . && \
+	$(GO) test -run '^$$' -bench '$(MACRO)' -benchmem -benchtime=1x -count 3 . )
+
 .PHONY: test bench bench-rebase bench-smoke bench-compare lint check chaos elasticity
 
 test:
@@ -74,26 +80,20 @@ check: test lint
 # (-compare exits non-zero on >20% ns/op or any allocs/op regression), so a
 # regression leaves the tracked file untouched.
 bench:
-	( $(GO) test -run '^$$' -bench '$(MICRO)' -benchmem -benchtime=1s -count 3 . && \
-	  $(GO) test -run '^$$' -bench '$(MACRO)' -benchmem -benchtime=1x -count 3 . ) \
-	| $(GO) run ./cmd/bench2json -out BENCH_results.new.json -compare BENCH_results.json
+	$(BENCH_SUITE) | $(GO) run ./cmd/bench2json -out BENCH_results.new.json -compare BENCH_results.json
 	mv BENCH_results.new.json BENCH_results.json
 
 # bench-rebase regenerates the baseline without the regression gate — for
 # deliberate suite-shape changes (a new benchmark, a cell added to the
 # registry sweep) where the old numbers are not comparable.
 bench-rebase:
-	( $(GO) test -run '^$$' -bench '$(MICRO)' -benchmem -benchtime=1s -count 3 . && \
-	  $(GO) test -run '^$$' -bench '$(MACRO)' -benchmem -benchtime=1x -count 3 . ) \
-	| $(GO) run ./cmd/bench2json -out BENCH_results.json
+	$(BENCH_SUITE) | $(GO) run ./cmd/bench2json -out BENCH_results.json
 
 # bench-compare runs the tracked benchmark suite and checks it against the
 # committed baseline without rewriting it; BENCH_compare.json is the fresh
 # run (CI uploads it as an artifact).
 bench-compare:
-	( $(GO) test -run '^$$' -bench '$(MICRO)' -benchmem -benchtime=1s -count 3 . && \
-	  $(GO) test -run '^$$' -bench '$(MACRO)' -benchmem -benchtime=1x -count 3 . ) \
-	| $(GO) run ./cmd/bench2json -out BENCH_compare.json -compare BENCH_results.json
+	$(BENCH_SUITE) | $(GO) run ./cmd/bench2json -out BENCH_compare.json -compare BENCH_results.json
 
 # bench-smoke is the CI variant: every benchmark once, just to prove the
 # harness and all benchmark code paths still run end to end.

@@ -1,7 +1,8 @@
 // Package ethernet models a switched Ethernet segment: full-duplex links
 // with bandwidth, propagation delay and MTU (including 9000-byte jumbo
-// frames as in the paper's testbed), a learning switch, and deterministic
-// loss injection for exercising AoE retransmission.
+// frames as in the paper's testbed), a static-table store-and-forward
+// switch, and deterministic loss injection for exercising AoE
+// retransmission.
 package ethernet
 
 import (
@@ -62,7 +63,7 @@ func (f *Frame) InitRef(owner FrameOwner) { f.owner, f.refs = owner, 1 }
 
 // Retain adds a reference to a managed frame (no-op when unmanaged).
 // The count is atomic so copies of one frame fanned out across shard
-// domains (router flood) may release concurrently.
+// domains (switch flood) may release concurrently.
 func (f *Frame) Retain() {
 	if f.owner != nil {
 		atomic.AddInt32(&f.refs, 1)
@@ -386,98 +387,101 @@ func (l *Link) Instrument(reg *metrics.Registry, name string) {
 	}
 }
 
-// Switch is a store-and-forward learning switch. Stations connect through
-// links; the switch learns source MACs and floods unknown destinations.
+// Switch is a store-and-forward Ethernet switch with a static forwarding
+// table. Every station registers its MACs when it connects (the builder
+// knows the whole topology), so the switch learns nothing: a frame for a
+// registered MAC goes out that station's port, a broadcast or a frame for
+// an unregistered MAC floods to every port but the ingress, and a frame
+// whose destination sits behind its own ingress port (a hairpin) is
+// dropped.
+//
+// Each station's link lives entirely on the station's kernel, so both
+// directions serialize on the station's clock. The switch hop is one
+// PostDeliver at now+latency from the sender's kernel to the egress
+// station's kernel: a local event when both stations share a kernel, a
+// cross-domain post when they sit in different ShardSet domains
+// (DESIGN.md §13). Forwarding decisions run on the sender's kernel, which
+// is deterministic because the table is immutable once stations connect.
 type Switch struct {
 	k       *sim.Kernel
 	name    string
 	latency sim.Duration
-	links   []*Link
-	table   map[MAC]*Link
+	ports   []*stationPort
+	table   map[MAC]*stationPort
 }
 
-// NewSwitch returns a switch with the given forwarding latency.
+// NewSwitch returns a switch with the given store-and-forward latency.
+// Stations attached with Connect run on k.
 func NewSwitch(k *sim.Kernel, name string, latency sim.Duration) *Switch {
-	return &Switch{k: k, name: name, latency: latency, table: make(map[MAC]*Link)}
+	return &Switch{k: k, name: name, latency: latency, table: make(map[MAC]*stationPort)}
 }
 
-// Connect attaches a new link to the switch and returns it; the caller
+// Connect attaches a new link for a station running on the switch's
+// kernel, registers the station's MACs, and returns the link; the caller
 // attaches its station to the A side.
-func (s *Switch) Connect(p LinkParams) *Link {
-	l := NewLink(s.k, p)
-	l.AttachB(&switchPort{sw: s, link: l})
-	s.links = append(s.links, l)
+func (s *Switch) Connect(p LinkParams, macs ...MAC) *Link {
+	return s.ConnectOn(s.k, p, macs...)
+}
+
+// ConnectOn is Connect for a station running on kernel k, which may be
+// another domain of the switch kernel's ShardSet. Stations must connect
+// during build, before the simulation runs.
+func (s *Switch) ConnectOn(k *sim.Kernel, p LinkParams, macs ...MAC) *Link {
+	l := NewLink(k, p)
+	sp := &stationPort{sw: s, k: k, link: l}
+	l.AttachB(sp)
+	s.ports = append(s.ports, sp)
+	for _, m := range macs {
+		s.table[m] = sp
+	}
 	return l
 }
 
-type switchPort struct {
+// stationPort is one station attachment. It is both the link's B-side
+// Port (ingress: runs on the sending station's kernel) and the switch
+// hop's delivery handler (egress: runs on the receiving station's
+// kernel).
+type stationPort struct {
 	sw   *Switch
+	k    *sim.Kernel
 	link *Link
-	free []*forward // recycled forward records
 }
 
-// forward is one frame queued through the switch's forwarding latency.
-// Records recycle through the ingress port's free list so store-and-forward
-// costs no allocation per frame.
-type forward struct {
-	sp   *switchPort
-	f    *Frame
-	fire func()
-}
-
-// Deliver handles a frame arriving at the switch from link.
-func (sp *switchPort) Deliver(f *Frame) {
-	sp.sw.table[f.Src] = sp.link // learn
-	var rec *forward
-	if n := len(sp.free); n > 0 {
-		rec = sp.free[n-1]
-		sp.free = sp.free[:n-1]
-	} else {
-		rec = &forward{sp: sp}
-		rec.fire = func() {
-			f, owner := rec.f, rec.sp
-			rec.f = nil
-			owner.free = append(owner.free, rec)
-			owner.forward(f)
-		}
-	}
-	rec.f = f
-	sp.sw.k.After(sp.sw.latency, rec.fire)
-}
-
-// forward sends f out the learned port, or floods it. Each SendFromB
-// consumes one frame reference, so flooding to n egress ports retains n-1
-// extra; a frame with no egress (hairpin to its ingress port, or a
-// single-link switch) is released here.
-func (sp *switchPort) forward(f *Frame) {
+// Deliver forwards an ingress frame: one PostDeliver per egress port,
+// timestamped with the forwarding latency. Each egress consumes one frame
+// reference, so flooding to n ports retains n-1 extra; a frame with no
+// egress (a hairpin, or a single-port switch) is released here.
+func (sp *stationPort) Deliver(f *Frame) {
 	sw := sp.sw
+	at := sp.k.Now().Add(sw.latency)
 	if f.Dst != Broadcast {
 		if out, ok := sw.table[f.Dst]; ok {
-			if out != sp.link {
-				out.SendFromB(f)
-			} else {
+			if out == sp {
 				f.Release()
+				return
 			}
+			sp.k.PostDeliver(out.k, at, out, f)
 			return
 		}
 	}
-	n := 0
-	for _, l := range sw.links { // flood
-		if l != sp.link {
-			n++
-		}
-	}
+	n := len(sw.ports) - 1 // flood: every port but the ingress
 	if n == 0 {
 		f.Release()
 		return
 	}
 	for i := 1; i < n; i++ {
-		//bmcast:allow framebalance flood holds n refs total; the send loop below hands off exactly n
+		//bmcast:allow framebalance flood holds n refs total; the post loop below hands off exactly n
 		f.Retain()
 	}
-	for _, l := range sw.links {
-		if l != sp.link {
-			l.SendFromB(f)
+	for _, out := range sw.ports {
+		if out != sp {
+			sp.k.PostDeliver(out.k, at, out, f)
 		}
 	}
+}
+
+// XDeliver completes the switch hop on the receiving station's kernel:
+// the frame starts serializing toward the station (B→A).
+func (sp *stationPort) XDeliver(payload any) {
+	sp.link.SendFromB(payload.(*Frame))
 }

@@ -1,6 +1,7 @@
 package ethernet
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -34,30 +35,188 @@ func TestDeliveryThroughSwitch(t *testing.T) {
 	la.SendFromA(&Frame{Src: 1, Dst: 2, Size: 1000})
 	k.Run()
 	if len(cb.frames) != 1 {
-		t.Fatalf("station B received %d frames, want 1 (flooded unknown dst)", len(cb.frames))
+		t.Fatalf("station B received %d frames, want 1 (flooded unregistered dst)", len(cb.frames))
 	}
 }
 
-func TestLearningSuppressesFlood(t *testing.T) {
+// stations connects n stations to sw, station i registering MAC i+1, and
+// returns their links and collectors.
+func stations(k *sim.Kernel, sw *Switch, n int) ([]*Link, []*collector) {
+	links := make([]*Link, n)
+	cols := make([]*collector, n)
+	for i := range links {
+		links[i] = sw.Connect(GigabitJumbo(), MAC(i+1))
+		cols[i] = &collector{k: k}
+		links[i].AttachA(cols[i])
+	}
+	return links, cols
+}
+
+func TestSwitchRegisteredUnicastReachesOnlyItsPort(t *testing.T) {
+	k := sim.New(1)
+	links, cols := stations(k, NewSwitch(k, "sw", 0), 3)
+	links[0].SendFromA(&Frame{Src: 1, Dst: 2, Size: 100})
+	k.Run()
+	if len(cols[1].frames) != 1 {
+		t.Fatalf("station 2 received %d frames, want 1", len(cols[1].frames))
+	}
+	for _, i := range []int{0, 2} {
+		if len(cols[i].frames) != 0 || links[i].b2a.delivered.Value() != 0 {
+			t.Fatalf("station %d link carried %d frames toward it, want 0", i+1, links[i].b2a.delivered.Value())
+		}
+	}
+}
+
+func TestSwitchUnregisteredDestinationFloods(t *testing.T) {
+	k := sim.New(1)
+	links, cols := stations(k, NewSwitch(k, "sw", 0), 4)
+	links[0].SendFromA(&Frame{Src: 1, Dst: 0xEE, Size: 100})
+	links[1].SendFromA(&Frame{Src: 2, Dst: Broadcast, Size: 100})
+	k.Run()
+	// Each station gets the other's flood, never its own.
+	want := []int{1, 1, 2, 2}
+	for i, c := range cols {
+		if len(c.frames) != want[i] {
+			t.Fatalf("station %d received %d frames, want %d", i+1, len(c.frames), want[i])
+		}
+		for _, f := range c.frames {
+			if f.Src == MAC(i+1) {
+				t.Fatalf("station %d received its own flood", i+1)
+			}
+		}
+	}
+}
+
+// countingOwner records every frame returned to it.
+type countingOwner struct{ released map[*Frame]int }
+
+func (o *countingOwner) ReleaseFrame(f *Frame) { o.released[f]++ }
+
+// releaser is a station that consumes every frame it receives.
+type releaser struct{ got int }
+
+func (r *releaser) Deliver(f *Frame) {
+	r.got++
+	f.Release()
+}
+
+func TestSwitchHairpinDropped(t *testing.T) {
 	k := sim.New(1)
 	sw := NewSwitch(k, "sw", 0)
-	la := sw.Connect(GigabitJumbo())
-	lb := sw.Connect(GigabitJumbo())
-	lc := sw.Connect(GigabitJumbo())
-	ca, cb, cc := &collector{k: k}, &collector{k: k}, &collector{k: k}
-	la.AttachA(ca)
-	lb.AttachA(cb)
-	lc.AttachA(cc)
-
-	lb.SendFromA(&Frame{Src: 2, Dst: 1, Size: 100}) // teaches the switch MAC 2
+	la := sw.Connect(GigabitJumbo(), 1, 5) // two MACs behind one port
+	lb := sw.Connect(GigabitJumbo(), 2)
+	ra, rb := &releaser{}, &releaser{}
+	la.AttachA(ra)
+	lb.AttachA(rb)
+	o := &countingOwner{released: map[*Frame]int{}}
+	f := &Frame{Src: 1, Dst: 5, Size: 100}
+	f.InitRef(o)
+	la.SendFromA(f)
 	k.Run()
-	la.SendFromA(&Frame{Src: 1, Dst: 2, Size: 100}) // should go only to B
-	k.Run()
-	if len(cb.frames) != 1 {
-		t.Fatalf("B received %d frames, want 1", len(cb.frames))
+	if ra.got != 0 || rb.got != 0 || lb.b2a.delivered.Value() != 0 {
+		t.Fatalf("hairpin frame delivered (A %d, B %d)", ra.got, rb.got)
 	}
-	if len(cc.frames) != 1 { // only the initial flood of the first frame
-		t.Fatalf("C received %d frames, want 1 (flood of first frame only)", len(cc.frames))
+	if o.released[f] != 1 {
+		t.Fatalf("hairpin frame released %d times, want 1", o.released[f])
+	}
+}
+
+func TestSwitchFloodReleasesEachFrameOnce(t *testing.T) {
+	k := sim.New(1)
+	sw := NewSwitch(k, "sw", 5*sim.Microsecond)
+	const ports, frames = 4, 10
+	links := make([]*Link, ports)
+	rs := make([]*releaser, ports)
+	for i := range links {
+		links[i] = sw.Connect(GigabitJumbo(), MAC(i+1))
+		rs[i] = &releaser{}
+		links[i].AttachA(rs[i])
+	}
+	o := &countingOwner{released: map[*Frame]int{}}
+	sent := make([]*Frame, frames)
+	for i := range sent {
+		sent[i] = &Frame{Src: 1, Dst: Broadcast, Size: 1000}
+		sent[i].InitRef(o)
+		links[0].SendFromA(sent[i])
+	}
+	k.Run()
+	for i := 1; i < ports; i++ {
+		if rs[i].got != frames {
+			t.Fatalf("station %d received %d frames, want %d", i+1, rs[i].got, frames)
+		}
+	}
+	if len(o.released) != frames {
+		t.Fatalf("owner saw %d distinct frames, want %d", len(o.released), frames)
+	}
+	for _, f := range sent {
+		if o.released[f] != 1 {
+			t.Fatalf("frame released %d times, want exactly 1", o.released[f])
+		}
+	}
+}
+
+// relay is one station of the schedule test: it logs each arrival and
+// forwards unicast frames to the next station until their hop budget runs
+// out.
+type relay struct {
+	k    *sim.Kernel
+	mac  MAC
+	next MAC
+	link *Link
+	log  []string
+}
+
+func (r *relay) Deliver(f *Frame) {
+	hops := f.Payload.(int)
+	r.log = append(r.log, fmt.Sprintf("%dns %v->%v hops=%d", int64(r.k.Now()), f.Src, f.Dst, hops))
+	if f.Dst == r.mac && hops > 0 {
+		r.link.SendFromA(&Frame{Src: r.mac, Dst: r.next, Size: 1000 + int64(hops), Payload: hops - 1})
+	}
+}
+
+// exchange runs a 3-station relay and broadcast exchange through one
+// switch, with station i on kernels[i], and returns each station's arrival
+// log.
+func exchange(sw *Switch, kernels []*sim.Kernel, run func()) [][]string {
+	rs := make([]*relay, len(kernels))
+	for i, k := range kernels {
+		mac := MAC(i + 1)
+		rs[i] = &relay{k: k, mac: mac, next: MAC((i+1)%len(kernels) + 1)}
+		rs[i].link = sw.ConnectOn(k, GigabitJumbo(), mac)
+		rs[i].link.AttachA(rs[i])
+	}
+	for _, r := range rs {
+		r.k.At(0, func() {
+			r.link.SendFromA(&Frame{Src: r.mac, Dst: r.next, Size: 9000, Payload: 6})
+			r.link.SendFromA(&Frame{Src: r.mac, Dst: Broadcast, Size: 64, Payload: 0})
+		})
+	}
+	run()
+	logs := make([][]string, len(rs))
+	for i, r := range rs {
+		logs[i] = r.log
+	}
+	return logs
+}
+
+func TestSwitchScheduleSameOnShardSet(t *testing.T) {
+	const latency = 5 * sim.Microsecond
+	k := sim.New(1)
+	serial := exchange(NewSwitch(k, "sw", latency), []*sim.Kernel{k, k, k}, func() { k.Run() })
+
+	// One domain per station; the window equals the switch latency, the
+	// shortest cross-domain hop, so no arrival is clamped to a barrier.
+	set := sim.NewShardSet(1, 1, latency)
+	doms := []*sim.Kernel{set.NewDomain("a"), set.NewDomain("b"), set.NewDomain("c")}
+	sharded := exchange(NewSwitch(doms[0], "sw", latency), doms, func() { set.Run(nil) })
+
+	for i := range serial {
+		if len(serial[i]) == 0 {
+			t.Fatalf("station %d received nothing", i+1)
+		}
+		if fmt.Sprint(serial[i]) != fmt.Sprint(sharded[i]) {
+			t.Fatalf("station %d arrivals differ:\nstandalone %v\nshard set  %v", i+1, serial[i], sharded[i])
+		}
 	}
 }
 
@@ -272,11 +431,6 @@ func TestBidirectionalIndependence(t *testing.T) {
 	// bandwidth.
 	k := sim.New(1)
 	_, la, lb, ca, cb := twoStations(k, GigabitJumbo())
-	// Teach the switch both addresses first.
-	la.SendFromA(&Frame{Src: 1, Dst: Broadcast, Size: 64})
-	lb.SendFromA(&Frame{Src: 2, Dst: Broadcast, Size: 64})
-	k.Run()
-	ca.frames, cb.frames, ca.times, cb.times = nil, nil, nil, nil
 	start := k.Now()
 	for i := 0; i < 10; i++ {
 		la.SendFromA(&Frame{Src: 1, Dst: 2, Size: 9000})

@@ -56,19 +56,19 @@ func newSNICRig(t *testing.T) *snicRig {
 	cfg := machine.RX200S6("m0")
 	cfg.MemBytes = 256 << 20
 	m := machine.New(k, cfg)
-	link := sw.Connect(ethernet.GigabitJumbo())
+	link := sw.Connect(ethernet.GigabitJumbo(), 0x20)
 	base := m.AttachNIC(nic.IntelPro1000, 0x20, link)
 	irq := hwio.NewIRQ(k, "nic")
 	ring := nic.NewRingNIC(k, base, m.Mem, irq)
 	regName := ring.RegisterRegion(m.IO)
 
 	// Server and echo peer.
-	servNIC := nic.New(k, "srv", nic.IntelX540, 0x01, sw.Connect(ethernet.GigabitJumbo()))
+	servNIC := nic.New(k, "srv", nic.IntelX540, 0x01, sw.Connect(ethernet.GigabitJumbo(), 0x01))
 	img := disk.NewSynthImage("img", 64<<20, 3)
 	srv := vblade.NewServer(k, servNIC, 4)
 	srv.AddTarget(0, 0, img)
 	srv.Start()
-	peer := newEchoPeer(k, 0x99, sw.Connect(ethernet.GigabitJumbo()))
+	peer := newEchoPeer(k, 0x99, sw.Connect(ethernet.GigabitJumbo(), 0x99))
 
 	region := m.Firmware.ReserveForVMM(16 << 20)
 	med := mediator.NewSharedNIC(m, ring, regName, region)

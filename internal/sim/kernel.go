@@ -66,8 +66,9 @@ func (h Handle) Canceled() bool { return h.live() && h.e.canceled }
 // concurrent use; its processes run on whichever goroutine is driving it.
 type Kernel struct {
 	now      Time
-	heap     []*event // 4-ary min-heap ordered by (when, seq)
-	free     []*event // recycled fired records, reused by At
+	heap     []*event  // 4-ary min-heap ordered by (when, seq)
+	free     []*event  // recycled fired records, reused by At
+	xfree    []*xevent // recycled post delivery records (shard.go)
 	seq      uint64
 	rng      *rand.Rand
 	procs    int // live processes (running or parked)

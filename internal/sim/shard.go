@@ -49,7 +49,7 @@ type xpost struct {
 }
 
 // xevent is a pooled delivery record: the scheduled kernel event that fires
-// one delivered post on the destination domain. Pooling keeps the per-post
+// one delivered post on the destination kernel. Pooling keeps the per-post
 // steady state at zero allocations, mirroring the kernel's event records.
 type xevent struct {
 	h       XHandler
@@ -64,7 +64,6 @@ type shardDomain struct {
 	id     int32
 	outbox []xpost
 	seq    uint64
-	xfree  []*xevent
 
 	// failed and failure record a panic or runtime.Goexit that escaped
 	// this domain's window in a parallel window, for the coordinator to
@@ -280,16 +279,10 @@ func (k *Kernel) Shard() *ShardSet {
 // Post schedules fn on the dst kernel at instant at, clamped to the end of
 // the executing window (the conservative delivery rule). Within one source
 // domain posts deliver in (time, post order); across domains they merge in
-// (time, domain index, post order). Posting to the local kernel degrades
-// to At, and a kernel outside any ShardSet may only post to itself.
+// (time, domain index, post order). Posting to the local kernel is exact
+// (no clamp, no barrier), and a kernel outside any ShardSet may only post
+// to itself.
 func (k *Kernel) Post(dst *Kernel, at Time, fn func()) {
-	if dst == k {
-		if at < k.now {
-			at = k.now
-		}
-		k.At(at, fn)
-		return
-	}
 	k.post(dst, at, nil, nil, fn)
 }
 
@@ -300,10 +293,6 @@ func (k *Kernel) PostDeliver(dst *Kernel, at Time, h XHandler, payload any) {
 }
 
 func (k *Kernel) post(dst *Kernel, at Time, h XHandler, payload any, fn func()) {
-	d := k.dom
-	if d == nil || dst.dom == nil || dst.dom.set != d.set {
-		panic("sim: cross-domain post between kernels not in one ShardSet")
-	}
 	if dst == k {
 		// Local delivery is exact: no window clamp, no barrier.
 		if at < k.now {
@@ -311,6 +300,10 @@ func (k *Kernel) post(dst *Kernel, at Time, h XHandler, payload any, fn func()) 
 		}
 		k.deliverPost(xpost{at: at, h: h, payload: payload, fn: fn})
 		return
+	}
+	d := k.dom
+	if d == nil || dst.dom == nil || dst.dom.set != d.set {
+		panic("sim: cross-domain post between kernels not in one ShardSet")
 	}
 	s := d.set
 	if at < s.windowEnd {
@@ -341,20 +334,19 @@ func (k *Kernel) nextWhen() (Time, bool) {
 	return k.heap[0].when, true
 }
 
-// deliverPost schedules one merged post as a local kernel event using a
-// pooled delivery record.
+// deliverPost schedules one post (merged at a barrier, or local) as a
+// kernel event using a pooled delivery record.
 func (k *Kernel) deliverPost(x xpost) {
-	d := k.dom
 	var rec *xevent
-	if n := len(d.xfree); n > 0 {
-		rec = d.xfree[n-1]
-		d.xfree = d.xfree[:n-1]
+	if n := len(k.xfree); n > 0 {
+		rec = k.xfree[n-1]
+		k.xfree = k.xfree[:n-1]
 	} else {
 		rec = &xevent{}
 		rec.fire = func() {
 			h, payload, fn := rec.h, rec.payload, rec.fn
 			rec.h, rec.payload, rec.fn = nil, nil, nil
-			d.xfree = append(d.xfree, rec)
+			k.xfree = append(k.xfree, rec)
 			if h != nil {
 				h.XDeliver(payload)
 				return

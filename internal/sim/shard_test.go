@@ -206,7 +206,7 @@ func TestShardStopAtBarrier(t *testing.T) {
 }
 
 func TestShardLocalPostIsImmediate(t *testing.T) {
-	// Posting to the local kernel degrades to At: no window clamp.
+	// Posting to the local kernel is exact: no window clamp.
 	s := NewShardSet(1, 1, 100*Microsecond)
 	a := s.NewDomain("a")
 	var got Time
@@ -216,6 +216,46 @@ func TestShardLocalPostIsImmediate(t *testing.T) {
 	s.Run(nil)
 	if got != Time(11*Microsecond) {
 		t.Fatalf("local post delivered at %v, want %v", got, Time(11*Microsecond))
+	}
+}
+
+func TestStandalonePostToSelf(t *testing.T) {
+	// A kernel outside any ShardSet delivers Post and PostDeliver to
+	// itself at the exact instant, in post order, clamping the past to now.
+	k := New(1)
+	var got []string
+	h := xfunc(func(payload any) { got = append(got, fmt.Sprintf("%d %v", k.Now(), payload)) })
+	k.At(Time(10*Microsecond), func() {
+		k.PostDeliver(k, k.Now().Add(Microsecond), h, "deliver")
+		k.Post(k, k.Now().Add(Microsecond), func() { got = append(got, fmt.Sprintf("%d post", k.Now())) })
+		k.PostDeliver(k, 0, h, "past")
+	})
+	k.Run()
+	want := "[10000 past 11000 deliver 11000 post]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("deliveries %v, want %v", got, want)
+	}
+}
+
+func TestStandalonePostToSelfZeroAlloc(t *testing.T) {
+	// Once the delivery-record pool is warm, a local post costs nothing.
+	k := New(1)
+	n := 0
+	fn := func() { n++ }
+	var h XHandler = xfunc(func(any) { n++ })
+	var payload any = &n
+	for i := 0; i < 64; i++ {
+		k.Post(k, Time(i), fn)
+		k.PostDeliver(k, Time(i), h, payload)
+	}
+	k.Run()
+	avg := testing.AllocsPerRun(1000, func() {
+		k.Post(k, k.Now().Add(Microsecond), fn)
+		k.PostDeliver(k, k.Now().Add(Microsecond), h, payload)
+		k.Run()
+	})
+	if avg != 0 {
+		t.Fatalf("local post+fire allocates %.2f objects, want 0", avg)
 	}
 }
 

@@ -30,11 +30,10 @@ type Testbed struct {
 	Switch *ethernet.Switch
 	IB     *ib.Fabric
 
-	// Set and Router are non-nil for a sharded testbed (Config.Shards > 0;
-	// DESIGN.md §13): K is then the hub domain's kernel, each node gets its
-	// own domain, and Router replaces Switch as the fabric.
-	Set    *sim.ShardSet
-	Router *ethernet.Router
+	// Set is non-nil for a sharded testbed (Config.Shards > 0; DESIGN.md
+	// §13): K is then the hub domain's kernel and each node gets its own
+	// domain. The switch core is on K either way.
+	Set *sim.ShardSet
 
 	Image     *disk.Image
 	Server    *vblade.Server
@@ -139,16 +138,15 @@ func New(cfg Config) *Testbed {
 		}
 		tb.Set = sim.NewShardSet(cfg.Seed, cfg.Shards, w)
 		k = tb.Set.NewDomain("hub")
-		tb.Router = ethernet.NewRouter("sw0", switchLatency)
 		tb.shadow = make(map[string]*shadowLink)
 	} else {
 		k = sim.New(cfg.Seed)
-		tb.Switch = ethernet.NewSwitch(k, "sw0", switchLatency)
 		// The IB fabric is only assembled single-threaded; the BMcast
 		// deployment path never touches it.
 		tb.IB = ib.QDR4X(k)
 	}
 	tb.K = k
+	tb.Switch = ethernet.NewSwitch(k, "sw0", switchLatency)
 	if cfg.EnableTrace {
 		tb.Trace = trace.NewRecorder(k)
 	}
@@ -165,17 +163,10 @@ func New(cfg Config) *Testbed {
 	return tb
 }
 
-// connect attaches a station on kernel k to the fabric (switch or router)
-// and instruments the new link under name. The station's MACs are needed
-// by the router's static forwarding table; the learning switch ignores
-// them.
+// connect attaches a station on kernel k to the switch, registering its
+// MACs in the forwarding table, and instruments the new link under name.
 func (tb *Testbed) connect(k *sim.Kernel, name string, macs ...ethernet.MAC) *ethernet.Link {
-	var l *ethernet.Link
-	if tb.Sharded() {
-		l = tb.Router.Connect(k, ethernet.GigabitJumbo(), macs...)
-	} else {
-		l = tb.Switch.Connect(ethernet.GigabitJumbo())
-	}
+	l := tb.Switch.ConnectOn(k, ethernet.GigabitJumbo(), macs...)
 	tb.links = append(tb.links, l)
 	l.Instrument(tb.Metrics, name)
 	return l

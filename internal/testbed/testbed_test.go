@@ -1,9 +1,12 @@
 package testbed
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/guest"
+	"repro/internal/hw/nic"
 	"repro/internal/sim"
 )
 
@@ -76,4 +79,45 @@ func quickBoot(cfg Config) (bp guestBootProfile) {
 	b.CPUTime = sim.Second
 	b.SpanSectors = cfg.ImageBytes / 2 / 512
 	return b
+}
+
+// TestBMcastBurstNeverFloods pins the static forwarding table: every
+// station registers its MACs when it connects, so even the first AoE
+// burst of a deployment, sent before the server has transmitted anything,
+// goes out one port. A flooded frame would reach the other nodes' NICs
+// and be counted there as filtered.
+func TestBMcastBurstNeverFloods(t *testing.T) {
+	cfg := small()
+	tb := New(cfg)
+	const nodes = 4
+	done := 0
+	for i := 0; i < nodes; i++ {
+		n := tb.AddNode(cfg)
+		n.M.Firmware.InitTime = sim.Second
+		tb.K.Spawn(fmt.Sprintf("deploy%d", i), func(p *sim.Proc) {
+			r, err := tb.DeployBMcast(p, n, core.DefaultConfig(), quickBoot(cfg))
+			if err != nil {
+				t.Error(err)
+				tb.K.Stop()
+				return
+			}
+			tb.WaitBareMetal(p, n, r)
+			if done++; done == nodes {
+				tb.K.Stop()
+			}
+		})
+	}
+	tb.K.Run()
+	if done != nodes {
+		t.Fatalf("%d of %d deployments reached bare metal", done, nodes)
+	}
+	nics := []*nic.NIC{tb.ServerNIC}
+	for _, n := range tb.Nodes {
+		nics = append(nics, n.M.NICs...)
+	}
+	for _, c := range nics {
+		if got := c.Filtered.Value(); got != 0 {
+			t.Errorf("%s filtered %d flooded frames, want 0", c.Name, got)
+		}
+	}
 }

@@ -299,10 +299,10 @@ func TestCrashMidTransferFailsOverToSecondary(t *testing.T) {
 	img := disk.NewSynthImage("ubuntu", 8<<20, 7)
 	k := sim.New(42)
 	sw := ethernet.NewSwitch(k, "sw", 5*sim.Microsecond)
-	clLink := sw.Connect(ethernet.GigabitJumbo())
+	clLink := sw.Connect(ethernet.GigabitJumbo(), 0x02)
 	client := nic.New(k, "cl0", nic.IntelPro1000, 0x02, clLink)
 	newServer := func(name string, mac ethernet.MAC) *vblade.Server {
-		l := sw.Connect(ethernet.GigabitJumbo())
+		l := sw.Connect(ethernet.GigabitJumbo(), mac)
 		n := nic.New(k, name, nic.IntelX540, mac, l)
 		s := vblade.NewServer(k, n, 4)
 		s.AddTarget(0, 0, img)
