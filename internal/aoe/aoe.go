@@ -91,10 +91,12 @@ type Header struct {
 	Stamp int64
 }
 
-// Marshal encodes the header into a fresh HeaderSize-byte slice.
+// Marshal encodes the header into a fresh HeaderSize-byte slice. Fields
+// wider than their wire slots are truncated: Flags to the low four bits
+// (the high four carry the version) and LBA to 48 bits.
 func (h *Header) Marshal() []byte {
 	b := make([]byte, HeaderSize)
-	b[0] = 0x10 | h.Flags // version 1
+	b[0] = 0x10 | h.Flags&0x0F // version 1
 	b[1] = h.Error
 	binary.BigEndian.PutUint16(b[2:], h.Major)
 	b[4] = h.Minor

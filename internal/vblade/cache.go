@@ -18,7 +18,7 @@ import (
 // Everything is deterministic under the seed discipline: extents are keyed
 // arithmetically (no map iteration on any decision path), eviction is a
 // clock sweep over an explicit ring in insertion order, and coalesced
-// waiters wake in FIFO broadcast order.
+// readers queue on the fill and wake in arrival order.
 type extentCache struct {
 	s          *Server
 	budget     int64 // resident-byte budget; the clock sweep enforces it
@@ -39,10 +39,13 @@ type cacheExtent struct {
 	bytes   int64
 	refs    int  // readers currently copying out of this extent
 	refBit  bool // clock reference bit
-	filling bool // cold-storage fill in flight; waiters coalesce onto done
+	filling bool // cold-storage fill in flight; readers queue on it
 	dropped bool // evicted, invalidated, or lost to a crash
 	stale   bool // invalidated while filling; the filler drops it
-	done    *sim.Signal
+
+	// Workers waiting for the fill, in arrival order, linked through
+	// worker.nextWait.
+	waitHead, waitTail *worker
 }
 
 // EnableCache installs the shared-image serving cache with the given byte
@@ -85,79 +88,93 @@ func (c *extentCache) extentBytes(sectors, ext int64) int64 {
 	return n * disk.SectorSize
 }
 
-// acquire pins every extent overlapping [lba, lba+count) into the cache,
-// blocking the worker for cold-storage reads on misses and coalescing onto
-// in-flight fills. Pinned extents are appended to held (reused across
-// serves by the worker) and must be released after the copy-out completes.
-func (c *extentCache) acquire(p *sim.Proc, tk uint32, t *Target, lba, count int64, held []*cacheExtent) []*cacheExtent {
+// acquire pins the extents overlapping w's read, from its cursor w.ext
+// onward, and appends them to w.held; they are released after the
+// copy-out. It reports true once every extent is pinned. On a miss the
+// worker fills the extent from cold storage; on an extent another worker
+// is filling, it queues on that fill instead of issuing a second disk
+// read. Either way acquire reports false, and the worker's continuation
+// (fillDone or woken) resumes at the cursor.
+func (c *extentCache) acquire(w *worker) bool {
 	s := c.s
-	for e := lba / c.extSectors; e*c.extSectors < lba+count; e++ {
-		key := extentKey(tk, e)
-		for {
-			ext, ok := c.table[key]
-			if ok && !ext.filling {
-				s.CacheHits.Inc()
-				ext.refBit = true
-				ext.refs++
-				held = append(held, ext)
-				break
-			}
-			if ok {
-				// Another worker is already reading this extent from cold
-				// storage: coalesce onto its fill instead of issuing a
-				// second disk read.
-				s.CoalescedReads.Inc()
-				for ext.filling {
-					p.Wait(ext.done)
-				}
-				if ext.dropped {
-					continue // fill was lost to a crash or invalidation; re-resolve
-				}
-				ext.refBit = true
-				ext.refs++
-				held = append(held, ext)
-				break
-			}
-			// Miss: this worker fills the extent. The entry is visible in
-			// the table before the disk sleep so concurrent readers
-			// coalesce rather than duplicate the read.
-			s.CacheMisses.Inc()
-			ext = &cacheExtent{
-				key:     key,
-				lba:     e * c.extSectors,
-				bytes:   c.extentBytes(t.store.Sectors(), e),
-				filling: true,
-				done:    s.k.NewSignal("vblade.cache.fill"),
-			}
-			if s.tr != nil {
-				s.tr.Emit(s.node, "vblade", "cache-miss", trace.Int("lba", ext.lba))
-			}
-			c.table[key] = ext
-			c.ring = append(c.ring, ext)
-			p.Sleep(sim.RateDuration(ext.bytes, s.ColdReadRate))
-			ext.filling = false
-			if s.crashed || ext.stale {
-				// The server died mid-fill (the cache died with it), or a
-				// write invalidated this extent while it was being read.
-				// Drop the fill; this read proceeds uncached (the disk
-				// cost is already paid).
-				if c.table[key] == ext {
-					delete(c.table, key)
-				}
-				ext.dropped = true
-				ext.done.Broadcast()
-				break
-			}
-			c.resident += ext.bytes
-			c.evict()
-			ext.refBit = true
-			ext.refs++
-			held = append(held, ext)
-			ext.done.Broadcast()
-			break
+	tk := targetKey(w.hdr.Major, w.hdr.Minor)
+	for ; w.ext*c.extSectors < w.lba+w.count; w.ext++ {
+		key := extentKey(tk, w.ext)
+		ext, ok := c.table[key]
+		if ok && !ext.filling {
+			s.CacheHits.Inc()
+			pin(w, ext)
+			continue
 		}
+		if ok {
+			// Another worker is already reading this extent from cold
+			// storage: coalesce onto its fill.
+			s.CoalescedReads.Inc()
+			w.wait = ext
+			if ext.waitTail == nil {
+				ext.waitHead = w
+			} else {
+				ext.waitTail.nextWait = w
+			}
+			ext.waitTail = w
+			return false
+		}
+		// Miss: this worker fills the extent. The entry is visible in the
+		// table before the disk read so concurrent readers coalesce rather
+		// than duplicate it.
+		s.CacheMisses.Inc()
+		ext = &cacheExtent{
+			key:     key,
+			lba:     w.ext * c.extSectors,
+			bytes:   c.extentBytes(w.t.store.Sectors(), w.ext),
+			filling: true,
+		}
+		w.wait = ext
+		if s.tr != nil {
+			s.tr.Emit(s.node, "vblade", "cache-miss", trace.Int("lba", ext.lba))
+		}
+		c.table[key] = ext
+		c.ring = append(c.ring, ext)
+		s.k.After(sim.RateDuration(ext.bytes, s.ColdReadRate), w.fillDoneFn)
+		return false
 	}
-	return held
+	return true
+}
+
+// pin takes a reference on ext for w's read.
+func pin(w *worker, ext *cacheExtent) {
+	ext.refBit = true
+	ext.refs++
+	w.held = append(w.held, ext)
+}
+
+// filled completes w's cold-storage fill: the extent becomes resident and
+// pinned, or — if the server died mid-fill (the cache died with it) or a
+// write invalidated the extent meanwhile — it is dropped, and this read
+// proceeds uncached (the disk cost is already paid). Either way the queued
+// readers wake, one event each, in arrival order.
+func (c *extentCache) filled(w *worker) {
+	ext := w.wait
+	w.wait = nil
+	ext.filling = false
+	if c.s.crashed || ext.stale {
+		if c.table[ext.key] == ext {
+			delete(c.table, ext.key)
+		}
+		ext.dropped = true
+	} else {
+		c.resident += ext.bytes
+		c.evict()
+		pin(w, ext)
+	}
+	for q := ext.waitHead; q != nil; {
+		next := q.nextWait
+		q.nextWait = nil
+		c.s.k.After(0, q.wokenFn)
+		q = next
+	}
+	ext.waitHead, ext.waitTail = nil, nil
+	w.ext++
 }
 
 // release unpins extents acquired for one serve and resets the scratch.

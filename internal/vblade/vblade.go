@@ -72,7 +72,8 @@ type Server struct {
 	nic *nic.NIC
 
 	targets map[uint32]*Target
-	queue   *sim.Queue[*ethernet.Frame]
+	// rq is the current incarnation's request queue; Restart replaces it.
+	rq *requestQueue
 	// pool recycles outbound response frames; they come back when the
 	// initiator (or a drop point on the path) releases them.
 	pool aoe.FramePool
@@ -145,7 +146,7 @@ func NewServer(k *sim.Kernel, n *nic.NIC, threads int) *Server {
 		k:            k,
 		nic:          n,
 		targets:      make(map[uint32]*Target),
-		queue:        sim.NewQueue[*ethernet.Frame](k, "vblade.q"),
+		rq:           newRequestQueue(k),
 		Threads:      threads,
 		PerFragCPU:   480 * sim.Microsecond,
 		CopyRate:     6e9,
@@ -176,7 +177,9 @@ func (s *Server) Target(major uint16, minor uint8) *Target {
 // Store exposes the target's backing store (for test setup/inspection).
 func (t *Target) Store() *disk.Store { return t.store }
 
-// Start begins receiving and spawns the worker pool.
+// Start begins receiving and starts the worker pool. Workers are not
+// processes: each is a record whose continuations the kernel calls, and
+// each starts with one event at the current instant.
 func (s *Server) Start() {
 	s.nic.SetOnReceive(func(f *ethernet.Frame) {
 		if f.EtherType != aoe.EtherType {
@@ -186,33 +189,23 @@ func (s *Server) Start() {
 		// Frames racing a Stop or Crash (already serialized onto the wire,
 		// arriving after the queue closed) are dropped, never pushed — a
 		// stopped daemon must not panic on late traffic.
-		if s.crashed || s.queue.Closed() {
+		if s.crashed || s.rq.frames.Closed() {
 			s.UnknownDrops.Inc()
 			f.Release()
 			return
 		}
 		f.QueuedAt = s.k.Now() // queue-wait attribution; overwrites pooled leftovers
-		s.queue.Push(f)
+		s.rq.push(f)
 	})
 	for i := 0; i < s.Threads; i++ {
-		s.k.Spawn("vblade.worker", func(p *sim.Proc) {
-			q := s.queue // this incarnation's queue; Restart swaps in a new one
-			var held []*cacheExtent
-			for {
-				f, ok := q.Pop(p)
-				if !ok {
-					return
-				}
-				held = s.serve(p, f, held)
-			}
-		})
+		s.k.After(0, newWorker(s, s.rq).run)
 	}
 }
 
 // Stop closes the request queue; workers drain queued requests and exit.
 // Requests still on the wire are dropped on arrival; their initiators time
 // out, retransmit, and eventually fail over or fail.
-func (s *Server) Stop() { s.queue.Close() }
+func (s *Server) Stop() { s.rq.close() }
 
 // Crash models a hard server failure: the queue is discarded along with
 // every request in it, arriving frames fall on the floor, and workers
@@ -226,13 +219,13 @@ func (s *Server) Crash() {
 	s.Crashes.Inc()
 	s.tr.Emit(s.node, "vblade", "crash")
 	for { // drop everything already queued
-		f, ok := s.queue.TryPop()
+		f, ok := s.rq.frames.TryPop()
 		if !ok {
 			break
 		}
 		f.Release()
 	}
-	s.queue.Close() // workers drain to the closed empty queue and exit
+	s.rq.close() // workers drain to the closed empty queue and exit
 	if s.cache != nil {
 		s.cache.reset() // the in-memory extent cache dies with the daemon
 	}
@@ -259,7 +252,7 @@ func (s *Server) Restart() {
 		}
 	}
 	s.crashed = false
-	s.queue = sim.NewQueue[*ethernet.Frame](s.k, "vblade.q")
+	s.rq = newRequestQueue(s.k)
 	s.tr.Emit(s.node, "vblade", "restart")
 	s.Start()
 }
@@ -268,117 +261,4 @@ func (s *Server) Restart() {
 func (s *Server) Crashed() bool { return s.crashed }
 
 // QueueDepth reports requests waiting for a worker.
-func (s *Server) QueueDepth() int { return s.queue.Len() }
-
-// serve handles one request frame. held is the worker's reusable
-// extent-pin scratch; it is returned (always empty again) so the worker
-// can carry its backing array across serves.
-func (s *Server) serve(p *sim.Proc, f *ethernet.Frame, held []*cacheExtent) []*cacheExtent {
-	msg, ok := f.Payload.(*aoe.Message)
-	if !ok || msg.IsResponse() {
-		s.UnknownDrops.Inc()
-		f.Release()
-		return held
-	}
-	t := s.Target(msg.Major, msg.Minor)
-	if t == nil {
-		s.UnknownDrops.Inc()
-		f.Release()
-		return held
-	}
-	s.Requests.Inc()
-	if s.depth != nil {
-		s.depth.Set(float64(s.queue.Len()))
-	}
-
-	// Copy everything the service path needs out of the request, then drop
-	// the frame's last reference: the worker sleeps below, and the
-	// initiator may recycle the request pair for a retransmit meanwhile.
-	hdr := msg.Header
-	replyTo := f.Src
-	isWrite := msg.IsWrite()
-	flowID := f.FlowID
-	queuedAt := f.QueuedAt
-	var writeSrc disk.SectorSource
-	if isWrite {
-		writeSrc = msg.Payload.Source
-	}
-	f.Release()
-
-	lba := int64(hdr.LBA)
-	count := int64(hdr.Count)
-	bytes := count * disk.SectorSize
-
-	// Building span attributes boxes values even when no recorder is
-	// installed, so the uninstrumented hot path skips Begin entirely
-	// (End is nil-safe).
-	var sp *trace.Span
-	if s.tr != nil {
-		sp = s.tr.Begin(s.node, "aoe", "serve",
-			trace.Int("lba", lba), trace.Int("count", count),
-			trace.Int("qwait", int64(s.k.Now().Sub(queuedAt))))
-		sp.FlowFrom = flowID // links back to the initiator's request span
-	}
-	defer sp.End()
-
-	respF, resp := s.pool.Get()
-	resp.Header = hdr
-	resp.Flags |= aoe.FlagResponse
-
-	p.Sleep(s.PerFragCPU)
-	switch {
-	case lba < 0 || count <= 0 || lba+count > t.store.Sectors():
-		resp.Flags |= aoe.FlagError
-		resp.Error = 1
-		if isWrite {
-			s.WriteErrors.Inc()
-		}
-	case !isWrite && t.mediaFault(lba, count, s.k.Now()):
-		// Injected media-error window: the drive answers the read with an
-		// error status instead of data. The initiator fails over to a
-		// secondary target if one is configured, else errors the request.
-		resp.Flags |= aoe.FlagError
-		resp.Error = 2
-		s.MediaErrors.Inc()
-	case isWrite:
-		p.Sleep(sim.RateDuration(bytes, s.CopyRate))
-		t.store.Write(lba, count, writeSrc)
-		s.BytesStored.Add(bytes)
-		if s.cache != nil {
-			// The store is now the truth; stale cached extents must go.
-			s.cache.invalidate(targetKey(hdr.Major, hdr.Minor), lba, count)
-		}
-	default:
-		if s.cache != nil {
-			// Pin the covering extents, paying cold-storage reads for
-			// misses (coalesced with concurrent fills), before the
-			// memory copy-out below.
-			t0 := s.k.Now()
-			held = s.cache.acquire(p, targetKey(hdr.Major, hdr.Minor), t, lba, count, held)
-			if sp != nil {
-				// Cold-storage stall (miss fill or coalesced wait) as an
-				// attribute, so analysis can split service time.
-				sp.Args = append(sp.Args, trace.Int("cold", int64(s.k.Now().Sub(t0))))
-			}
-		}
-		p.Sleep(sim.RateDuration(bytes, s.CopyRate))
-		resp.Payload = t.store.ReadPayload(lba, count)
-		s.BytesServed.Add(bytes)
-		if s.cache != nil {
-			held = s.cache.release(held)
-		}
-	}
-
-	if s.crashed {
-		// The server died while this worker was mid-service; the response
-		// is never sent.
-		respF.Release()
-		return held
-	}
-	respF.Dst = replyTo
-	respF.EtherType = aoe.EtherType
-	respF.Size = ethernet.HeaderSize + resp.WireSize()
-	respF.FlowID = sp.SpanID() // 0 when untraced; overwrites pooled leftovers
-	s.nic.Send(respF)
-	return held
-}
+func (s *Server) QueueDepth() int { return s.rq.frames.Len() }

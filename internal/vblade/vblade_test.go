@@ -2,6 +2,7 @@ package vblade_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/aoe"
@@ -359,5 +360,74 @@ func TestMediaErrorWindow(t *testing.T) {
 	}
 	if r.server.MediaErrors.Value() == 0 {
 		t.Fatal("MediaErrors not counted")
+	}
+}
+
+// TestServeNoProcsNoAllocs pins the cost of the event-driven server: a
+// started server, with its cache on or off, spawns and parks no process,
+// and once warm a read round trip through it allocates nothing.
+func TestServeNoProcsNoAllocs(t *testing.T) {
+	for _, cached := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cache=%v", cached), func(t *testing.T) {
+			k := sim.New(1)
+			sw := ethernet.NewSwitch(k, "sw", 5*sim.Microsecond)
+			cl := nic.New(k, "cl", nic.IntelPro1000, 2, sw.Connect(ethernet.GigabitJumbo()))
+			sv := nic.New(k, "sv", nic.IntelX540, 1, sw.Connect(ethernet.GigabitJumbo()))
+			var spawns, parks int
+			k.SetProcHook(func(_ sim.Time, ev sim.ProcEvent, name string) {
+				if name == "client" {
+					return
+				}
+				switch ev {
+				case sim.ProcSpawn:
+					spawns++
+				case sim.ProcPark:
+					parks++
+				}
+			})
+			srv := vblade.NewServer(k, sv, 8)
+			srv.AddTarget(0, 0, disk.NewSynthImage("img", 8<<20, 7))
+			if cached {
+				srv.EnableCache(4<<20, 64)
+			}
+			srv.Start()
+			in := aoe.NewInitiator(k, cl, 1, 0, 0)
+			reqs := sim.NewQueue[int64](k, "req")
+			k.Spawn("client", func(p *sim.Proc) {
+				for {
+					lba, ok := reqs.Pop(p)
+					if !ok {
+						return
+					}
+					if _, err := in.Read(p, lba, 34); err != nil { // two fragments
+						t.Error(err)
+						return
+					}
+				}
+			})
+			k.Run()
+
+			lba := int64(0)
+			roundTrip := func() {
+				reqs.Push(lba)
+				lba = (lba + 64) % 4096 // 64 extents: all resident once warm
+				k.Run()
+			}
+			for i := 0; i < 128; i++ {
+				roundTrip()
+			}
+			if avg := testing.AllocsPerRun(256, roundTrip); avg != 0 {
+				t.Errorf("a warm read round trip allocates %.2f objects, want 0", avg)
+			}
+			if spawns != 0 || parks != 0 {
+				t.Errorf("server spawned %d and parked %d processes, want 0 and 0", spawns, parks)
+			}
+			if got := srv.Requests.Value(); got < 2*(128+256) {
+				t.Errorf("server saw %d requests, want ≥ %d", got, 2*(128+256))
+			}
+			if cached && srv.CacheMisses.Value() != 64 {
+				t.Errorf("cache misses = %d, want 64 (one per extent)", srv.CacheMisses.Value())
+			}
+		})
 	}
 }
