@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	bmcast-sim [-image-gb N] [-storage ide|ahci] [-seed S] [-loss P] [-trace]
+//	bmcast-sim [-image-gb N] [-storage ide|ahci] [-seed S] [-loss P]
 //	           [-trace-out FILE] [-metrics] [-metrics-out FILE] [-secondary N]
 //	           [-faults SCHEDULE] [-tenants PROFILE [-storm STORM] [-pool N]]
 //	           [-shards N] [-cpuprofile FILE] [-memprofile FILE]
@@ -132,7 +132,6 @@ func main() {
 	storage := flag.String("storage", "ahci", "storage controller: ide or ahci")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	loss := flag.Float64("loss", 0, "frame loss rate on the node's VMM-side link")
-	trace := flag.Bool("trace", false, "print VMM trace lines")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file")
 	metricsDump := flag.Bool("metrics", false, "dump the instrument registry after the run")
 	metricsOut := flag.String("metrics-out", "", "write the instrument registry as JSON (for bmcast-obs)")
@@ -154,12 +153,6 @@ func main() {
 	}
 	if *stormFlag != "" || *pool != 0 {
 		fmt.Fprintln(os.Stderr, "-storm and -pool require -tenants")
-		os.Exit(2)
-	}
-	if *trace && *shards > 0 {
-		// Kernel debug tracing prints from whichever worker runs a domain;
-		// the interleave would break the sharded byte-identity contract.
-		fmt.Fprintln(os.Stderr, "-trace is not supported with -shards (use -trace-out)")
 		os.Exit(2)
 	}
 
@@ -194,11 +187,6 @@ func main() {
 			os.Exit(2)
 		}
 		fmt.Printf("fault schedule: %s\n", sched)
-	}
-	if *trace {
-		tb.K.SetTracer(func(t sim.Time, format string, args ...any) {
-			fmt.Printf("[%v] %s\n", t, fmt.Sprintf(format, args...))
-		})
 	}
 	if *loss > 0 {
 		// Inject loss on the node's VMM-side link only: the deployment

@@ -8,6 +8,8 @@ package core
 import (
 	"fmt"
 	"math/bits"
+
+	"repro/internal/mediator"
 )
 
 // Bitmap tracks, per sector, whether the local disk already holds valid
@@ -76,7 +78,14 @@ func rangeMask(off, n int64) uint64 {
 }
 
 // AllFilled reports whether every sector in [lba, lba+count) is filled.
-func (b *Bitmap) AllFilled(lba, count int64) bool {
+func (b *Bitmap) AllFilled(lba, count int64) bool { return b.uniform(lba, count, true) }
+
+// NoneFilled reports whether no sector in [lba, lba+count) is filled.
+func (b *Bitmap) NoneFilled(lba, count int64) bool { return b.uniform(lba, count, false) }
+
+// uniform reports whether every sector in [lba, lba+count) is in the
+// given state, one masked word check at a time.
+func (b *Bitmap) uniform(lba, count int64, filled bool) bool {
 	b.check(lba, count)
 	for i, end := lba, lba+count; i < end; {
 		off := i % 64
@@ -85,7 +94,11 @@ func (b *Bitmap) AllFilled(lba, count int64) bool {
 			n = rem
 		}
 		m := rangeMask(off, n)
-		if b.words[i/64]&m != m {
+		want := m
+		if !filled {
+			want = 0
+		}
+		if b.words[i/64]&m != want {
 			return false
 		}
 		i += n
@@ -118,32 +131,35 @@ func (b *Bitmap) MarkFilled(lba, count int64) int64 {
 	return changed
 }
 
-// Run is a contiguous sector range.
-type Run struct {
-	LBA   int64
-	Count int64
-}
-
-// End reports the first sector past the run.
-func (r Run) End() int64 { return r.LBA + r.Count }
+// Run is a contiguous sector range, the same type the mediators use.
+type Run = mediator.Run
 
 // UnfilledRuns returns the maximal unfilled sub-ranges of [lba, lba+count)
 // in ascending order.
-func (b *Bitmap) UnfilledRuns(lba, count int64) []Run {
+func (b *Bitmap) UnfilledRuns(lba, count int64) []Run { return b.AppendUnfilledRuns(nil, lba, count) }
+
+// AppendUnfilledRuns appends the maximal unfilled sub-ranges of
+// [lba, lba+count) to dst in ascending order and returns the extended
+// slice. It steps over filled and unfilled stretches a word at a time.
+func (b *Bitmap) AppendUnfilledRuns(dst []Run, lba, count int64) []Run {
 	b.check(lba, count)
-	var runs []Run
-	var cur *Run
-	for i := lba; i < lba+count; i++ {
-		if b.words[i/64]&(1<<uint(i%64)) == 0 {
-			if cur != nil && cur.End() == i {
-				cur.Count++
-				continue
-			}
-			runs = append(runs, Run{LBA: i, Count: 1})
-			cur = &runs[len(runs)-1]
+	start := len(dst)
+	for i, end := lba, lba+count; i < end; {
+		word := b.words[i/64] >> uint(i%64) // bit k: sector i+k is filled
+		rest := min(64-i%64, end-i)         // sectors of this word in range
+		if n := min(int64(bits.TrailingZeros64(^word)), rest); n > 0 {
+			i += n // filled stretch
+			continue
 		}
+		n := min(int64(bits.TrailingZeros64(word)), rest)
+		if k := len(dst); k > start && dst[k-1].End() == i {
+			dst[k-1].Count += n // the run continues from the previous word
+		} else {
+			dst = append(dst, Run{LBA: i, Count: n})
+		}
+		i += n
 	}
-	return runs
+	return dst
 }
 
 // NextUnfilled finds the first unfilled sector at or after lba, wrapping

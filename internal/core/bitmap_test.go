@@ -35,7 +35,7 @@ func TestUnfilledRuns(t *testing.T) {
 	b.MarkFilled(10, 10)
 	b.MarkFilled(50, 25)
 	runs := b.UnfilledRuns(0, 100)
-	want := []Run{{0, 10}, {20, 30}, {75, 25}}
+	want := []Run{{LBA: 0, Count: 10}, {LBA: 20, Count: 30}, {LBA: 75, Count: 25}}
 	if len(runs) != len(want) {
 		t.Fatalf("runs = %v, want %v", runs, want)
 	}
@@ -50,7 +50,7 @@ func TestUnfilledRunsSubrange(t *testing.T) {
 	b := NewBitmap(100)
 	b.MarkFilled(30, 10)
 	runs := b.UnfilledRuns(25, 20) // [25,45): unfilled 25-30 and 40-45
-	if len(runs) != 2 || runs[0] != (Run{25, 5}) || runs[1] != (Run{40, 5}) {
+	if len(runs) != 2 || runs[0] != (Run{LBA: 25, Count: 5}) || runs[1] != (Run{LBA: 40, Count: 5}) {
 		t.Fatalf("runs = %v", runs)
 	}
 }
@@ -104,8 +104,8 @@ func TestNextUnfilledFullWordBoundary(t *testing.T) {
 	// completely filled words (the summary fast path), and another ends
 	// exactly at a word boundary.
 	b := NewBitmap(64 * 10)
-	b.MarkFilled(0, 64*4)     // words 0-3 full
-	b.MarkFilled(64*5, 64)    // word 5 full
+	b.MarkFilled(0, 64*4)  // words 0-3 full
+	b.MarkFilled(64*5, 64) // word 5 full
 	r, ok := b.NextUnfilled(0, 1000)
 	if !ok || r != (Run{LBA: 64 * 4, Count: 64}) {
 		t.Fatalf("NextUnfilled(0) = %v, %v; want {256 64}", r, ok)
@@ -141,10 +141,10 @@ func TestNextUnfilledOutOfRangeWrap(t *testing.T) {
 		lba  int64
 		want Run
 	}{
-		{100, Run{50, 10}},  // == sectors → 0 → first unfilled is 50
-		{175, Run{75, 10}},  // wraps to 75
-		{-25, Run{75, 10}},  // negative wraps from the end
-		{-100, Run{50, 10}}, // -100 → 0
+		{100, Run{LBA: 50, Count: 10}},  // == sectors → 0 → first unfilled is 50
+		{175, Run{LBA: 75, Count: 10}},  // wraps to 75
+		{-25, Run{LBA: 75, Count: 10}},  // negative wraps from the end
+		{-100, Run{LBA: 50, Count: 10}}, // -100 → 0
 	}
 	for _, c := range cases {
 		r, ok := b.NextUnfilled(c.lba, 10)
@@ -159,11 +159,11 @@ func TestBitmapCursor(t *testing.T) {
 	b.MarkFilled(0, 100)
 	var c Cursor
 	r, ok := b.NextUnfilledFrom(&c, 30)
-	if !ok || r != (Run{100, 30}) || c.Pos() != 130 {
+	if !ok || r != (Run{LBA: 100, Count: 30}) || c.Pos() != 130 {
 		t.Fatalf("first = %v, %v, pos %d", r, ok, c.Pos())
 	}
 	r, ok = b.NextUnfilledFrom(&c, 100)
-	if !ok || r != (Run{130, 70}) || c.Pos() != 200 {
+	if !ok || r != (Run{LBA: 130, Count: 70}) || c.Pos() != 200 {
 		t.Fatalf("second = %v, %v, pos %d", r, ok, c.Pos())
 	}
 	// Cursor at the end wraps like NextUnfilled does.
@@ -171,7 +171,7 @@ func TestBitmapCursor(t *testing.T) {
 	b2.MarkFilled(100, 100)
 	c = Cursor{pos: 200}
 	r, ok = b2.NextUnfilledFrom(&c, 64)
-	if !ok || r != (Run{0, 64}) {
+	if !ok || r != (Run{LBA: 0, Count: 64}) {
 		t.Fatalf("wrapped = %v, %v", r, ok)
 	}
 	c.Reset()

@@ -345,7 +345,6 @@ func (v *VMM) setPhase(ph Phase) {
 	// Chain the phases with flow edges so the whole lifecycle reads as
 	// one causal path in the exported trace.
 	v.phaseSpan.LinkFlowFrom(prev)
-	v.M.K.Tracef("%s: vmm phase -> %s", v.M.Name, ph)
 	v.PhaseChanged.Broadcast()
 }
 
@@ -392,18 +391,13 @@ func (v *VMM) AllFilled(lba, count int64) bool {
 	return false
 }
 
-// UnfilledRuns implements mediator.Backend.
-func (v *VMM) UnfilledRuns(lba, count int64) []mediator.Run {
+// AppendUnfilledRuns implements mediator.Backend.
+func (v *VMM) AppendUnfilledRuns(dst []Run, lba, count int64) []Run {
 	lba, count = v.clip(lba, count)
 	if count == 0 {
-		return nil
+		return dst
 	}
-	runs := v.bitmap.UnfilledRuns(lba, count)
-	out := make([]mediator.Run, len(runs))
-	for i, r := range runs {
-		out[i] = mediator.Run{LBA: r.LBA, Count: r.Count}
-	}
-	return out
+	return v.bitmap.AppendUnfilledRuns(dst, lba, count)
 }
 
 // Fetch implements mediator.Backend: retrieve blocks from the server over
@@ -538,7 +532,10 @@ func (v *VMM) retriever(p *sim.Proc) {
 		trace.SwapCause(p, prev)
 		sp.End()
 		if err != nil {
-			v.M.K.Tracef("%s: background fetch failed at %d: %v", v.M.Name, run.LBA, err)
+			if v.M.Trace != nil { // the error text and attrs allocate; skip when not tracing
+				v.M.Trace.Emit(v.M.Name, "vmm", "bg-fetch-failed", trace.Int("lba", run.LBA),
+					trace.Int("count", run.Count), trace.Str("err", err.Error()))
+			}
 			p.Sleep(100 * sim.Millisecond) // back off and retry
 			continue
 		}
@@ -625,8 +622,7 @@ func (v *VMM) writeBlock(p *sim.Proc, pl disk.Payload) {
 			guard := func() bool {
 				// Atomic re-check after device acquisition: write only
 				// if no sector of the run was filled meanwhile.
-				return len(v.bitmap.UnfilledRuns(run.LBA, run.Count)) == 1 &&
-					v.bitmap.UnfilledRuns(run.LBA, run.Count)[0] == run
+				return v.bitmap.NoneFilled(run.LBA, run.Count)
 			}
 			if v.med.InsertWrite(p, part, guard) {
 				v.bitmap.MarkFilled(run.LBA, run.Count)

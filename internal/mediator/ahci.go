@@ -10,7 +10,6 @@ import (
 	"repro/internal/hw/mem"
 	"repro/internal/machine"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // vmmSlot is the command slot the mediator reserves for its own requests.
@@ -18,32 +17,13 @@ import (
 // always hides this bit from the guest.
 const vmmSlot = 31
 
-// ahciCommand is an interpreted guest command: the slot plus everything
-// parsed from the in-memory command header, FIS, and PRDT.
-type ahciCommand struct {
-	slot        int
-	opcode      uint8
-	lba, count  int64
-	write       bool
-	data        bool
-	cause       *trace.Span // issuing proc's causal span, captured at interpret time
-	ctba        uint64
-	prdtl       int
-	bufAddr     int64
-	hintSrc     disk.SectorSource
-	hintDiscard bool
-	hintArmed   bool
-}
-
 // AHCI is the device mediator for the AHCI HBA. It interprets the in-
 // memory command list the guest builds (paper §3.2: "in association with
 // in-memory data structures including queues"), intercepts PxCI writes,
 // and emulates PxCI/status reads while it holds the device.
 type AHCI struct {
-	m       *machine.Machine
-	hba     *ahci.HBA
-	backend Backend
-	stats   Stats
+	pipeline
+	hba *ahci.HBA
 
 	attached bool
 	vmmDepth int // >0: the VMM owns the device; guest issues are queued
@@ -55,24 +35,15 @@ type AHCI struct {
 
 	heldCI    uint32 // guest slots queued during VMM ownership
 	redirCI   uint32 // guest slots being served by redirection
-	queuedCmd []ahciCommand
+	queuedCmd []command
 
 	vmmRegion mem.Region
 	dummyLBA  int64
 	devLock   *sim.Resource
 
-	// Pre-built spawn names and reusable scratch for the redirect path,
-	// which runs once per intercepted guest read and must not allocate
-	// per command.
-	redirName   string
-	protectName string
-	parts       []disk.Payload
-	dmaBuf      []byte
-
 	// VirtualIRQ selects the rejected design alternative for the
-	// ablation benchmark: inject completion interrupts from the VMM
-	// instead of the dummy-sector restart. The mediator must then also
-	// emulate PxIS for the slots it completed virtually.
+	// ablation benchmark (see IDE.VirtualIRQ). The mediator must then
+	// also emulate PxIS for the slots it completed virtually.
 	VirtualIRQ bool
 	virtIS     uint32
 }
@@ -88,16 +59,14 @@ func NewAHCI(m *machine.Machine, backend Backend, vmmRegion mem.Region) *AHCI {
 	if m.AHCI == nil {
 		panic("mediator: machine has no AHCI controller")
 	}
-	return &AHCI{
-		m:           m,
-		hba:         m.AHCI,
-		backend:     backend,
-		vmmRegion:   vmmRegion,
-		dummyLBA:    m.Disk.Sectors - 1,
-		devLock:     sim.NewResource(m.K, m.Name+".med.dev", 1),
-		redirName:   m.AHCI.Name + ".med.redirect",
-		protectName: m.AHCI.Name + ".med.protect",
+	md := &AHCI{
+		hba:       m.AHCI,
+		vmmRegion: vmmRegion,
+		dummyLBA:  m.Disk.Sectors - 1,
+		devLock:   sim.NewResource(m.K, m.Name+".med.dev", 1),
 	}
+	md.pipeline = newPipeline(m, backend, md, m.AHCI, m.AHCI.Name)
+	return md
 }
 
 // Attach implements Mediator.
@@ -120,9 +89,6 @@ func (md *AHCI) Quiesced() bool {
 	return md.vmmDepth == 0 && md.heldCI == 0 && md.redirCI == 0 &&
 		len(md.queuedCmd) == 0 && md.devLock.InUse() == 0
 }
-
-// Stats implements Mediator.
-func (md *AHCI) Stats() *Stats { return &md.stats }
 
 func (md *AHCI) device() hwio.Handler {
 	return md.m.IO.Lookup(md.hba.Name + ".abar").Device()
@@ -177,19 +143,15 @@ func (md *AHCI) onGuestIssue(p *sim.Proc, ci uint32) bool {
 		if ci&(1<<slot) == 0 {
 			continue
 		}
-		md.stats.GuestCommands.Inc()
 		cmd := md.interpret(slot)
-		// The redirect/protect handlers run on freshly spawned procs, so
-		// the issuing proc's causal span travels with the command.
-		cmd.cause = trace.Cause(p)
-		cmd.hintSrc, cmd.hintDiscard, cmd.hintArmed = md.m.TakeStorageDMAHint(cmd.bufAddr)
+		md.intercept(p, &cmd)
 		if md.vmmDepth > 0 {
 			md.stats.QueuedCommands.Inc()
 			md.heldCI |= 1 << slot
 			md.queuedCmd = append(md.queuedCmd, cmd)
 			continue
 		}
-		if md.dispatch(cmd) {
+		if md.route(cmd) {
 			continue // mediator took the slot over
 		}
 		passMask |= 1 << slot
@@ -202,9 +164,9 @@ func (md *AHCI) onGuestIssue(p *sim.Proc, ci uint32) bool {
 
 // interpret parses the guest's command structures out of guest memory —
 // the I/O interpretation step.
-func (md *AHCI) interpret(slot int) ahciCommand {
+func (md *AHCI) interpret(slot int) command {
 	hd := ahci.ReadCmdHeader(md.m.Mem, md.shCLB, slot)
-	cmd := ahciCommand{slot: slot, ctba: hd.CTBA, prdtl: hd.PRDTL}
+	cmd := command{slot: slot, ctba: hd.CTBA, prdtl: hd.PRDTL}
 	// Data information: the guest DMA buffer from the first PRDT entry.
 	if hd.PRDTL > 0 {
 		cmd.bufAddr = ahci.ReadPRD(md.m.Mem, hd.CTBA, 0).Addr
@@ -225,47 +187,10 @@ func (md *AHCI) interpret(slot int) ahciCommand {
 	return cmd
 }
 
-// dispatch routes an interpreted command; it reports whether the mediator
-// took the slot over.
-func (md *AHCI) dispatch(cmd ahciCommand) bool {
-	if !cmd.data {
-		md.rearmHint(cmd)
-		return false
-	}
-	if md.backend.Protected(cmd.lba, cmd.count) {
-		md.stats.ProtectedHits.Inc()
-		md.redirCI |= 1 << cmd.slot
-		md.m.K.Spawn(md.protectName, func(p *sim.Proc) { md.protectAccess(p, cmd) })
-		return true
-	}
-	if cmd.write {
-		md.backend.GuestWrote(cmd.lba, cmd.count)
-		md.stats.PassedThrough.Inc()
-		md.rearmHint(cmd)
-		return false
-	}
-	md.backend.GuestRead(cmd.lba, cmd.count)
-	if md.backend.AllFilled(cmd.lba, cmd.count) {
-		md.stats.PassedThrough.Inc()
-		md.rearmHint(cmd)
-		return false
-	}
-	md.stats.Redirects.Inc()
-	md.redirCI |= 1 << cmd.slot
-	md.m.K.Spawn(md.redirName, func(p *sim.Proc) { md.redirect(p, cmd) })
-	return true
-}
-
-func (md *AHCI) rearmHint(cmd ahciCommand) {
-	if cmd.hintArmed {
-		md.hba.SetNextDMA(cmd.bufAddr, cmd.hintSrc, cmd.hintDiscard)
-	}
-}
-
-// acquire takes the device for VMM use: serialize against other VMM work,
-// switch to ownership mode, and wait for in-flight guest commands to
-// drain ("1. Find").
-func (md *AHCI) acquire(p *sim.Proc) {
+// take implements controller: serialize against other VMM work, switch to
+// ownership mode, and wait for in-flight guest commands to drain
+// ("1. Find"). Redirects and insertions take the device alike.
+func (md *AHCI) take(p *sim.Proc, _ bool) {
 	md.devLock.Acquire(p)
 	md.vmmDepth++
 	dev := md.device()
@@ -280,8 +205,12 @@ func (md *AHCI) acquire(p *sim.Proc) {
 	}
 }
 
-// release returns the device to the guest and replays held commands.
-func (md *AHCI) release(p *sim.Proc) {
+// own implements controller: take already queues guest issues.
+func (md *AHCI) own() {}
+
+// give implements controller: return the device to the guest and replay
+// held commands.
+func (md *AHCI) give(p *sim.Proc, _ bool) {
 	md.vmmDepth--
 	if md.vmmDepth == 0 {
 		queued := md.queuedCmd
@@ -289,7 +218,7 @@ func (md *AHCI) release(p *sim.Proc) {
 		var passMask uint32
 		for _, cmd := range queued {
 			md.heldCI &^= 1 << cmd.slot
-			if !md.dispatch(cmd) {
+			if !md.route(cmd) {
 				passMask |= 1 << cmd.slot
 			}
 		}
@@ -299,6 +228,14 @@ func (md *AHCI) release(p *sim.Proc) {
 	}
 	md.devLock.Release()
 }
+
+// transfer implements controller.
+func (md *AHCI) transfer(p *sim.Proc, write bool, payload disk.Payload) {
+	md.vmmSlotOp(p, write, payload, false)
+}
+
+// takeOver implements controller: the slot stays visibly in flight.
+func (md *AHCI) takeOver(cmd command) { md.redirCI |= 1 << cmd.slot }
 
 // vmmSlotOp runs one VMM command through the reserved slot with port
 // interrupts masked, polling for completion ("2. Request").
@@ -341,79 +278,11 @@ func (md *AHCI) vmmSlotOp(p *sim.Proc, write bool, payload disk.Payload, keepIRQ
 	dev.IOWrite(p, ahci.PortBase+ahci.PxIE, 4, uint64(md.shPxIE))
 }
 
-// redirect performs copy-on-read for one intercepted guest read slot.
-func (md *AHCI) redirect(p *sim.Proc, cmd ahciCommand) {
-	var sp *trace.Span
-	if md.m.Trace != nil { // variadic attrs box; skip entirely when not tracing
-		sp = md.m.Trace.BeginChild(cmd.cause, md.m.Name, "mediator", "redirect",
-			trace.Int("lba", cmd.lba), trace.Int("count", cmd.count))
-	}
-	defer sp.End()
-	// The backend fetch below issues AoE round trips on this proc; parent
-	// them under the redirect span.
-	trace.SwapCause(p, sp)
-	md.acquire(p)
-	defer md.release(p)
-
-	parts := md.parts[:0] // scratch guarded by devLock; one redirect at a time
-	defer func() { md.parts = parts[:0] }()
-	cursor := cmd.lba
-	appendLocal := func(upto int64) {
-		for cursor < upto {
-			n := upto - cursor
-			if n > 2048 {
-				n = 2048
-			}
-			md.vmmSlotOp(p, false, disk.Payload{LBA: cursor, Count: n}, false)
-			parts = append(parts, md.m.Disk.Store().ReadPayload(cursor, n))
-			cursor += n
-		}
-	}
-	for _, run := range md.backend.UnfilledRuns(cmd.lba, cmd.count) {
-		appendLocal(run.LBA)
-		pl, err := md.backend.Fetch(p, run.LBA, run.Count)
-		if err != nil {
-			md.m.K.Tracef("mediator: fetch [%d,+%d) failed: %v", run.LBA, run.Count, err)
-			md.finishSlot(p, cmd)
-			return
-		}
-		md.vmmSlotOp(p, true, pl, false) // write-through to the local disk
-		md.backend.MarkFilled(run.LBA, run.Count)
-		md.stats.RedirectBytes.Add(run.Count * disk.SectorSize)
-		parts = append(parts, pl)
-		cursor = run.End()
-	}
-	appendLocal(cmd.lba + cmd.count)
-
-	if !cmd.hintDiscard {
-		md.copyToGuestPRDT(cmd, parts)
-	}
-	md.finishSlot(p, cmd)
-}
-
-// protectAccess hides the VMM's bitmap region from the guest.
-func (md *AHCI) protectAccess(p *sim.Proc, cmd ahciCommand) {
-	var sp *trace.Span
-	if md.m.Trace != nil {
-		sp = md.m.Trace.BeginChild(cmd.cause, md.m.Name, "mediator", "protect",
-			trace.Int("lba", cmd.lba), trace.Int("count", cmd.count))
-	}
-	defer sp.End()
-	trace.SwapCause(p, sp)
-	md.acquire(p)
-	defer md.release(p)
-	if !cmd.write && !cmd.hintDiscard {
-		zero := disk.Payload{LBA: cmd.lba, Count: cmd.count, Source: disk.Zero}
-		md.copyToGuestPRDT(cmd, []disk.Payload{zero})
-	}
-	md.finishSlot(p, cmd)
-}
-
-// finishSlot completes a mediator-owned slot toward the guest: clear the
-// emulated CI bit, then have the device read a dummy sector through the
-// VMM slot with interrupts enabled so the completion interrupt is
-// generated by real hardware ("4. Restart").
-func (md *AHCI) finishSlot(p *sim.Proc, cmd ahciCommand) {
+// finish implements controller: clear the emulated CI bit, then have the
+// device read a dummy sector through the VMM slot with interrupts enabled
+// so the completion interrupt is generated by real hardware
+// ("4. Restart").
+func (md *AHCI) finish(p *sim.Proc, cmd command) {
 	md.redirCI &^= 1 << cmd.slot
 	if md.VirtualIRQ {
 		// Ablation path: virtual PxIS bit plus injected interrupt.
@@ -436,14 +305,9 @@ func (md *AHCI) finishSlot(p *sim.Proc, cmd ahciCommand) {
 	}
 }
 
-// copyToGuestPRDT is the virtual-DMA step: scatter assembled data into the
-// guest's PRDT buffers parsed from its command table.
-func (md *AHCI) copyToGuestPRDT(cmd ahciCommand, parts []disk.Payload) {
-	data := md.dmaBuf[:0]
-	for _, pl := range parts {
-		data = pl.AppendTo(data)
-	}
-	md.dmaBuf = data[:0] // keep the grown backing array for the next command
+// copyToGuest implements controller: scatter data into the guest's PRDT
+// buffers parsed from its command table.
+func (md *AHCI) copyToGuest(cmd command, data []byte) {
 	for i := 0; i < cmd.prdtl; i++ {
 		prd := ahci.ReadPRD(md.m.Mem, cmd.ctba, i)
 		n := prd.Bytes
@@ -458,40 +322,8 @@ func (md *AHCI) copyToGuestPRDT(cmd ahciCommand, parts []disk.Payload) {
 	}
 }
 
-// InsertWrite implements Mediator.
-func (md *AHCI) InsertWrite(p *sim.Proc, payload disk.Payload, guard func() bool) bool {
-	var sp *trace.Span
-	if md.m.Trace != nil {
-		sp = md.m.Trace.BeginChild(trace.Cause(p), md.m.Name, "mediator", "insert-write",
-			trace.Int("lba", payload.LBA), trace.Int("count", payload.Count))
-	}
-	defer sp.End()
-	md.acquire(p)
-	defer md.release(p)
-	if guard != nil && !guard() {
-		return false
-	}
-	md.stats.Inserted.Inc()
-	md.stats.InsertedBytes.Add(payload.Count * disk.SectorSize)
-	md.vmmSlotOp(p, true, payload, false)
-	return true
-}
-
-// InsertRead implements Mediator.
-func (md *AHCI) InsertRead(p *sim.Proc, lba, count int64) (disk.Payload, bool) {
-	var sp *trace.Span
-	if md.m.Trace != nil {
-		sp = md.m.Trace.BeginChild(trace.Cause(p), md.m.Name, "mediator", "insert-read",
-			trace.Int("lba", lba), trace.Int("count", count))
-	}
-	defer sp.End()
-	md.acquire(p)
-	defer md.release(p)
-	md.vmmSlotOp(p, false, disk.Payload{LBA: lba, Count: count}, false)
-	return md.m.Disk.Store().ReadPayload(lba, count), true
-}
-
 var _ Mediator = (*AHCI)(nil)
 var _ hwio.Tap = (*AHCI)(nil)
+var _ controller = (*AHCI)(nil)
 
 func (md *AHCI) String() string { return fmt.Sprintf("ahci-mediator(%s)", md.hba.Name) }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/hw/mem"
 	"repro/internal/machine"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // ideMode is the mediator's high-level state.
@@ -27,31 +26,13 @@ type latchedShadow struct{ cur, prev uint8 }
 
 func (l *latchedShadow) write(v uint8) { l.prev, l.cur = l.cur, v }
 
-// ideCommand is an interpreted guest command snapshot: everything needed
-// to understand, queue, and replay it.
-type ideCommand struct {
-	opcode      uint8
-	lba, count  int64
-	write       bool
-	data        bool
-	cause       *trace.Span // issuing proc's causal span, captured at decode time
-	prdt        uint32
-	bufAddr     int64
-	bmCmd       uint8
-	hintSrc     disk.SectorSource
-	hintDiscard bool
-	hintArmed   bool
-}
-
 // IDE is the device mediator for the IDE controller. Its LOC-to-function
 // ratio mirrors the paper's observation: it only understands the command,
 // status, and data-transfer sequences, ignoring initialization and
 // vendor-specific traffic.
 type IDE struct {
-	m       *machine.Machine
-	ctrl    *ide.Controller
-	backend Backend
-	stats   Stats
+	pipeline
+	ctrl *ide.Controller
 
 	attached bool
 	mode     ideMode
@@ -63,7 +44,7 @@ type IDE struct {
 	shPRDT                                            uint32
 	shBMCmd                                           uint8
 
-	queued []ideCommand // guest commands held during VMM ownership
+	queued []command // guest commands held during VMM ownership
 
 	// VMM resources: a reserved-memory scratch area for PRD tables and
 	// dummy buffers, and the dummy sector used to generate interrupts.
@@ -94,14 +75,14 @@ func NewIDE(m *machine.Machine, backend Backend, vmmRegion mem.Region) *IDE {
 	if m.IDE == nil {
 		panic("mediator: machine has no IDE controller")
 	}
-	return &IDE{
-		m:         m,
+	md := &IDE{
 		ctrl:      m.IDE,
-		backend:   backend,
 		vmmRegion: vmmRegion,
 		dummyLBA:  m.Disk.Sectors - 1, // a sector the guest image never uses
 		devLock:   sim.NewResource(m.K, m.Name+".med.dev", 1),
 	}
+	md.pipeline = newPipeline(m, backend, md, m.IDE, m.IDE.Name)
+	return md
 }
 
 // VMM scratch layout within the reserved region.
@@ -134,9 +115,6 @@ func (md *IDE) Detach() {
 func (md *IDE) Quiesced() bool {
 	return md.mode == idePassthrough && len(md.queued) == 0 && md.devLock.InUse() == 0
 }
-
-// Stats implements Mediator.
-func (md *IDE) Stats() *Stats { return &md.stats }
 
 // regionKind classifies the tapped region by name suffix.
 func (md *IDE) regionKind(r *hwio.Region) string {
@@ -217,8 +195,8 @@ func (md *IDE) TapWrite(p *sim.Proc, r *hwio.Region, off int64, size int, v uint
 
 // decode reconstructs the command from the shadow task file — the I/O
 // interpretation step.
-func (md *IDE) decode(opcode uint8) ideCommand {
-	c := ideCommand{opcode: opcode, prdt: md.shPRDT, bmCmd: md.shBMCmd}
+func (md *IDE) decode(opcode uint8) command {
+	c := command{opcode: opcode, prdt: md.shPRDT, bmCmd: md.shBMCmd}
 	// Data information: the guest DMA buffer from the first PRD entry.
 	e := md.m.Mem.Read(int64(md.shPRDT), ide.PRDEntrySize)
 	c.bufAddr = int64(uint32(e[0]) | uint32(e[1])<<8 | uint32(e[2])<<16 | uint32(e[3])<<24)
@@ -248,13 +226,8 @@ func (md *IDE) decode(opcode uint8) ideCommand {
 // onGuestCommand is the interpretation/dispatch point for a command
 // register write. It reports whether the write was swallowed.
 func (md *IDE) onGuestCommand(p *sim.Proc, opcode uint8) bool {
-	md.stats.GuestCommands.Inc()
 	cmd := md.decode(opcode)
-	// The redirect/protect handlers run on freshly spawned procs, so the
-	// issuing proc's causal span travels with the command.
-	cmd.cause = trace.Cause(p)
-	cmd.hintSrc, cmd.hintDiscard, cmd.hintArmed = md.m.TakeStorageDMAHint(cmd.bufAddr)
-
+	md.intercept(p, &cmd)
 	if md.mode == ideVMMOwns {
 		// I/O multiplexing: hold the guest request until the VMM's
 		// completes, then replay it.
@@ -262,136 +235,50 @@ func (md *IDE) onGuestCommand(p *sim.Proc, opcode uint8) bool {
 		md.queued = append(md.queued, cmd)
 		return true
 	}
-	return md.dispatch(cmd)
+	return md.route(cmd)
 }
 
-// dispatch routes an interpreted command; it reports whether the hardware
-// write was swallowed (true when the mediator takes over the command).
-func (md *IDE) dispatch(cmd ideCommand) bool {
-	if !cmd.data {
-		// Initialization, flush, vendor traffic: not the mediator's
-		// business (paper §3.2: mediators ignore irrelevant sequences).
-		md.rearmHint(cmd)
-		return false
-	}
-	if md.backend.Protected(cmd.lba, cmd.count) {
-		md.stats.ProtectedHits.Inc()
-		md.mode = ideRedirecting
-		md.m.K.Spawn(md.ctrl.Name+".med.protect", func(p *sim.Proc) { md.protectAccess(p, cmd) })
-		return true
-	}
-	if cmd.write {
-		md.backend.GuestWrote(cmd.lba, cmd.count)
-		md.stats.PassedThrough.Inc()
-		md.rearmHint(cmd)
-		return false
-	}
-	md.backend.GuestRead(cmd.lba, cmd.count)
-	if md.backend.AllFilled(cmd.lba, cmd.count) {
-		md.stats.PassedThrough.Inc()
-		md.rearmHint(cmd)
-		return false
-	}
-	// I/O redirection: block the device access and serve from the server.
-	md.stats.Redirects.Inc()
-	md.mode = ideRedirecting
-	md.m.K.Spawn(md.ctrl.Name+".med.redirect", func(p *sim.Proc) { md.redirect(p, cmd) })
-	return true
-}
-
-// rearmHint puts a taken DMA hint back before a command passes through to
-// the device, so the controller captures it at issue as usual.
-func (md *IDE) rearmHint(cmd ideCommand) {
-	if cmd.hintArmed {
-		md.ctrl.SetNextDMA(cmd.bufAddr, cmd.hintSrc, cmd.hintDiscard)
-	}
-}
-
-// redirect performs copy-on-read for one intercepted guest read.
-func (md *IDE) redirect(p *sim.Proc, cmd ideCommand) {
-	var sp *trace.Span
-	if md.m.Trace != nil { // variadic attrs box; skip entirely when not tracing
-		sp = md.m.Trace.BeginChild(cmd.cause, md.m.Name, "mediator", "redirect",
-			trace.Int("lba", cmd.lba), trace.Int("count", cmd.count))
-	}
-	defer sp.End()
-	// The backend fetch below issues AoE round trips on this proc; parent
-	// them under the redirect span.
-	trace.SwapCause(p, sp)
+// take implements controller. An insertion also waits for an in-flight
+// guest command to complete ("1. Find" in the paper's Figure 3); a
+// taken-over command has not reached the device.
+func (md *IDE) take(p *sim.Proc, insert bool) {
 	md.devLock.Acquire(p)
-	defer md.devLock.Release()
+	for insert && md.ctrl.Busy() {
+		md.stats.Polls.Inc()
+		md.m.World.Exit(nil, cpuvirt.ExitPreemptionTimer)
+		p.Sleep(md.backend.PollInterval())
+	}
+}
 
-	parts := make([]disk.Payload, 0, 4)
-	cursor := cmd.lba
-	appendLocal := func(upto int64) {
-		for cursor < upto {
-			n := upto - cursor
-			if n > 2048 {
-				n = 2048
-			}
-			pl := md.deviceOp(p, false, disk.Payload{LBA: cursor, Count: n}, false)
-			parts = append(parts, pl)
-			cursor += n
+// own implements controller: guest commands are queued from here on.
+func (md *IDE) own() { md.mode = ideVMMOwns }
+
+// give implements controller: after an insertion, replay the commands the
+// guest issued while the VMM held the device, restoring the guest's view.
+func (md *IDE) give(p *sim.Proc, owned bool) {
+	if owned {
+		md.mode = idePassthrough
+		for len(md.queued) > 0 {
+			cmd := md.queued[0]
+			md.queued = md.queued[1:]
+			md.replay(p, cmd)
 		}
 	}
-	for _, run := range md.backend.UnfilledRuns(cmd.lba, cmd.count) {
-		appendLocal(run.LBA) // already-filled gap: read from the local disk
-		pl, err := md.backend.Fetch(p, run.LBA, run.Count)
-		if err != nil {
-			// Server unreachable: fail the command the way hardware
-			// would — complete with an error via the dummy restart path
-			// after setting the error taskfile. The guest sees an I/O
-			// error, not a hang.
-			md.m.K.Tracef("mediator: fetch [%d,+%d) failed: %v", run.LBA, run.Count, err)
-			md.dummyRestart(p)
-			return
-		}
-		// Write-through to the local disk, then mark filled (§3.1:
-		// "also writes the data to the local disk for future use").
-		md.deviceOp(p, true, pl, false)
-		md.backend.MarkFilled(run.LBA, run.Count)
-		md.stats.RedirectBytes.Add(run.Count * disk.SectorSize)
-		parts = append(parts, pl)
-		cursor = run.End()
-	}
-	appendLocal(cmd.lba + cmd.count)
-
-	// Virtual DMA: copy the assembled data into the guest's buffers
-	// using the PRD table captured by interpretation. A discard hint
-	// means the guest will not look at the data.
-	if !cmd.hintDiscard {
-		md.copyToGuestPRD(cmd.prdt, parts)
-	}
-	md.dummyRestart(p)
+	md.devLock.Release()
 }
 
-// protectAccess handles guest access to the VMM's bitmap save region: the
-// data never moves, but the device still generates a completion interrupt.
-func (md *IDE) protectAccess(p *sim.Proc, cmd ideCommand) {
-	var sp *trace.Span
-	if md.m.Trace != nil {
-		sp = md.m.Trace.BeginChild(cmd.cause, md.m.Name, "mediator", "protect",
-			trace.Int("lba", cmd.lba), trace.Int("count", cmd.count))
-	}
-	defer sp.End()
-	trace.SwapCause(p, sp)
-	md.devLock.Acquire(p)
-	defer md.devLock.Release()
-	if !cmd.write && !cmd.hintDiscard {
-		// Reads observe zeros.
-		zero := disk.Payload{LBA: cmd.lba, Count: cmd.count, Source: disk.Zero}
-		md.copyToGuestPRD(cmd.prdt, []disk.Payload{zero})
-	}
-	md.dummyRestart(p)
+// transfer implements controller.
+func (md *IDE) transfer(p *sim.Proc, write bool, payload disk.Payload) {
+	md.deviceOp(p, write, payload, false)
 }
 
-// copyToGuestPRD is the mediator acting as a virtual DMA controller.
-func (md *IDE) copyToGuestPRD(prdt uint32, parts []disk.Payload) {
-	var data []byte
-	for _, pl := range parts {
-		data = pl.AppendTo(data)
-	}
-	addr := int64(prdt)
+// takeOver implements controller: the guest sees the device busy.
+func (md *IDE) takeOver(command) { md.mode = ideRedirecting }
+
+// copyToGuest implements controller: walk the guest's PRD table captured
+// by interpretation.
+func (md *IDE) copyToGuest(cmd command, data []byte) {
+	addr := int64(cmd.prdt)
 	for len(data) > 0 {
 		e := md.m.Mem.Read(addr, ide.PRDEntrySize)
 		bufAddr := int64(uint32(e[0]) | uint32(e[1])<<8 | uint32(e[2])<<16 | uint32(e[3])<<24)
@@ -415,21 +302,14 @@ func (md *IDE) copyToGuestPRD(prdt uint32, parts []disk.Payload) {
 // deviceOp issues one VMM request directly to the device (through the
 // untapped Device() interface), with device interrupts disabled and
 // completion detected by polling — the multiplexing primitive.
-func (md *IDE) deviceOp(p *sim.Proc, write bool, payload disk.Payload, keepIRQ bool) disk.Payload {
-	cb := md.m.IO.Lookup(md.ctrl.Name + ".cmd").Device()
-	ctl := md.m.IO.Lookup(md.ctrl.Name + ".ctl").Device()
-	bm := md.m.IO.Lookup(md.ctrl.Name + ".bm").Device()
-
+func (md *IDE) deviceOp(p *sim.Proc, write bool, payload disk.Payload, keepIRQ bool) {
+	cb, ctl, bm := md.registers()
 	if !keepIRQ {
 		ctl.IOWrite(p, ide.RegDevControl, 1, ide.CtlNIEN)
 	} else {
 		// Honor the guest's interrupt setting: the restart must raise
 		// the interrupt exactly when the guest's own command would have.
-		v := uint64(0)
-		if md.shNIEN {
-			v = ide.CtlNIEN
-		}
-		ctl.IOWrite(p, ide.RegDevControl, 1, v)
+		ctl.IOWrite(p, ide.RegDevControl, 1, md.guestDevControl())
 	}
 	// Build a PRD table in VMM scratch memory pointing at the VMM bounce
 	// buffer; content rides the DMA hint, so the buffer is never copied.
@@ -442,15 +322,7 @@ func (md *IDE) deviceOp(p *sim.Proc, write bool, payload disk.Payload, keepIRQ b
 	} else {
 		md.ctrl.SetNextDMA(buf, nil, true) // VMM reads are bookkeeping only
 	}
-	cb.IOWrite(p, ide.RegSectorCount, 1, uint64(payload.Count>>8&0xFF))
-	cb.IOWrite(p, ide.RegSectorCount, 1, uint64(payload.Count&0xFF))
-	cb.IOWrite(p, ide.RegLBALow, 1, uint64(payload.LBA>>24&0xFF))
-	cb.IOWrite(p, ide.RegLBALow, 1, uint64(payload.LBA&0xFF))
-	cb.IOWrite(p, ide.RegLBAMid, 1, uint64(payload.LBA>>32&0xFF))
-	cb.IOWrite(p, ide.RegLBAMid, 1, uint64(payload.LBA>>8&0xFF))
-	cb.IOWrite(p, ide.RegLBAHigh, 1, uint64(payload.LBA>>40&0xFF))
-	cb.IOWrite(p, ide.RegLBAHigh, 1, uint64(payload.LBA>>16&0xFF))
-	cb.IOWrite(p, ide.RegDevice, 1, ide.DeviceLBA)
+	writeTaskFile(p, cb, payload.LBA, payload.Count)
 	opcode := uint64(ide.CmdReadDMAExt)
 	dir := uint64(ide.BMCmdRead)
 	if write {
@@ -461,7 +333,7 @@ func (md *IDE) deviceOp(p *sim.Proc, write bool, payload disk.Payload, keepIRQ b
 	bm.IOWrite(p, ide.BMRegCmd, 1, ide.BMCmdStart|dir)
 
 	if keepIRQ {
-		return disk.Payload{}
+		return
 	}
 	// Poll for completion at the backend's interval; each poll is a
 	// preemption-timer exit plus a little handler work (paper §4.1).
@@ -473,23 +345,45 @@ func (md *IDE) deviceOp(p *sim.Proc, write bool, payload disk.Payload, keepIRQ b
 	}
 	bm.IOWrite(p, ide.BMRegStatus, 1, ide.BMStatusIRQ) // ack quietly
 	bm.IOWrite(p, ide.BMRegCmd, 1, 0)
-	// Restore the guest's interrupt setting.
-	v := uint64(0)
-	if md.shNIEN {
-		v = ide.CtlNIEN
-	}
-	ctl.IOWrite(p, ide.RegDevControl, 1, v)
-	if write {
-		return disk.Payload{}
-	}
-	return md.m.Disk.Store().ReadPayload(payload.LBA, payload.Count)
+	ctl.IOWrite(p, ide.RegDevControl, 1, md.guestDevControl()) // restore the guest's setting
 }
 
-// dummyRestart makes the device generate the guest's completion interrupt
-// by reading one dummy sector into a VMM buffer (paper §3.2, "4. Restart").
-// The mediator returns to passthrough before the device completes, so the
-// guest's interrupt handler observes real hardware state.
-func (md *IDE) dummyRestart(p *sim.Proc) {
+// registers returns the controller's command block, control block and
+// bus-master regions as the device sees them, bypassing the taps.
+func (md *IDE) registers() (cb, ctl, bm hwio.Handler) {
+	return md.m.IO.Lookup(md.ctrl.Name + ".cmd").Device(),
+		md.m.IO.Lookup(md.ctrl.Name + ".ctl").Device(),
+		md.m.IO.Lookup(md.ctrl.Name + ".bm").Device()
+}
+
+// guestDevControl is the device control value the guest programmed.
+func (md *IDE) guestDevControl() uint64 {
+	if md.shNIEN {
+		return ide.CtlNIEN
+	}
+	return 0
+}
+
+// writeTaskFile programs a 48-bit LBA and sector count into the command
+// block, high bytes first, and selects LBA addressing.
+func writeTaskFile(p *sim.Proc, cb hwio.Handler, lba, count int64) {
+	cb.IOWrite(p, ide.RegSectorCount, 1, uint64(count>>8&0xFF))
+	cb.IOWrite(p, ide.RegSectorCount, 1, uint64(count&0xFF))
+	cb.IOWrite(p, ide.RegLBALow, 1, uint64(lba>>24&0xFF))
+	cb.IOWrite(p, ide.RegLBALow, 1, uint64(lba&0xFF))
+	cb.IOWrite(p, ide.RegLBAMid, 1, uint64(lba>>32&0xFF))
+	cb.IOWrite(p, ide.RegLBAMid, 1, uint64(lba>>8&0xFF))
+	cb.IOWrite(p, ide.RegLBAHigh, 1, uint64(lba>>40&0xFF))
+	cb.IOWrite(p, ide.RegLBAHigh, 1, uint64(lba>>16&0xFF))
+	cb.IOWrite(p, ide.RegDevice, 1, ide.DeviceLBA)
+}
+
+// finish implements controller: make the device generate the guest's
+// completion interrupt by reading one dummy sector into a VMM buffer
+// (paper §3.2, "4. Restart"). The mediator returns to passthrough before
+// the device completes, so the guest's interrupt handler observes real
+// hardware state.
+func (md *IDE) finish(p *sim.Proc, _ command) {
 	if md.VirtualIRQ {
 		// Ablation path: inject the interrupt from the VMM.
 		md.mode = idePassthrough
@@ -512,94 +406,20 @@ func (md *IDE) dummyRestart(p *sim.Proc) {
 	}
 }
 
-// InsertWrite implements Mediator: background-copy multiplexing.
-func (md *IDE) InsertWrite(p *sim.Proc, payload disk.Payload, guard func() bool) bool {
-	var sp *trace.Span
-	if md.m.Trace != nil {
-		sp = md.m.Trace.BeginChild(trace.Cause(p), md.m.Name, "mediator", "insert-write",
-			trace.Int("lba", payload.LBA), trace.Int("count", payload.Count))
-	}
-	defer sp.End()
-	md.devLock.Acquire(p)
-	defer md.devLock.Release()
-	md.waitDeviceIdle(p)
-	if guard != nil && !guard() {
-		return false
-	}
-	md.mode = ideVMMOwns
-	md.stats.Inserted.Inc()
-	md.stats.InsertedBytes.Add(payload.Count * disk.SectorSize)
-	md.deviceOp(p, true, payload, false)
-	md.releaseOwnership(p)
-	return true
-}
-
-// InsertRead implements Mediator.
-func (md *IDE) InsertRead(p *sim.Proc, lba, count int64) (disk.Payload, bool) {
-	var sp *trace.Span
-	if md.m.Trace != nil {
-		sp = md.m.Trace.BeginChild(trace.Cause(p), md.m.Name, "mediator", "insert-read",
-			trace.Int("lba", lba), trace.Int("count", count))
-	}
-	defer sp.End()
-	md.devLock.Acquire(p)
-	defer md.devLock.Release()
-	md.waitDeviceIdle(p)
-	md.mode = ideVMMOwns
-	pl := md.deviceOp(p, false, disk.Payload{LBA: lba, Count: count}, false)
-	md.releaseOwnership(p)
-	return pl, true
-}
-
-// waitDeviceIdle polls until any in-flight guest command completes
-// ("1. Find" in the paper's Figure 3).
-func (md *IDE) waitDeviceIdle(p *sim.Proc) {
-	for md.ctrl.Busy() {
-		md.stats.Polls.Inc()
-		md.m.World.Exit(nil, cpuvirt.ExitPreemptionTimer)
-		p.Sleep(md.backend.PollInterval())
-	}
-}
-
-// releaseOwnership replays commands the guest issued while the VMM held
-// the device, restoring the guest's view.
-func (md *IDE) releaseOwnership(p *sim.Proc) {
-	md.mode = idePassthrough
-	for len(md.queued) > 0 {
-		cmd := md.queued[0]
-		md.queued = md.queued[1:]
-		md.replay(p, cmd)
-	}
-}
-
 // replay re-injects a queued guest command: the device registers are
 // restored from the interpreted snapshot and the command re-dispatched (a
 // replayed read may itself need redirection).
-func (md *IDE) replay(p *sim.Proc, cmd ideCommand) {
-	if md.dispatch(cmd) {
-		// The dispatcher took the command over (redirect/protect); its
+func (md *IDE) replay(p *sim.Proc, cmd command) {
+	if md.route(cmd) {
+		// The pipeline took the command over (redirect/protect); its
 		// completion path runs asynchronously.
 		return
 	}
 	// Passthrough: program the device with the guest's register values.
-	cb := md.m.IO.Lookup(md.ctrl.Name + ".cmd").Device()
-	ctl := md.m.IO.Lookup(md.ctrl.Name + ".ctl").Device()
-	bm := md.m.IO.Lookup(md.ctrl.Name + ".bm").Device()
-	v := uint64(0)
-	if md.shNIEN {
-		v = ide.CtlNIEN
-	}
-	ctl.IOWrite(p, ide.RegDevControl, 1, v)
+	cb, ctl, bm := md.registers()
+	ctl.IOWrite(p, ide.RegDevControl, 1, md.guestDevControl())
 	bm.IOWrite(p, ide.BMRegPRDT, 4, uint64(cmd.prdt))
-	cb.IOWrite(p, ide.RegSectorCount, 1, uint64(cmd.count>>8&0xFF))
-	cb.IOWrite(p, ide.RegSectorCount, 1, uint64(cmd.count&0xFF))
-	cb.IOWrite(p, ide.RegLBALow, 1, uint64(cmd.lba>>24&0xFF))
-	cb.IOWrite(p, ide.RegLBALow, 1, uint64(cmd.lba&0xFF))
-	cb.IOWrite(p, ide.RegLBAMid, 1, uint64(cmd.lba>>32&0xFF))
-	cb.IOWrite(p, ide.RegLBAMid, 1, uint64(cmd.lba>>8&0xFF))
-	cb.IOWrite(p, ide.RegLBAHigh, 1, uint64(cmd.lba>>40&0xFF))
-	cb.IOWrite(p, ide.RegLBAHigh, 1, uint64(cmd.lba>>16&0xFF))
-	cb.IOWrite(p, ide.RegDevice, 1, ide.DeviceLBA)
+	writeTaskFile(p, cb, cmd.lba, cmd.count)
 	cb.IOWrite(p, ide.RegStatusCmd, 1, uint64(cmd.opcode))
 	bmv := uint64(cmd.bmCmd)
 	if bmv&ide.BMCmdStart == 0 {
@@ -613,5 +433,6 @@ func (md *IDE) replay(p *sim.Proc, cmd ideCommand) {
 
 var _ Mediator = (*IDE)(nil)
 var _ hwio.Tap = (*IDE)(nil)
+var _ controller = (*IDE)(nil)
 
 func (md *IDE) String() string { return fmt.Sprintf("ide-mediator(%s)", md.ctrl.Name) }

@@ -21,6 +21,7 @@ type fakeBackend struct {
 	guestR    int
 	guestW    int
 	fetchLat  sim.Duration
+	fetchErr  error // non-nil: fetches fail after fetchLat (server down)
 }
 
 func newFakeBackend(img *disk.Image) *fakeBackend {
@@ -36,13 +37,13 @@ func (f *fakeBackend) AllFilled(lba, count int64) bool {
 	return true
 }
 
-func (f *fakeBackend) UnfilledRuns(lba, count int64) []mediator.Run {
-	var runs []mediator.Run
+func (f *fakeBackend) AppendUnfilledRuns(runs []mediator.Run, lba, count int64) []mediator.Run {
+	start := len(runs)
 	for i := lba; i < lba+count; i++ {
 		if f.filled[i] {
 			continue
 		}
-		if n := len(runs); n > 0 && runs[n-1].End() == i {
+		if n := len(runs); n > start && runs[n-1].End() == i {
 			runs[n-1].Count++
 		} else {
 			runs = append(runs, mediator.Run{LBA: i, Count: 1})
@@ -54,6 +55,9 @@ func (f *fakeBackend) UnfilledRuns(lba, count int64) []mediator.Run {
 func (f *fakeBackend) Fetch(p *sim.Proc, lba, count int64) (disk.Payload, error) {
 	f.fetches++
 	p.Sleep(f.fetchLat)
+	if f.fetchErr != nil {
+		return disk.Payload{}, f.fetchErr
+	}
 	return f.img.Payload(lba, count), nil
 }
 

@@ -20,6 +20,10 @@
 //     and completion detected by polling; guest requests arriving
 //     meanwhile are queued behind an emulated idle status and replayed
 //     afterwards.
+//
+// Interpretation is controller-specific (ahci.go, ide.go); redirection and
+// multiplexing are written once, in pipeline.go, over a handful of device
+// primitives each controller supplies.
 package mediator
 
 import (
@@ -28,8 +32,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Run is a contiguous sector range (mirror of core.Run to keep the
-// dependency pointing from the VMM to the mediator).
+// Run is a contiguous sector range. The VMM's block bitmap uses the same
+// type (core.Run is an alias), so unfilled runs reach a mediator
+// without a copy.
 type Run struct {
 	LBA   int64
 	Count int64
@@ -44,8 +49,9 @@ type Backend interface {
 	// AllFilled reports whether every sector of the range already holds
 	// valid local data.
 	AllFilled(lba, count int64) bool
-	// UnfilledRuns returns the unfilled sub-ranges of the range.
-	UnfilledRuns(lba, count int64) []Run
+	// AppendUnfilledRuns appends the unfilled sub-ranges of the range to
+	// dst in ascending order and returns the extended slice.
+	AppendUnfilledRuns(dst []Run, lba, count int64) []Run
 	// Fetch retrieves a range from the storage server, blocking.
 	Fetch(p *sim.Proc, lba, count int64) (disk.Payload, error)
 	// MarkFilled records that the range now holds valid local data.

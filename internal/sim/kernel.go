@@ -73,7 +73,6 @@ type Kernel struct {
 	rng      *rand.Rand
 	procs    int // live processes (running or parked)
 	stopped  bool
-	tracer   func(t Time, format string, args ...any)
 	procHook func(t Time, ev ProcEvent, name string)
 
 	// dom is non-nil when this kernel is one domain of a ShardSet (see
@@ -127,17 +126,6 @@ func (k *Kernel) Now() Time { return k.now }
 
 // Rand returns the kernel's deterministic random source.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
-
-// SetTracer installs a trace sink invoked by Tracef. A nil tracer disables
-// tracing.
-func (k *Kernel) SetTracer(fn func(t Time, format string, args ...any)) { k.tracer = fn }
-
-// Tracef reports a trace line to the installed tracer, if any.
-func (k *Kernel) Tracef(format string, args ...any) {
-	if k.tracer != nil {
-		k.tracer(k.now, format, args...)
-	}
-}
 
 // At schedules fn to run at instant t, which must not be in the past.
 func (k *Kernel) At(t Time, fn func()) Handle {

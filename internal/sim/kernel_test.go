@@ -297,16 +297,3 @@ func TestTimeAddSubProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTracer(t *testing.T) {
-	k := New(1)
-	var lines int
-	k.SetTracer(func(_ Time, _ string, _ ...any) { lines++ })
-	k.After(Second, func() { k.Tracef("hello %d", 1) })
-	k.Run()
-	if lines != 1 {
-		t.Fatalf("tracer saw %d lines, want 1", lines)
-	}
-	k.SetTracer(nil)
-	k.Tracef("ignored") // must not panic
-}

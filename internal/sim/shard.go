@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -476,7 +477,8 @@ func (s *ShardSet) RunUntil(horizon Time, stop func() bool) {
 // mergePosts drains every domain's outbox and schedules the posts on their
 // destinations in canonical (time, source domain, sequence) order, so the
 // destination heap order — and therefore the whole next window — is
-// independent of execution interleaving.
+// independent of execution interleaving. The key is unique per post, so
+// the unstable sort still yields exactly one order.
 func (s *ShardSet) mergePosts() {
 	s.scratch = s.scratch[:0]
 	for _, k := range s.domains {
@@ -492,15 +494,8 @@ func (s *ShardSet) mergePosts() {
 	if len(s.scratch) == 0 {
 		return
 	}
-	sort.Slice(s.scratch, func(i, j int) bool {
-		a, b := &s.scratch[i], &s.scratch[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.seq < b.seq
+	slices.SortFunc(s.scratch, func(a, b xpost) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
 	})
 	for _, x := range s.scratch {
 		if x.at < x.dst.now {
