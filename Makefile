@@ -24,7 +24,7 @@ LINTJSON ?=
 BENCH_SUITE = ( $(GO) test -run '^$$' -bench '$(MICRO)' -benchmem -benchtime=1s -count 3 . && \
 	$(GO) test -run '^$$' -bench '$(MACRO)' -benchmem -benchtime=1x -count 3 . )
 
-.PHONY: test bench bench-rebase bench-smoke bench-compare lint check chaos elasticity
+.PHONY: test bench bench-rebase bench-smoke bench-compare lint check chaos elasticity identity
 
 test:
 	$(GO) build ./...
@@ -100,3 +100,12 @@ bench-compare:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=1x -count 1 . \
 	| $(GO) run ./cmd/bench2json -out BENCH_results.json
+
+# identity checks that the working tree reproduces every output of
+# revision BASE byte for byte: the bmcast-sim chaos schedule at -shards 0,
+# 1 and 8 (stdout, trace, metrics), bmcast-experiments -quick, the
+# sharded fleet and elasticity cells, the traced fleet cell, the tenant
+# storm, and traced bmcast-bench at seeds 1-3. See scripts/identity.sh.
+identity:
+	@test -n "$(BASE)" || { echo "usage: make identity BASE=<rev>"; exit 2; }
+	scripts/identity.sh $(BASE)

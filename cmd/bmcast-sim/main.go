@@ -9,12 +9,13 @@
 //	           [-faults SCHEDULE] [-tenants PROFILE [-storm STORM] [-pool N]]
 //	           [-shards N] [-cpuprofile FILE] [-memprofile FILE]
 //
-// -shards N runs the simulation on the parallel shard executor
-// (DESIGN.md §13): the testbed is decomposed into one domain per node
-// plus a hub, executed by up to N workers. Output — stdout, trace JSON,
-// metrics — is byte-identical at every N >= 1 for a given seed; it
-// differs from the -shards 0 single-kernel schedule, so compare sharded
-// runs with sharded runs. -cpuprofile and -memprofile write pprof
+// -shards N picks the shard executor's partition and worker count
+// (DESIGN.md §13). At 0 the testbed is one domain; at N >= 1 it is one
+// domain per node plus a hub, executed by up to N workers. Output —
+// stdout, trace JSON, metrics — is byte-identical at every N >= 1 for a
+// given seed; it differs from the one-domain partition at -shards 0,
+// whose node-to-hub deliveries are not quantized to a window, so compare
+// per-node runs with per-node runs. -cpuprofile and -memprofile write pprof
 // profiles of the run (parity with bmcast-experiments).
 //
 // -trace-out writes a Chrome trace-event JSON file (load it in Perfetto or
@@ -140,7 +141,7 @@ func main() {
 	tenantsFlag := flag.String("tenants", "", "elastic control-plane mode: tenant traffic profile, e.g. 'rate=0.25,dur=4m0s,hold=10s,deadline=40s', or 'default'")
 	stormFlag := flag.String("storm", "", "fault storm for -tenants mode, e.g. 'at=1m0s,for=30s,links=node0.vmm+node1.vmm,server=server,crashes=2', or 'default'")
 	pool := flag.Int("pool", 0, "machine pool size for -tenants mode (0 = cell default)")
-	shards := flag.Int("shards", 0, "run on the parallel shard executor with up to N workers (0 = single kernel)")
+	shards := flag.Int("shards", 0, "give every node its own shard domain, run by up to N workers (0 = one domain)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the run to `file`")
 	flag.Parse()
@@ -245,18 +246,9 @@ func main() {
 		for _, name := range names {
 			fmt.Printf("  %-28s %d sectors\n", name, counts[name])
 		}
-		tb.PostToHub(tb.NodeKernel(node), func() {
-			done = true
-			if !tb.Sharded() {
-				tb.K.Stop()
-			}
-		})
+		tb.PostToHub(tb.NodeKernel(node), func() { done = true })
 	})
-	if tb.Sharded() {
-		tb.ShardRun(func() bool { return done })
-	} else {
-		tb.K.Run()
-	}
+	tb.Set.Run(func() bool { return done })
 
 	if *traceOut != "" {
 		tr := tb.TraceMerged()

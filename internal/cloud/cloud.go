@@ -382,23 +382,23 @@ func (c *Controller) probe(n *testbed.Node) {
 	c.repool(n)
 }
 
-// nodeLinksDown reports whether either of n's links is down. On a
-// sharded testbed the probe reads the hub's fault-schedule mirror
-// instead of the node domain's live link state.
+// nodeLinksDown reports whether either of n's links is down. A node on
+// the hub kernel is probed live; for a node in its own domain the probe
+// reads the hub's fault-schedule mirror instead.
 func (c *Controller) nodeLinksDown(n *testbed.Node) bool {
-	if c.tb.Sharded() {
-		return c.tb.NodeLinksDownMirror(c.tb.NodeIndex(n))
+	if n.M.K == c.tb.K {
+		return n.GuestLink.Down(ethernet.DirBoth) || n.VMMLink.Down(ethernet.DirBoth)
 	}
-	return n.GuestLink.Down(ethernet.DirBoth) || n.VMMLink.Down(ethernet.DirBoth)
+	return c.tb.NodeLinksDownMirror(c.tb.NodeIndex(n))
 }
 
 // runOnNodeWait runs fn as a process on n's shard domain and parks the
 // calling hub process until it returns, yielding fn's error. The hub
 // never reads node state directly: everything it needs comes back by
-// value through the completion post. On a single-threaded testbed it
+// value through the completion post. For a node on the hub kernel it
 // simply calls fn inline.
 func (c *Controller) runOnNodeWait(p *sim.Proc, n *testbed.Node, name string, fn func(np *sim.Proc) error) error {
-	if !c.tb.Sharded() {
+	if n.M.K == c.tb.K {
 		return fn(p)
 	}
 	var (
@@ -426,7 +426,7 @@ func (c *Controller) QuarantinedMachines() int { return len(c.quarantined) }
 func (c *Controller) deploy(p *sim.Proc, in *Instance) {
 	in.state = StateDeploying
 	in.changed.Broadcast()
-	if c.tb.Sharded() && in.Strategy != StrategyBMcast {
+	if in.Node.M.K != c.tb.K && in.Strategy != StrategyBMcast {
 		// The baseline strategies drive node hardware from the control
 		// plane's process, which is illegal across shard domains.
 		c.fail(in, fmt.Errorf("cloud: strategy %v not supported on a sharded testbed", in.Strategy))
@@ -597,13 +597,13 @@ func (c *Controller) Release(in *Instance) error {
 		})
 		return nil
 	}
-	if !c.tb.Sharded() {
+	if in.Node.M.K == c.tb.K {
 		c.scrub(in.Node)
 		c.repool(in.Node)
 		return nil
 	}
-	// Sharded: the wipe runs on the node's domain, and the machine
-	// rejoins the pool when the completion post reaches the hub.
+	// The wipe runs on the node's domain, and the machine rejoins the
+	// pool when the completion post reaches the hub.
 	node := in.Node
 	nk := c.tb.NodeKernel(node)
 	c.tb.RunOnNode(node, "cloud.release.scrub", func(np *sim.Proc) {

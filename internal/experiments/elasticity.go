@@ -153,20 +153,11 @@ func ElasticityRun(opt Options, pool int, profile tenants.Profile, storm faults.
 	tb.K.Spawn("elasticity.waiter", func(p *sim.Proc) {
 		g.WaitDrained(p)
 		drained = true
-		if !tb.Sharded() {
-			tb.K.Stop() // sharded runs stop at the next window barrier
-		}
 	})
 	// Horizon guard: the graceful-degradation invariant says this loop
 	// terminates, but a bug must surface as an error, not a hang.
 	horizon := sim.Time(profile.Duration + sim.Hour)
-	if tb.Sharded() {
-		tb.Set.RunUntil(horizon, func() bool { return drained })
-	} else {
-		for !drained && tb.K.Pending() > 0 && tb.K.Now() < horizon {
-			tb.K.RunUntil(tb.K.Now().Add(sim.Minute))
-		}
-	}
+	tb.Set.RunUntil(horizon, func() bool { return drained })
 	if !drained {
 		return ElasticityResult{}, fmt.Errorf("elasticity: traffic never drained (deadlock or runaway backlog): %d requests open at %v",
 			openRequests(f), tb.K.Now())

@@ -47,11 +47,13 @@ type Options struct {
 	// (0 = the calibrated default profile).
 	BootBytes int64
 
-	// Shards > 0 runs the fleet and elasticity cells on the parallel
-	// shard executor (DESIGN.md §13): one domain per node plus a hub,
-	// executed by up to Shards workers. Output is byte-identical at
-	// every Shards value ≥ 1; it differs from the Shards == 0
-	// single-kernel schedule, so compare sharded runs with sharded runs.
+	// Shards picks the fleet and elasticity cells' partition and worker
+	// count (DESIGN.md §13): 0 is the one-domain partition; Shards > 0
+	// gives every node its own domain beside a hub, executed by up to
+	// Shards workers. Output is byte-identical at every Shards value ≥ 1;
+	// it differs from the one-domain partition, whose node-to-hub
+	// deliveries are not quantized to a window, so compare per-node runs
+	// with per-node runs.
 	Shards int
 
 	// observe, when set, receives each fleet-cell testbed's trace
@@ -187,17 +189,16 @@ func prepare(opt Options, pl platform) *rig {
 				panic(fmt.Sprintf("experiments: bare-metal prep: %v", err))
 			}
 		})
-		tb.K.Run()
+		tb.Set.Run(nil)
 	case platDeploy:
-		tb.K.Spawn("prep", func(p *sim.Proc) {
+		// Stop as soon as the guest is up; the copy continues.
+		runProc(tb, "prep", func(p *sim.Proc) {
 			if _, err := tb.DeployBMcast(p, n, core.DefaultConfig(), bp); err != nil {
 				panic(fmt.Sprintf("experiments: deploy prep: %v", err))
 			}
-			tb.K.Stop() // stop as soon as the guest is up; copy continues
 		})
-		tb.K.Run()
 	case platDevirt:
-		tb.K.Spawn("prep", func(p *sim.Proc) {
+		runProc(tb, "prep", func(p *sim.Proc) {
 			vcfg := core.DefaultConfig()
 			vcfg.WriteInterval = 2 * sim.Millisecond // finish the small image fast
 			res, err := tb.DeployBMcast(p, n, vcfg, bp)
@@ -205,9 +206,7 @@ func prepare(opt Options, pl platform) *rig {
 				panic(fmt.Sprintf("experiments: devirt prep: %v", err))
 			}
 			tb.WaitBareMetal(p, n, res)
-			tb.K.Stop()
 		})
-		tb.K.Run()
 	case platKVM:
 		n.M.SetDiskImage(tb.Image)
 		tb.K.Spawn("prep", func(p *sim.Proc) {
@@ -221,27 +220,22 @@ func prepare(opt Options, pl platform) *rig {
 				panic(fmt.Sprintf("experiments: kvm driver init: %v", err))
 			}
 		})
-		tb.K.Run()
+		tb.Set.Run(nil)
 	}
 	return r
 }
 
-// measure runs fn in a process and drives the simulation until it
-// finishes (bounded, so platforms with perpetual background activity
-// still return).
-func (r *rig) measure(fn func(p *sim.Proc)) {
+// runProc spawns fn as a process named name on tb's hub kernel and runs
+// the testbed until fn returns (or nothing is left to run), leaving the
+// clock at fn's last event and later events pending, so platforms with
+// perpetual background activity still return.
+func runProc(tb *testbed.Testbed, name string, fn func(p *sim.Proc)) {
 	done := false
-	r.tb.K.Spawn("measure", func(p *sim.Proc) {
+	tb.K.Spawn(name, func(p *sim.Proc) {
 		fn(p)
 		done = true
-		r.tb.K.Stop()
 	})
-	for !done {
-		r.tb.K.RunUntil(r.tb.K.Now().Add(sim.Hour))
-		if r.tb.K.Pending() == 0 {
-			break
-		}
-	}
+	tb.Set.Run(func() bool { return done })
 }
 
 // pct formats new/base as a percentage string.

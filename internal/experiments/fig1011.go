@@ -36,7 +36,7 @@ func Fig10(opt Options) []*report.Table {
 	}
 
 	runFio := func(r *rig, initDriver bool) (read, write float64) {
-		r.measure(func(p *sim.Proc) {
+		runProc(r.tb, "measure", func(p *sim.Proc) {
 			if initDriver {
 				if err := r.os.Drv.Init(p); err != nil {
 					panic(err)
@@ -102,7 +102,7 @@ func Fig10(opt Options) []*report.Table {
 			}
 			r.os = kvm.OS
 		})
-		tb.K.Run()
+		tb.Set.Run(nil)
 		read, write := runFio(r, true)
 		addRow("KVM/NFS", read, write)
 	}
@@ -124,7 +124,7 @@ func Fig11(opt Options) []*report.Table {
 	for _, pl := range []platform{platBaremetal, platDeploy, platDevirt, platKVM} {
 		r := prepare(opt, pl)
 		var res workload.IopingResult
-		r.measure(func(p *sim.Proc) {
+		runProc(r.tb, "measure", func(p *sim.Proc) {
 			if pl == platBaremetal || pl == platDevirt {
 				if err := r.os.Drv.Init(p); err != nil {
 					panic(err)

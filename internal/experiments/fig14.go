@@ -56,7 +56,7 @@ func Fig14(opt Options) []*report.Table {
 func fig14Guest(opt Options, writes bool, _ any) float64 {
 	r := prepare(opt, platBaremetal)
 	var rate float64
-	r.measure(func(p *sim.Proc) {
+	runProc(r.tb, "measure", func(p *sim.Proc) {
 		if err := r.os.Drv.Init(p); err != nil {
 			panic(err)
 		}
@@ -89,8 +89,7 @@ func fig14Point(opt Options, guestWrites bool, interval sim.Duration) (guestRate
 	bp.CPUTime = sim.Second
 	bp.SpanSectors = tcfg.ImageBytes / 2 / 512
 
-	done := false
-	tb.K.Spawn("fig14", func(p *sim.Proc) {
+	runProc(tb, "fig14", func(p *sim.Proc) {
 		if _, err := tb.DeployBMcast(p, n, vcfg, bp); err != nil {
 			panic(err)
 		}
@@ -110,11 +109,6 @@ func fig14Point(opt Options, guestWrites bool, interval sim.Duration) (guestRate
 		window := p.Now().Sub(start)
 		guestRate = res.Throughput
 		vmmRate = float64(n.VMM.CopiedBytes.Value()-copiedBefore) / window.Seconds()
-		done = true
-		tb.K.Stop()
 	})
-	for !done && tb.K.Pending() > 0 {
-		tb.K.RunUntil(tb.K.Now().Add(sim.Hour))
-	}
 	return guestRate, vmmRate
 }

@@ -44,16 +44,14 @@ func Fig4(opt Options) []*report.Table {
 	{
 		tb, n := newTB(opt.ImageBytes)
 		var fw, boot sim.Duration
-		tb.K.Spawn("bm", func(p *sim.Proc) {
+		runProc(tb, "bm", func(p *sim.Proc) {
 			start := p.Now()
 			if err := tb.BootBareMetal(p, n, bp); err != nil {
 				panic(err)
 			}
 			fw = n.M.Firmware.InitTime
 			boot = p.Now().Sub(start) - fw
-			tb.K.Stop()
 		})
-		tb.K.Run()
 		row("Baremetal", fw, dash, dash, dash, boot)
 	}
 
@@ -63,16 +61,15 @@ func Fig4(opt Options) []*report.Table {
 	{
 		tb, n := newTB(opt.ImageBytes)
 		var res *testbed.BMcastResult
-		tb.K.Spawn("bmcast", func(p *sim.Proc) {
+		runProc(tb, "bmcast", func(p *sim.Proc) {
 			r, err := tb.DeployBMcast(p, n, core.DefaultConfig(), bp)
 			if err != nil {
 				panic(err)
 			}
 			res = r
 			fetchedMB = float64(n.VMM.FetchedBytes.Value()) / 1e6
-			tb.K.Stop() // startup measured; deployment continues off-figure
+			// Startup measured; deployment continues off-figure.
 		})
-		tb.K.Run()
 		fw := res.FirmwareDone.Sub(0)
 		vmm := res.VMMBooted.Sub(res.FirmwareDone)
 		boot := res.GuestBooted.Sub(res.VMMBooted)
@@ -85,15 +82,13 @@ func Fig4(opt Options) []*report.Table {
 		tb, n := newTB(opt.ImageBytes)
 		rs := baseline.NewRemoteStore(tb.K, "srv-iscsi", baseline.ISCSI, tb.Image)
 		var res *baseline.ImageCopyResult
-		tb.K.Spawn("copy", func(p *sim.Proc) {
+		runProc(tb, "copy", func(p *sim.Proc) {
 			r, err := baseline.DeployImageCopy(p, n.M, n.OS, baseline.DefaultImageCopyConfig(), rs, bp)
 			if err != nil {
 				panic(err)
 			}
 			res = r
-			tb.K.Stop()
 		})
-		tb.K.Run()
 		fw := res.FirmwareDone.Sub(0) - n.M.Firmware.PXETime
 		installer := res.InstallerUp.Sub(res.FirmwareDone) + n.M.Firmware.PXETime
 		transfer := res.TransferDone.Sub(res.InstallerUp)
@@ -107,16 +102,14 @@ func Fig4(opt Options) []*report.Table {
 		tb, n := newTB(opt.ImageBytes)
 		rs := baseline.NewRemoteStore(tb.K, "srv-nfs", baseline.NFS, tb.Image)
 		var fw, boot sim.Duration
-		tb.K.Spawn("netboot", func(p *sim.Proc) {
+		runProc(tb, "netboot", func(p *sim.Proc) {
 			start := p.Now()
 			if err := baseline.BootNetboot(p, n.M, n.OS, rs, bp); err != nil {
 				panic(err)
 			}
 			fw = n.M.Firmware.InitTime
 			boot = p.Now().Sub(start) - fw
-			tb.K.Stop()
 		})
-		tb.K.Run()
 		row("NFS Root", fw, dash, dash, dash, boot)
 	}
 
@@ -134,7 +127,7 @@ func Fig4(opt Options) []*report.Table {
 		rs := baseline.NewRemoteStore(tb.K, "srv", kv.proto, tb.Image)
 		rs.Readahead = kv.ra
 		var fw, host, boot sim.Duration
-		tb.K.Spawn("kvm", func(p *sim.Proc) {
+		runProc(tb, "kvm", func(p *sim.Proc) {
 			kvm, err := baseline.StartKVM(p, n.M, baseline.DefaultKVMConfig(), kv.storage, rs)
 			if err != nil {
 				panic(err)
@@ -145,9 +138,7 @@ func Fig4(opt Options) []*report.Table {
 			fw = n.M.Firmware.InitTime
 			host = kvm.BootedAt.Sub(0) - fw
 			boot = kvm.GuestBootedAt.Sub(kvm.BootedAt)
-			tb.K.Stop()
 		})
-		tb.K.Run()
 		row(kv.name, fw, host, dash, dash, boot)
 	}
 

@@ -72,7 +72,7 @@ func fig5One(opt Options, prof workload.DBProfile) *report.Table {
 func fig5Steady(opt Options, pl platform, prof workload.DBProfile) dbRun {
 	r := prepare(opt, pl)
 	y := workload.NewYCSB(r.os, prof)
-	r.measure(func(p *sim.Proc) {
+	runProc(r.tb, "measure", func(p *sim.Proc) {
 		if pl == platBaremetal || pl == platDevirt {
 			if err := r.os.Drv.Init(p); err != nil {
 				panic(err)
@@ -100,8 +100,7 @@ func fig5BMcast(opt Options, prof workload.DBProfile) dbRun {
 
 	y := workload.NewYCSB(n.OS, prof)
 	run := dbRun{name: "BMcast"}
-	done := false
-	tb.K.Spawn("fig5", func(p *sim.Proc) {
+	runProc(tb, "fig5", func(p *sim.Proc) {
 		res, err := tb.DeployBMcast(p, n, core.DefaultConfig(), bp)
 		if err != nil {
 			panic(err)
@@ -113,12 +112,7 @@ func fig5BMcast(opt Options, prof workload.DBProfile) dbRun {
 		run.deployedAt = n.VMM.DevirtedAt
 		p.Sleep(opt.DBSeconds)
 		y.Stop()
-		done = true
-		tb.K.Stop()
 	})
-	for !done && tb.K.Pending() > 0 {
-		tb.K.RunUntil(tb.K.Now().Add(sim.Hour))
-	}
 	run.tput, run.lat = &y.Throughput, &y.Latency
 	return run
 }

@@ -55,17 +55,11 @@ func Fig6(opt Options) []*report.Table {
 			panic(err)
 		}
 		out := make(map[workload.Collective]sim.Duration)
-		done := false
-		tb.K.Spawn("mpi", func(p *sim.Proc) {
+		runProc(tb, "mpi", func(p *sim.Proc) {
 			for _, c := range workload.AllCollectives() {
 				out[c] = cl.Latency(p, c, msgBytes, opt.MPIIterations)
 			}
-			done = true
-			tb.K.Stop()
 		})
-		for !done && tb.K.Pending() > 0 {
-			tb.K.RunUntil(tb.K.Now().Add(sim.Hour))
-		}
 		return out
 	}
 

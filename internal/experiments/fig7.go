@@ -20,7 +20,7 @@ func Fig7(opt Options) []*report.Table {
 	for _, pl := range []platform{platBaremetal, platDeploy, platDevirt, platKVM} {
 		r := prepare(opt, pl)
 		var res workload.KernbenchResult
-		r.measure(func(p *sim.Proc) {
+		runProc(r.tb, "measure", func(p *sim.Proc) {
 			var err error
 			res, err = workload.Kernbench(p, r.os)
 			if err != nil {

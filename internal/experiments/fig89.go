@@ -21,7 +21,7 @@ func Fig8(opt Options) []*report.Table {
 	results := make(map[platform][]sim.Duration)
 	for _, pl := range []platform{platBaremetal, platDeploy, platKVM} {
 		r := prepare(opt, pl)
-		r.measure(func(p *sim.Proc) {
+		runProc(r.tb, "measure", func(p *sim.Proc) {
 			for _, n := range threadCounts {
 				res := workload.SysbenchThreads(p, r.n.M, n)
 				results[pl] = append(results[pl], res.Elapsed)
@@ -53,7 +53,7 @@ func Fig9(opt Options) []*report.Table {
 	results := make(map[platform][]workload.MemoryResult)
 	for _, pl := range []platform{platBaremetal, platDeploy, platKVM} {
 		r := prepare(opt, pl)
-		r.measure(func(p *sim.Proc) {
+		runProc(r.tb, "measure", func(p *sim.Proc) {
 			for _, bs := range blockSizes {
 				results[pl] = append(results[pl], workload.SysbenchMemory(p, r.n.M, bs, 1<<20))
 			}

@@ -178,9 +178,6 @@ func FleetRun(opt Options, fleet int, cached bool) (FleetResult, error) {
 		done++
 		if done == fleet {
 			res.Elapsed = tb.K.Now().Sub(0)
-			if !tb.Sharded() {
-				tb.K.Stop() // sharded runs stop at the next window barrier
-			}
 		}
 	}
 	for i := 0; i < fleet; i++ {
@@ -200,26 +197,14 @@ func FleetRun(opt Options, fleet int, cached bool) (FleetResult, error) {
 			finish(nil)
 		})
 	}
-	if tb.Sharded() {
-		tb.ShardRun(func() bool { return done >= fleet })
-	} else {
-		for done < fleet && tb.K.Pending() > 0 {
-			tb.K.RunUntil(tb.K.Now().Add(sim.Hour))
-		}
-	}
+	tb.Set.Run(func() bool { return done >= fleet })
 	if firstErr != nil {
 		return FleetResult{}, firstErr
 	}
 	if tb.Trace != nil {
 		// Attribution needs closed spans: keep the simulation running
 		// until the background copies finish and every VMM melts away.
-		if tb.Sharded() {
-			tb.ShardRun(func() bool { return allBareMetal(c) })
-		} else {
-			for !allBareMetal(c) && tb.K.Pending() > 0 {
-				tb.K.RunUntil(tb.K.Now().Add(sim.Hour))
-			}
-		}
+		tb.Set.Run(func() bool { return allBareMetal(c) })
 		if !allBareMetal(c) {
 			return FleetResult{}, fmt.Errorf("fleet: traced run never reached bare metal on all instances")
 		}

@@ -72,9 +72,6 @@ func scaleRun(opt Options, s cloud.Strategy, fleet int) (scaleResult, error) {
 			firstErr = err
 		}
 		done++
-		if done == fleet {
-			tb.K.Stop()
-		}
 	}
 	for i := 0; i < fleet; i++ {
 		tb.K.Spawn("tenant", func(p *sim.Proc) {
@@ -93,9 +90,7 @@ func scaleRun(opt Options, s cloud.Strategy, fleet int) (scaleResult, error) {
 			finish(nil)
 		})
 	}
-	for done < fleet && tb.K.Pending() > 0 {
-		tb.K.RunUntil(tb.K.Now().Add(sim.Hour))
-	}
+	tb.Set.Run(func() bool { return done >= fleet })
 	if firstErr != nil {
 		return scaleResult{}, firstErr
 	}

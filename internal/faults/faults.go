@@ -153,7 +153,7 @@ func parseEvent(stmt string) (Event, error) {
 		if ev.Rate, err = strconv.ParseFloat(args[0], 64); err != nil {
 			return Event{}, fmt.Errorf("faults: %q: bad rate: %v", stmt, err)
 		}
-		if ev.Rate < 0 || ev.Rate > 1 {
+		if !(ev.Rate >= 0 && ev.Rate <= 1) { // NaN fails both
 			return Event{}, fmt.Errorf("faults: %q: rate %g outside [0,1]", stmt, ev.Rate)
 		}
 		if len(args) == 2 {

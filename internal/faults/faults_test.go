@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -49,6 +50,7 @@ func TestParseErrors(t *testing.T) {
 		"xx crash server",           // bad time
 		"1s loss server",            // missing rate
 		"1s loss server 1.5",        // rate out of range
+		"1s loss server NaN",        // rate not a number
 		"1s partition l both",       // partition must be one-way
 		"1s partition l",            // partition needs a direction
 		"1s linkdown l sideways",    // bad direction
@@ -161,4 +163,24 @@ func TestScheduleStringIsStable(t *testing.T) {
 	if !strings.Contains(s.String(), "mediaerr server 10 20 250ms") {
 		t.Fatal("mediaerr args lost")
 	}
+}
+
+// FuzzParse checks the schedule grammar on arbitrary input: garbage must
+// come back as an error, not a panic, and an accepted schedule must
+// survive its own rendering: Parse(s.String()) == s. Seed corpus:
+// testdata/fuzz/FuzzParse.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		s, err := Parse(in)
+		if err != nil {
+			return
+		}
+		again, err := Parse(s.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) rendered as %q, which does not parse: %v", in, s, err)
+		}
+		if !reflect.DeepEqual(again, s) {
+			t.Fatalf("Parse(%q) = %#v, but its rendering %q parses as %#v", in, s, s, again)
+		}
+	})
 }

@@ -152,6 +152,9 @@ func ParseStorm(input string) (StormConfig, error) {
 	if (sc.Crashes > 0 || sc.MediaErrs > 0) && sc.Server == "" {
 		return StormConfig{}, fmt.Errorf("faults: storm: crashes/mediaerr need server=")
 	}
+	if sc.MediaErrs == 0 && (sc.MediaErrLBA != 0 || sc.MediaErrCount != 0) {
+		return StormConfig{}, fmt.Errorf("faults: storm: lba/sectors need mediaerr=")
+	}
 	if sc.MediaErrs > 0 && sc.MediaErrCount == 0 {
 		sc.MediaErrCount = 64
 	}

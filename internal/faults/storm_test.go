@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,9 +11,9 @@ import (
 
 func TestStormScheduleLowering(t *testing.T) {
 	sc := StormConfig{
-		At:    60 * sim.Second,
-		For:   30 * sim.Second,
-		Links: []string{"node0.vmm", "node1.vmm"},
+		At:     60 * sim.Second,
+		For:    30 * sim.Second,
+		Links:  []string{"node0.vmm", "node1.vmm"},
 		Server: "server", Crashes: 2,
 		MediaErrs: 2, MediaErrLBA: 128, MediaErrCount: 64,
 	}
@@ -112,12 +113,14 @@ func TestParseStormDefaultsAndErrors(t *testing.T) {
 		t.Fatalf("default mediaerr sectors = %d, want 64", sc.MediaErrCount)
 	}
 	for _, bad := range []string{
-		"at=xx",                  // bad duration
-		"bogus=1",                // unknown key
-		"at",                     // not key=value
-		"crashes=2",              // crashes without server
-		"mediaerr=1",             // mediaerr without server
+		"at=xx",                    // bad duration
+		"bogus=1",                  // unknown key
+		"at",                       // not key=value
+		"crashes=2",                // crashes without server
+		"mediaerr=1",               // mediaerr without server
 		"server=server,crashes=-1", // negative burst
+		"lba=1",                    // lba without mediaerr
+		"server=server,sectors=8",  // sectors without mediaerr
 	} {
 		if _, err := ParseStorm(bad); err == nil {
 			t.Errorf("ParseStorm(%q) accepted", bad)
@@ -187,4 +190,23 @@ func TestZeroDurationEvents(t *testing.T) {
 	if !strings.Contains(sc.String(), "for=0s") {
 		t.Fatalf("storm string %q lost the zero window", sc.String())
 	}
+}
+
+// FuzzParseStorm checks the storm grammar the way FuzzParse checks the
+// schedule grammar: errors, not panics, and ParseStorm(sc.String()) == sc
+// for every accepted storm. Seed corpus: testdata/fuzz/FuzzParseStorm.
+func FuzzParseStorm(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		sc, err := ParseStorm(in)
+		if err != nil {
+			return
+		}
+		again, err := ParseStorm(sc.String())
+		if err != nil {
+			t.Fatalf("ParseStorm(%q) rendered as %q, which does not parse: %v", in, sc, err)
+		}
+		if !reflect.DeepEqual(again, sc) {
+			t.Fatalf("ParseStorm(%q) = %#v, but its rendering %q parses as %#v", in, sc, sc, again)
+		}
+	})
 }

@@ -11,7 +11,8 @@ import (
 // This file is the conservative parallel executor: a ShardSet partitions a
 // scenario into domains (one kernel each) that execute windows of virtual
 // time in parallel and exchange timestamped cross-domain events at window
-// barriers.
+// barriers. The serial schedule is the one-domain partition (NewSerialSet),
+// on which every event is a barrier.
 //
 // Determinism contract (DESIGN.md §13). The partition and the window grid
 // are properties of the *model* (fixed at build time), not of the executor:
@@ -79,13 +80,12 @@ type shardDomain struct {
 // first Run; the partition must not change afterwards.
 type ShardSet struct {
 	seed       int64
-	window     Duration
+	window     Duration // barrier width W; 0 marks a serial set
 	reqWorkers int
 	domains    []*Kernel
 
 	frontier  Time // end of the last executed window
 	windowEnd Time // end of the window currently executing
-	stopped   bool
 
 	scratch []xpost   // barrier merge buffer, reused across windows
 	active  []*Kernel // domains live in the window currently executing
@@ -217,12 +217,28 @@ func NewShardSet(seed int64, workers int, window Duration) *ShardSet {
 	return s
 }
 
+// NewSerialSet returns the one-domain partition: a set whose only domain
+// is seeded with seed itself, so it draws exactly as New(seed) does. With
+// one domain nothing crosses a domain boundary, so RunUntil fires events
+// one at a time and checks stop after each (every event is a barrier).
+// A serial set has no window grid and takes no further domains.
+func NewSerialSet(seed int64) *ShardSet {
+	s := &ShardSet{seed: seed, reqWorkers: 1}
+	k := New(seed)
+	k.dom = &shardDomain{set: s}
+	s.domains = []*Kernel{k}
+	return s
+}
+
 // NewDomain adds a kernel to the set. Domains are identified by creation
 // order, which is part of the model: cross-domain posts merge by (time,
 // domain index, sequence), so builders must create domains in a fixed
 // order. Each domain's RNG seed derives from the set seed and the domain
 // index only.
 func (s *ShardSet) NewDomain(name string) *Kernel {
+	if s.window == 0 {
+		panic("sim: a serial set has exactly one domain")
+	}
 	idx := int32(len(s.domains))
 	k := New(domainSeed(s.seed, idx))
 	k.dom = &shardDomain{set: s, id: idx}
@@ -244,12 +260,6 @@ func domainSeed(seed int64, idx int32) int64 {
 // Domains returns the set's kernels in domain order.
 func (s *ShardSet) Domains() []*Kernel { return s.domains }
 
-// Window reports the barrier window width W.
-func (s *ShardSet) Window() Duration { return s.window }
-
-// Workers reports the requested parallelism.
-func (s *ShardSet) Workers() int { return s.reqWorkers }
-
 // Now reports the set frontier: every domain has executed all its events
 // before this instant.
 func (s *ShardSet) Now() Time { return s.frontier }
@@ -261,20 +271,6 @@ func (s *ShardSet) Pending() int {
 		n += len(k.heap)
 	}
 	return n
-}
-
-// Stop makes Run return at the next barrier.
-func (s *ShardSet) Stop() { s.stopped = true }
-
-// Sharded reports whether k belongs to a ShardSet.
-func (k *Kernel) Sharded() bool { return k.dom != nil }
-
-// Shard returns the ShardSet k belongs to, or nil.
-func (k *Kernel) Shard() *ShardSet {
-	if k.dom == nil {
-		return nil
-	}
-	return k.dom.set
 }
 
 // Post schedules fn on the dst kernel at instant at, clamped to the end of
@@ -360,17 +356,21 @@ func (k *Kernel) deliverPost(x xpost) {
 }
 
 // Run executes barrier windows until stop reports true (checked at every
-// barrier), Stop is called, or the whole set is quiescent. stop may be nil.
+// barrier) or the whole set is quiescent. stop may be nil.
 func (s *ShardSet) Run(stop func() bool) {
 	s.RunUntil(Time(1)<<62, stop)
 }
 
 // RunUntil executes barrier windows until the frontier reaches horizon,
-// stop reports true, Stop is called, or the set is quiescent. A panic or
-// runtime.Goexit in a domain's window reaches the caller's goroutine,
-// whichever worker ran that window; the set is not usable afterwards.
+// stop reports true, or the set is quiescent. A serial set (NewSerialSet)
+// checks stop after every event. A panic or runtime.Goexit
+// in a domain's window reaches the caller's goroutine, whichever worker
+// ran that window; the set is not usable afterwards.
 func (s *ShardSet) RunUntil(horizon Time, stop func() bool) {
-	s.stopped = false
+	if s.window == 0 {
+		s.runSerial(horizon, stop)
+		return
+	}
 	workers := s.reqWorkers
 	if max := runtime.GOMAXPROCS(0); workers > max {
 		// Fewer live workers than requested shards: pure execution policy,
@@ -422,7 +422,7 @@ func (s *ShardSet) RunUntil(horizon Time, stop func() bool) {
 		}()
 	}
 
-	for !s.stopped && (stop == nil || !stop()) {
+	for stop == nil || !stop() {
 		// Find the next populated window. Every event and undelivered post
 		// is at or after the frontier, so the grid floor of the earliest
 		// event is the next window that will fire anything.
@@ -472,6 +472,21 @@ func (s *ShardSet) RunUntil(horizon Time, stop func() bool) {
 		s.frontier = end
 		s.mergePosts()
 	}
+}
+
+// runSerial is RunUntil for a serial set: it fires events before
+// horizon one at a time until stop reports true or none remain. Like
+// Kernel.Run, and unlike Kernel.RunUntil, it never warps the clock.
+func (s *ShardSet) runSerial(horizon Time, stop func() bool) {
+	k := s.domains[0]
+	for (stop == nil || !stop()) && len(k.heap) > 0 {
+		if k.heap[0].when >= horizon {
+			s.frontier = horizon
+			return
+		}
+		k.step()
+	}
+	s.frontier = k.now
 }
 
 // mergePosts drains every domain's outbox and schedules the posts on their

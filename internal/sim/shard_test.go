@@ -186,23 +186,91 @@ func TestShardRunUntilHorizon(t *testing.T) {
 	}
 }
 
-func TestShardStopAtBarrier(t *testing.T) {
-	s := NewShardSet(7, 1, 10*Microsecond)
-	a := s.NewDomain("a")
-	fired := 0
+// serialScenario drives a kernel through processes, timers, a Cancel and
+// a Post to self, logging every proc hook and drawing from Rand along the
+// way. run executes the kernel to quiescence.
+func serialScenario(k *Kernel, run func()) []string {
+	var log []string
+	k.SetProcHook(func(t Time, ev ProcEvent, name string) {
+		log = append(log, fmt.Sprintf("%v %v %s", t, ev, name))
+	})
+	sig := k.NewSignal("sig")
+	for i := 0; i < 3; i++ {
+		k.Spawn(fmt.Sprintf("worker%d", i), func(p *Proc) {
+			for j := 0; j < 4; j++ {
+				p.Sleep(Duration(1+k.Rand().Intn(50)) * Microsecond)
+				if !p.WaitTimeout(sig, Duration(k.Rand().Intn(30))*Microsecond) {
+					log = append(log, fmt.Sprintf("%v %s timeout", p.Now(), p.Name()))
+				}
+			}
+		})
+	}
 	var tick func()
 	tick = func() {
-		fired++
-		if fired == 3 {
-			s.Stop()
+		log = append(log, fmt.Sprintf("%v tick rng %d", k.Now(), k.Rand().Intn(1000)))
+		sig.Broadcast()
+		if k.Now() < Time(200*Microsecond) {
+			k.After(Duration(7+k.Rand().Intn(20))*Microsecond, tick)
 		}
-		a.After(15*Microsecond, tick)
 	}
-	a.After(15*Microsecond, tick)
+	k.After(5*Microsecond, tick)
+	canceled := k.After(60*Microsecond, func() { log = append(log, "canceled event fired") })
+	k.At(Time(30*Microsecond), func() {
+		canceled.Cancel()
+		k.Post(k, k.Now().Add(3*Microsecond), func() {
+			log = append(log, fmt.Sprintf("%v post rng %d", k.Now(), k.Rand().Intn(1000)))
+		})
+	})
+	run()
+	return append(log, fmt.Sprintf("end %v rng %d", k.Now(), k.Rand().Int63()))
+}
+
+func TestSerialSetMatchesKernel(t *testing.T) {
+	// The one-domain partition is the serial schedule: its kernel draws
+	// from the seed itself and fires events in exactly New's order.
+	k := New(11)
+	want := serialScenario(k, k.Run)
+	s := NewSerialSet(11)
+	got := serialScenario(s.Domains()[0], func() { s.Run(nil) })
+	if len(want) < 40 {
+		t.Fatalf("scenario logged only %d lines", len(want))
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("serial set diverges from New:\n got %q\nwant %q", got, want)
+	}
+	if s.Now() != k.Now() {
+		t.Fatalf("frontier %v, want %v", s.Now(), k.Now())
+	}
+}
+
+func TestSerialSetStopsAfterEvent(t *testing.T) {
+	// On one domain every event is a barrier: RunUntil returns right
+	// after the event that made stop true, without warping the clock.
+	s := NewSerialSet(3)
+	k := s.Domains()[0]
+	fired := 0
+	for i := 1; i <= 5; i++ {
+		k.At(Time(i)*Time(Microsecond), func() { fired++ })
+	}
+	s.RunUntil(Time(Second), func() bool { return fired == 2 })
+	if fired != 2 || k.Now() != Time(2*Microsecond) || s.Now() != k.Now() {
+		t.Fatalf("stopped after %d events at %v (frontier %v), want 2 at %v", fired, k.Now(), s.Now(), Time(2*Microsecond))
+	}
+	// The horizon is exclusive and leaves the clock at the last event.
+	s.RunUntil(Time(4*Microsecond), nil)
+	if fired != 3 || k.Now() != Time(3*Microsecond) || s.Now() != Time(4*Microsecond) {
+		t.Fatalf("horizon run fired %d events, clock %v, frontier %v", fired, k.Now(), s.Now())
+	}
 	s.Run(nil)
-	if fired != 3 {
-		t.Fatalf("fired %d ticks, want 3 (stop at barrier)", fired)
+	if fired != 5 || s.Pending() != 0 {
+		t.Fatalf("fired %d events, %d pending, want 5 and 0", fired, s.Pending())
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewDomain on a serial set did not panic")
+		}
+	}()
+	s.NewDomain("extra")
 }
 
 func TestShardLocalPostIsImmediate(t *testing.T) {

@@ -105,12 +105,12 @@ func (pr Profile) String() string {
 	if pr.Deadline > 0 {
 		parts = append(parts, "deadline="+fmtDuration(pr.Deadline))
 	}
-	if pr.BurstEvery > 0 {
+	if pr.BurstEvery > 0 || pr.BurstFor > 0 || pr.BurstFactor != 0 {
 		parts = append(parts, fmt.Sprintf("burst=%s/%s/%s",
 			fmtDuration(pr.BurstEvery), fmtDuration(pr.BurstFor),
 			strconv.FormatFloat(pr.BurstFactor, 'g', -1, 64)))
 	}
-	if pr.DiurnalPeriod > 0 {
+	if pr.DiurnalPeriod > 0 || pr.DiurnalAmp != 0 {
 		parts = append(parts, fmt.Sprintf("diurnal=%s/%s",
 			fmtDuration(pr.DiurnalPeriod),
 			strconv.FormatFloat(pr.DiurnalAmp, 'g', -1, 64)))
@@ -125,6 +125,15 @@ func (pr Profile) String() string {
 }
 
 func fmtDuration(d sim.Duration) string { return time.Duration(d).String() }
+
+// parseFloat reads a finite number; NaN and infinities are no setting.
+func parseFloat(s string) (float64, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		return 0, fmt.Errorf("%s is not a finite number", s)
+	}
+	return f, err
+}
 
 func parseDuration(s string) (sim.Duration, error) {
 	d, err := time.ParseDuration(s)
@@ -155,7 +164,7 @@ func Parse(input string) (Profile, error) {
 		var err error
 		switch k {
 		case "rate":
-			pr.Rate, err = strconv.ParseFloat(v, 64)
+			pr.Rate, err = parseFloat(v)
 		case "dur":
 			pr.Duration, err = parseDuration(v)
 		case "hold":
@@ -163,22 +172,22 @@ func Parse(input string) (Profile, error) {
 		case "deadline":
 			pr.Deadline, err = parseDuration(v)
 		case "burst":
-			var f [3]string
-			if n := copy(f[:], strings.Split(v, "/")); n != 3 {
+			f := strings.Split(v, "/")
+			if len(f) != 3 {
 				return Profile{}, fmt.Errorf("tenants: burst=%q: want EVERY/FOR/FACTOR", v)
 			}
 			if pr.BurstEvery, err = parseDuration(f[0]); err == nil {
 				if pr.BurstFor, err = parseDuration(f[1]); err == nil {
-					pr.BurstFactor, err = strconv.ParseFloat(f[2], 64)
+					pr.BurstFactor, err = parseFloat(f[2])
 				}
 			}
 		case "diurnal":
-			var f [2]string
-			if n := copy(f[:], strings.Split(v, "/")); n != 2 {
+			f := strings.Split(v, "/")
+			if len(f) != 2 {
 				return Profile{}, fmt.Errorf("tenants: diurnal=%q: want PERIOD/AMP", v)
 			}
 			if pr.DiurnalPeriod, err = parseDuration(f[0]); err == nil {
-				pr.DiurnalAmp, err = strconv.ParseFloat(f[1], 64)
+				pr.DiurnalAmp, err = parseFloat(f[1])
 			}
 		case "prio":
 			ws := strings.Split(v, "/")
@@ -186,7 +195,7 @@ func Parse(input string) (Profile, error) {
 				return Profile{}, fmt.Errorf("tenants: prio=%q: want LOW/NORMAL/HIGH", v)
 			}
 			for i, w := range ws {
-				if pr.PriorityWeights[i], err = strconv.ParseFloat(w, 64); err != nil {
+				if pr.PriorityWeights[i], err = parseFloat(w); err != nil {
 					break
 				}
 				if pr.PriorityWeights[i] < 0 {

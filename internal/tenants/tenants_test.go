@@ -41,16 +41,19 @@ func TestProfileParseRoundTrip(t *testing.T) {
 
 func TestProfileParseErrors(t *testing.T) {
 	for _, bad := range []string{
-		"rate=abc",            // bad number
-		"nope=1",              // unknown key
-		"rate",                // not key=value
-		"rate=-1",             // negative rate
-		"dur=-5s",             // negative duration
-		"burst=1s/1s",         // burst needs three fields
-		"diurnal=1s",          // diurnal needs two fields
-		"diurnal=1s/1.5",      // amplitude out of range
-		"prio=1/2",            // three weights required
-		"prio=1/-1/1",         // negative weight
+		"rate=abc",           // bad number
+		"nope=1",             // unknown key
+		"rate",               // not key=value
+		"rate=-1",            // negative rate
+		"dur=-5s",            // negative duration
+		"burst=1s/1s",        // burst needs three fields
+		"burst=1s/1s/2/junk", // and no more
+		"rate=NaN",           // not a number
+		"prio=1/Inf/1",       // not finite
+		"diurnal=1s",         // diurnal needs two fields
+		"diurnal=1s/1.5",     // amplitude out of range
+		"prio=1/2",           // three weights required
+		"prio=1/-1/1",        // negative weight
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
@@ -146,7 +149,7 @@ func runTraffic(t *testing.T, seed int64, profile Profile) (*Generator, *cloud.F
 func TestGeneratorDeterministicArrivals(t *testing.T) {
 	profile := Profile{
 		Rate: 0.25, Duration: 60 * sim.Second, Hold: 5 * sim.Second,
-		Deadline: 30 * sim.Second,
+		Deadline:   30 * sim.Second,
 		BurstEvery: 30 * sim.Second, BurstFor: 8 * sim.Second, BurstFactor: 3,
 		PriorityWeights: [3]float64{1, 2, 1},
 	}
@@ -178,4 +181,24 @@ func TestGeneratorDeterministicArrivals(t *testing.T) {
 	if free := f1.Controller().FreeMachines(); free != 4 {
 		t.Fatalf("free = %d after drain, want 4", free)
 	}
+}
+
+// FuzzParse checks the tenant profile grammar on arbitrary input: garbage
+// must come back as an error, not a panic, and an accepted profile must
+// survive its own rendering: Parse(pr.String()) == pr. Seed corpus:
+// testdata/fuzz/FuzzParse.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		pr, err := Parse(in)
+		if err != nil {
+			return
+		}
+		again, err := Parse(pr.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) rendered as %q, which does not parse: %v", in, pr, err)
+		}
+		if again != pr {
+			t.Fatalf("Parse(%q) = %#v, but its rendering %q parses as %#v", in, pr, pr, again)
+		}
+	})
 }

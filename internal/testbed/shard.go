@@ -8,13 +8,16 @@ import (
 	"repro/internal/trace"
 )
 
-// Sharded-testbed plumbing (DESIGN.md §13). The partition is fixed by the
-// model: domain 0 is the hub (storage servers, control plane, fault
-// bookkeeping), domain 1+i is node i. Config.Shards only chooses how many
-// workers execute the domains, which cannot affect simulation output.
+// Shard-domain plumbing (DESIGN.md §13). Every testbed runs on one
+// ShardSet whose domain 0 is the hub (storage servers, control plane,
+// fault bookkeeping). Config.Shards picks the partition: at 0 the hub is
+// the only domain and every node runs on it; above 0 domain 1+i is node i,
+// and Shards only chooses how many workers execute the domains, which
+// cannot affect simulation output. The helpers below work on either
+// partition: a node on the hub kernel is reached directly.
 
 // NodeKernel returns the shard-domain kernel node n runs on (the hub
-// kernel on a single-threaded testbed).
+// kernel on the one-domain partition).
 func (tb *Testbed) NodeKernel(n *Node) *sim.Kernel { return n.M.K }
 
 // NodeIndex returns n's index in Nodes, or -1.
@@ -29,38 +32,30 @@ func (tb *Testbed) NodeIndex(n *Node) int {
 
 // RunOnNode spawns fn as a process on node n's domain, scheduled through
 // the cross-domain post path so it is legal from hub events or processes.
-// On a single-threaded testbed it spawns directly.
+// A node on the hub kernel spawns directly.
 func (tb *Testbed) RunOnNode(n *Node, name string, fn func(p *sim.Proc)) {
 	nk := n.M.K
-	if !tb.Sharded() || nk == tb.K {
+	if nk == tb.K {
 		nk.Spawn(name, fn)
 		return
 	}
 	tb.K.Post(nk, tb.K.Now(), func() { nk.Spawn(name, fn) })
 }
 
-// PostToHub schedules fn on the hub domain from node domain kernel from,
-// delivered at the next window barrier.
+// PostToHub schedules fn on the hub domain from domain kernel from: at the
+// next window barrier from a node domain, at the current instant from the
+// hub itself.
 func (tb *Testbed) PostToHub(from *sim.Kernel, fn func()) {
-	if !tb.Sharded() || from == tb.K {
-		from.After(0, fn)
-		return
-	}
 	from.Post(tb.K, from.Now(), fn)
 }
 
-// ShardRun drives a sharded testbed until stop reports true (checked at
-// window barriers), the set goes quiescent, or Set.Stop is called.
-func (tb *Testbed) ShardRun(stop func() bool) {
-	tb.Set.Run(stop)
-}
-
-// TraceMerged returns the whole-cluster trace: on a sharded testbed the
-// hub lane and every node lane merged in canonical order (lane contents
-// are worker-count-invariant, so the merge is byte-stable); otherwise
-// Trace itself. Merge after the run — lanes must be quiescent.
+// TraceMerged returns the whole-cluster trace: the hub lane and every node
+// lane merged in canonical order (lane contents are worker-count-invariant,
+// so the merge is byte-stable), or nil when tracing is off. With no node
+// lanes (the one-domain partition) the hub lane is the whole trace and is
+// returned as is. Merge after the run — lanes must be quiescent.
 func (tb *Testbed) TraceMerged() *trace.Recorder {
-	if !tb.Sharded() || tb.Trace == nil {
+	if tb.Trace == nil || len(tb.nodeLanes) == 0 {
 		return tb.Trace
 	}
 	lanes := make([]*trace.Recorder, 0, 1+len(tb.nodeLanes))
@@ -111,15 +106,15 @@ func (tb *Testbed) noteFault(ev faults.Event) {
 
 // LinkDownMirror reports whether the named link (injector naming:
 // "node3.vmm", "server", …) is mirrored as down in either direction. Only
-// fault-schedule-driven state is visible here; direct SetDown calls on a
-// foreign domain's link are not (and are illegal on a sharded testbed).
+// fault-schedule-driven state is visible here; direct SetDown calls are
+// not (and are illegal on a foreign domain's link).
 func (tb *Testbed) LinkDownMirror(name string) bool {
 	sh := tb.shadow[name]
 	return sh != nil && (sh.a2b || sh.b2a)
 }
 
 // NodeLinksDownMirror reports the mirrored carrier state for node i's
-// guest or VMM link — the sharded stand-in for probing the links
+// guest or VMM link — the stand-in for probing a node domain's links
 // directly.
 func (tb *Testbed) NodeLinksDownMirror(i int) bool {
 	return tb.LinkDownMirror(fmt.Sprintf("node%d.guest", i)) ||

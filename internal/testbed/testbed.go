@@ -30,9 +30,10 @@ type Testbed struct {
 	Switch *ethernet.Switch
 	IB     *ib.Fabric
 
-	// Set is non-nil for a sharded testbed (Config.Shards > 0; DESIGN.md
-	// §13): K is then the hub domain's kernel and each node gets its own
-	// domain. The switch core is on K either way.
+	// Set executes the testbed (DESIGN.md §13); K is its hub domain. With
+	// Config.Shards == 0 the set has that one domain and every node runs
+	// on K; with Shards > 0 each node gets its own domain. The switch
+	// core is on K either way.
 	Set *sim.ShardSet
 
 	Image     *disk.Image
@@ -57,9 +58,11 @@ type Testbed struct {
 
 	links []*ethernet.Link
 
-	// nodeLanes are the per-node trace lanes of a sharded traced testbed,
-	// in node order; shadow mirrors link carrier state onto the hub domain
-	// for control-plane probes (see NoteFault / LinkDownMirror).
+	// perNode is set when every node gets its own domain (Shards > 0).
+	// nodeLanes are then the per-node trace lanes of a traced testbed, in
+	// node order. shadow mirrors link carrier state onto the hub domain
+	// for control-plane probes (see noteFault / LinkDownMirror).
+	perNode   bool
 	nodeLanes []*trace.Recorder
 	shadow    map[string]*shadowLink
 }
@@ -92,21 +95,19 @@ type Config struct {
 	DiskSectors   int64 // 0 = full 500 GB testbed disk
 	EnableTrace   bool  // record structured spans/events (see Testbed.Trace)
 
-	// Shards > 0 builds the parallel testbed (DESIGN.md §13): the control
-	// plane and storage servers form the hub domain and every node gets its
-	// own domain, executed by up to Shards workers. Simulation output is
-	// byte-identical at every Shards value ≥ 1 for a given seed.
+	// Shards picks the partition and the worker count (DESIGN.md §13).
+	// 0 is the one-domain partition: every node runs on the hub kernel,
+	// seeded with Seed, and stays on the InfiniBand fabric. Shards > 0
+	// gives the control plane and storage servers the hub domain and every
+	// node its own domain, executed by up to Shards workers; simulation
+	// output is byte-identical at every Shards value ≥ 1 for a given seed.
 	Shards int
-	// ShardWindow overrides the barrier window width (default
-	// DefaultShardWindow). The window is part of the model: changing it may
-	// change boundary-frame timing, so compare runs only at equal windows.
-	ShardWindow sim.Duration
 }
 
-// DefaultShardWindow is the default barrier window of a sharded testbed.
-// It is a multiple of the minimum cross-domain latency (link propagation
-// 2µs + switch latency 5µs), trading exactness of boundary arrival times
-// (quantized up to the window edge) for barrier frequency.
+// DefaultShardWindow is the barrier window of a per-node testbed, part of
+// the model. It is a multiple of the minimum cross-domain latency (link
+// propagation 2µs + switch latency 5µs), trading exactness of boundary
+// arrival times (quantized up to the window edge) for barrier frequency.
 const DefaultShardWindow = 100 * sim.Microsecond
 
 // DefaultConfig returns the paper's setup: a 32 GB image behind a
@@ -129,19 +130,17 @@ func New(cfg Config) *Testbed {
 	tb := &Testbed{
 		Image:   disk.NewSynthImage("ubuntu-14.04", cfg.ImageBytes, cfg.ImageSeed),
 		Metrics: metrics.NewRegistry(),
+		shadow:  make(map[string]*shadowLink),
+		perNode: cfg.Shards > 0,
 	}
 	var k *sim.Kernel
-	if cfg.Shards > 0 {
-		w := cfg.ShardWindow
-		if w <= 0 {
-			w = DefaultShardWindow
-		}
-		tb.Set = sim.NewShardSet(cfg.Seed, cfg.Shards, w)
+	if tb.perNode {
+		tb.Set = sim.NewShardSet(cfg.Seed, cfg.Shards, DefaultShardWindow)
 		k = tb.Set.NewDomain("hub")
-		tb.shadow = make(map[string]*shadowLink)
 	} else {
-		k = sim.New(cfg.Seed)
-		// The IB fabric is only assembled single-threaded; the BMcast
+		tb.Set = sim.NewSerialSet(cfg.Seed)
+		k = tb.Set.Domains()[0]
+		// InfiniBand links nodes on the hub kernel only; the BMcast
 		// deployment path never touches it.
 		tb.IB = ib.QDR4X(k)
 	}
@@ -154,7 +153,7 @@ func New(cfg Config) *Testbed {
 	tb.ServerLink = link
 	tb.ServerNIC = nic.New(k, "server.eth0", nic.IntelX540, ServerMAC, link)
 	tb.Server = vblade.NewServer(k, tb.ServerNIC, cfg.ServerThreads)
-	if tb.Sharded() {
+	if tb.perNode {
 		tb.Server.ShareFramePool()
 	}
 	tb.Server.Instrument(tb.Metrics, tb.Trace, "server")
@@ -172,9 +171,9 @@ func (tb *Testbed) connect(k *sim.Kernel, name string, macs ...ethernet.MAC) *et
 	return l
 }
 
-// Sharded reports whether this testbed runs on the parallel shard
-// executor.
-func (tb *Testbed) Sharded() bool { return tb.Set != nil }
+// Sharded reports whether the nodes own shard domains (Config.Shards > 0)
+// rather than running on the hub kernel K.
+func (tb *Testbed) Sharded() bool { return tb.perNode }
 
 // Secondary is one additional storage server for failover experiments.
 type Secondary struct {
@@ -195,7 +194,7 @@ func (tb *Testbed) AddSecondaryServer(cfg Config) *Secondary {
 	link := tb.connect(tb.K, name, mac)
 	n := nic.New(tb.K, name+".eth0", nic.IntelX540, mac, link)
 	s := vblade.NewServer(tb.K, n, cfg.ServerThreads)
-	if tb.Sharded() {
+	if tb.perNode {
 		s.ShareFramePool()
 	}
 	s.Instrument(tb.Metrics, tb.Trace, name)
@@ -217,7 +216,7 @@ func (tb *Testbed) AddNode(cfg Config) *Node {
 	}
 	nk := tb.K
 	lane := tb.Trace
-	if tb.Sharded() {
+	if tb.perNode {
 		// Each node is its own shard domain with its own trace lane; the
 		// lane's span-ID base is derived from the fixed node index so IDs
 		// stay globally unique without cross-domain coordination.
@@ -231,13 +230,13 @@ func (tb *Testbed) AddNode(cfg Config) *Node {
 	m := machine.New(nk, mcfg)
 	m.Trace = lane
 	m.Metrics = tb.Metrics
-	m.SharedPools = tb.Sharded()
+	m.SharedPools = tb.perNode
 	base := ethernet.MAC(0x0200_0000_0000) + ethernet.MAC(idx)*0x10
 	l0 := tb.connect(nk, m.Name+".guest", base)
 	l1 := tb.connect(nk, m.Name+".vmm", base+1)
 	m.AttachNIC(nic.IntelPro1000, base, l0)
 	m.AttachNIC(nic.IntelPro1000, base+1, l1)
-	if !tb.Sharded() {
+	if tb.IB != nil {
 		m.AttachIB(tb.IB)
 	}
 	n := &Node{M: m, OS: guest.NewOS("ubuntu", m), GuestLink: l0, VMMLink: l1}
@@ -260,21 +259,13 @@ func (tb *Testbed) NewFaultInjector() *faults.Injector {
 		inj.RegisterLink(name, sec.Link)
 		inj.RegisterServer(name, sec.Server)
 	}
+	// Node links live on the node's domain: mutations are scheduled there,
+	// and the hub keeps a carrier-state mirror for control-plane probes.
 	for i, n := range tb.Nodes {
-		if tb.Sharded() {
-			// Node links live on the node's domain: mutations must be
-			// scheduled there, and the hub keeps a carrier-state mirror for
-			// control-plane probes.
-			inj.RegisterLinkOn(fmt.Sprintf("node%d.guest", i), n.GuestLink, n.M.K)
-			inj.RegisterLinkOn(fmt.Sprintf("node%d.vmm", i), n.VMMLink, n.M.K)
-		} else {
-			inj.RegisterLink(fmt.Sprintf("node%d.guest", i), n.GuestLink)
-			inj.RegisterLink(fmt.Sprintf("node%d.vmm", i), n.VMMLink)
-		}
+		inj.RegisterLinkOn(fmt.Sprintf("node%d.guest", i), n.GuestLink, n.M.K)
+		inj.RegisterLinkOn(fmt.Sprintf("node%d.vmm", i), n.VMMLink, n.M.K)
 	}
-	if tb.Sharded() {
-		inj.SetObserver(tb.noteFault)
-	}
+	inj.SetObserver(tb.noteFault)
 	return inj
 }
 

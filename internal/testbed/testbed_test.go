@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -41,6 +42,54 @@ func TestAssembly(t *testing.T) {
 	// Server link + 2 per node.
 	if got := len(tb.Links()); got != 5 {
 		t.Fatalf("links = %d, want 5", got)
+	}
+}
+
+func TestOneDomainPartition(t *testing.T) {
+	// Shards=0 is the one-domain ShardSet: the hub kernel runs every node,
+	// draws from the testbed seed itself, and keeps the InfiniBand fabric.
+	cfg := small()
+	cfg.Seed = 5
+	tb := New(cfg)
+	for i := 0; i < 3; i++ {
+		tb.AddNode(cfg)
+	}
+	if doms := tb.Set.Domains(); len(doms) != 1 || doms[0] != tb.K {
+		t.Fatalf("%d domains, want the hub kernel alone", len(doms))
+	}
+	for i, n := range tb.Nodes {
+		if n.M.K != tb.K || tb.NodeKernel(n) != tb.K {
+			t.Fatalf("node%d runs off the hub kernel", i)
+		}
+		if n.M.IB == nil {
+			t.Fatalf("node%d has no IB HCA", i)
+		}
+	}
+	if got, want := tb.K.Rand().Int63(), rand.New(rand.NewSource(cfg.Seed)).Int63(); got != want {
+		t.Fatalf("hub kernel draws %d, a source seeded with the testbed seed draws %d", got, want)
+	}
+}
+
+func TestPerNodePartition(t *testing.T) {
+	// Shards>0 gives every node its own domain after the hub, off the
+	// InfiniBand fabric.
+	cfg := small()
+	cfg.Shards = 2
+	tb := New(cfg)
+	for i := 0; i < 3; i++ {
+		tb.AddNode(cfg)
+	}
+	doms := tb.Set.Domains()
+	if len(doms) != 1+len(tb.Nodes) || doms[0] != tb.K {
+		t.Fatalf("%d domains for %d nodes, want the hub then one per node", len(doms), len(tb.Nodes))
+	}
+	for i, n := range tb.Nodes {
+		if n.M.K != doms[1+i] || n.M.K == tb.K {
+			t.Fatalf("node%d is not on its own domain", i)
+		}
+		if n.M.IB != nil {
+			t.Fatalf("node%d has an IB HCA on the per-node partition", i)
+		}
 	}
 }
 
