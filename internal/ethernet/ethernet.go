@@ -143,7 +143,7 @@ type direction struct {
 	p         LinkParams
 	f         FaultParams
 	busyUntil sim.Time
-	free      []*delivery // recycled delivery records
+	wire      *sim.Stream[arrival] // frames in flight, by arrival time
 	dropped   metrics.Counter
 	delivered metrics.Counter
 	bytes     metrics.Counter // bytes serialized (delivered frames only)
@@ -152,35 +152,16 @@ type direction struct {
 	reordered metrics.Counter // frames held back past their slot
 }
 
-// delivery is one scheduled frame arrival. Records recycle through the
-// direction's free list so the per-frame `port.Deliver(f)` event costs no
-// allocation; fire returns the record to the list before delivering, so a
-// delivery that triggers further sends can reuse it immediately.
-type delivery struct {
-	d    *direction
+// arrival is one frame in flight toward a port.
+type arrival struct {
 	port Port
 	f    *Frame
-	fire func()
 }
 
-// deliverAt schedules f's arrival at port at instant t using a recycled
-// delivery record.
-func (d *direction) deliverAt(t sim.Time, port Port, f *Frame) {
-	var rec *delivery
-	if n := len(d.free); n > 0 {
-		rec = d.free[n-1]
-		d.free = d.free[:n-1]
-	} else {
-		rec = &delivery{d: d}
-		rec.fire = func() {
-			port, f := rec.port, rec.f
-			rec.port, rec.f = nil, nil
-			rec.d.free = append(rec.d.free, rec)
-			port.Deliver(f)
-		}
-	}
-	rec.port, rec.f = port, f
-	d.k.At(t, rec.fire)
+// newDirection returns an idle direction whose frames arrive through
+// its wire stream.
+func newDirection(k *sim.Kernel, p LinkParams) *direction {
+	return &direction{k: k, p: p, wire: sim.NewStream(k, func(a arrival) { a.port.Deliver(a.f) })}
 }
 
 // transmit schedules delivery of f to port after serialization and
@@ -207,7 +188,7 @@ func (d *direction) transmit(f *Frame, port Port) sim.Time {
 		f.Release()
 		return done
 	}
-	arrival := done.Add(d.p.Propagation)
+	at := done.Add(d.p.Propagation)
 	if d.f.CorruptRate > 0 && d.k.Rand().Float64() < d.f.CorruptRate {
 		// The frame occupies the wire but fails the FCS check on arrival;
 		// nothing is delivered.
@@ -218,15 +199,15 @@ func (d *direction) transmit(f *Frame, port Port) sim.Time {
 	if d.f.ReorderRate > 0 && d.k.Rand().Float64() < d.f.ReorderRate {
 		// Hold the frame back a few frame-times so later frames overtake it.
 		d.reordered.Inc()
-		arrival = arrival.Add(ser * sim.Duration(1+d.k.Rand().Int63n(4)))
+		at = at.Add(ser * sim.Duration(1+d.k.Rand().Int63n(4)))
 	}
 	d.delivered.Inc()
 	d.bytes.Add(f.Size)
-	d.deliverAt(arrival, port, f)
+	d.wire.At(at, arrival{port, f})
 	if d.f.DuplicateRate > 0 && d.k.Rand().Float64() < d.f.DuplicateRate {
 		d.dups.Inc()
 		f.Retain() // the second copy is an extra reference for the receiver
-		d.deliverAt(arrival.Add(d.p.Propagation), port, f)
+		d.wire.At(at.Add(d.p.Propagation), arrival{port, f})
 	}
 	return done
 }
@@ -242,8 +223,8 @@ type Link struct {
 // NewLink creates a link with the given parameters on both directions.
 func NewLink(k *sim.Kernel, p LinkParams) *Link {
 	return &Link{
-		a2b: &direction{k: k, p: p},
-		b2a: &direction{k: k, p: p},
+		a2b: newDirection(k, p),
+		b2a: newDirection(k, p),
 	}
 }
 

@@ -56,6 +56,9 @@ func LoadChromeTrace(r io.Reader) (*trace.Recorder, error) {
 		if e.Ph != "X" && e.Ph != "i" {
 			continue
 		}
+		if !inClockRange(e.TS) || e.Dur != nil && !inClockRange(*e.Dur) {
+			return nil, fmt.Errorf("obs: event %q at ts=%v: time out of the simulation clock's range", e.Name, e.TS)
+		}
 		t := toSimTime(e.TS)
 		if e.Dur != nil {
 			t = t.Add(toSimDur(*e.Dur))
@@ -84,9 +87,13 @@ func LoadChromeTrace(r io.Reader) (*trace.Recorder, error) {
 			if e.Dur != nil {
 				s.Stop = s.Start.Add(toSimDur(*e.Dur))
 			}
-			s.ID = argInt64(e.Args, "span_id")
-			s.Parent = argInt64(e.Args, "parent")
-			s.FlowFrom = argInt64(e.Args, "flow_from")
+			var okID, okParent, okFlow bool
+			s.ID, okID = argID(e.Args, "span_id")
+			s.Parent, okParent = argID(e.Args, "parent")
+			s.FlowFrom, okFlow = argID(e.Args, "flow_from")
+			if !okID || !okParent || !okFlow {
+				return nil, fmt.Errorf("obs: span %q at ts=%v has a span_id, parent or flow_from arg that is not an integer", e.Name, e.TS)
+			}
 			if u, _ := e.Args["unfinished"].(bool); u {
 				s.Open = true
 			}
@@ -109,6 +116,13 @@ func LoadChromeTrace(r io.Reader) (*trace.Recorder, error) {
 	return rec, nil
 }
 
+// maxMicros bounds a loaded timestamp or duration, in trace microseconds,
+// so that each converts to a sim.Time and any two of them add up without
+// overflow.
+const maxMicros = float64(1<<61) / float64(sim.Microsecond)
+
+func inClockRange(us float64) bool { return math.Abs(us) < maxMicros }
+
 // toSimTime converts trace microseconds back to simulation nanoseconds.
 // Exported values are exact multiples of 1/1000 µs, so rounding recovers
 // the original integer nanosecond.
@@ -116,15 +130,26 @@ func toSimTime(ts float64) sim.Time { return sim.Time(math.Round(ts * float64(si
 
 func toSimDur(d float64) sim.Duration { return sim.Duration(math.Round(d * float64(sim.Microsecond))) }
 
-// argInt64 fetches a numeric arg (JSON numbers decode as float64).
-func argInt64(args map[string]any, key string) int64 {
-	switch v := args[key].(type) {
-	case float64:
-		return int64(v)
-	case int64:
-		return v
+// exactInt64 reports f as an int64 when it is an integer in int64's range.
+func exactInt64(f float64) (int64, bool) {
+	if f != math.Trunc(f) || f < -(1<<63) || f >= 1<<63 {
+		return 0, false
 	}
-	return 0
+	return int64(f), true
+}
+
+// argID fetches an ID arg (JSON numbers decode as float64). An absent arg
+// is ID 0; ok is false when the arg is present but not an integer.
+func argID(args map[string]any, key string) (int64, bool) {
+	v, present := args[key]
+	if !present {
+		return 0, true
+	}
+	f, isNum := v.(float64)
+	if !isNum {
+		return 0, false
+	}
+	return exactInt64(f)
 }
 
 // restAttrs converts the args object back to attributes, dropping the
@@ -150,8 +175,10 @@ func restAttrs(args map[string]any) []trace.Attr {
 	out := make([]trace.Attr, 0, len(keys))
 	for _, k := range keys {
 		v := args[k]
-		if f, ok := v.(float64); ok && f == math.Trunc(f) {
-			v = int64(f)
+		if f, ok := v.(float64); ok {
+			if i, exact := exactInt64(f); exact {
+				v = i
+			}
 		}
 		out = append(out, trace.Attr{Key: k, Value: v})
 	}

@@ -62,6 +62,21 @@ func (h Handle) Cancel() {
 // Canceled reports whether Cancel was called before the event fired.
 func (h Handle) Canceled() bool { return h.live() && h.e.canceled }
 
+// discard removes a pending event from the heap and recycles its record
+// at once. Only the code that scheduled the event may call it: the record
+// may serve another event straight away, so unlike Cancel it leaves
+// nothing for a later Canceled to read. Discarding a fired, canceled or
+// discarded event is a no-op.
+func (h Handle) discard() {
+	if !h.live() || h.e.index < 0 {
+		return
+	}
+	k, e := h.k, h.e
+	k.remove(e)
+	e.fn, e.seq = nil, 0
+	k.free = append(k.free, e)
+}
+
 // Kernel is a discrete-event simulation engine. It is not safe for
 // concurrent use; its processes run on whichever goroutine is driving it.
 type Kernel struct {
@@ -70,6 +85,7 @@ type Kernel struct {
 	free     []*event  // recycled fired records, reused by At
 	xfree    []*xevent // recycled post delivery records (shard.go)
 	seq      uint64
+	queued   int // stream entries queued behind their stream's head (stream.go)
 	rng      *rand.Rand
 	procs    int // live processes (running or parked)
 	stopped  bool
@@ -129,10 +145,16 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // At schedules fn to run at instant t, which must not be in the past.
 func (k *Kernel) At(t Time, fn func()) Handle {
+	k.seq++
+	return k.schedule(t, k.seq, fn)
+}
+
+// schedule pushes a record for fn at (t, seq) onto the heap. The caller
+// has drawn seq from k.seq.
+func (k *Kernel) schedule(t Time, seq uint64, fn func()) Handle {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
-	k.seq++
 	var e *event
 	if n := len(k.free) - 1; n >= 0 {
 		e = k.free[n]
@@ -141,17 +163,15 @@ func (k *Kernel) At(t Time, fn func()) Handle {
 	} else {
 		e = &event{}
 	}
-	e.when, e.seq, e.fn, e.canceled = t, k.seq, fn, false
+	e.when, e.seq, e.fn, e.canceled = t, seq, fn, false
 	k.push(e)
-	return Handle{k: k, e: e, seq: e.seq}
+	return Handle{k: k, e: e, seq: seq}
 }
 
 // After schedules fn to run d from now. Negative d is treated as zero.
 func (k *Kernel) After(d Duration, fn func()) Handle {
-	if d < 0 {
-		d = 0
-	}
-	return k.At(k.now.Add(d), fn)
+	k.seq++
+	return k.schedule(k.now.Add(max(d, 0)), k.seq, fn)
 }
 
 // Stop makes Run return after the currently firing event completes.
@@ -205,9 +225,10 @@ func (k *Kernel) RunUntil(t Time) {
 	}
 }
 
-// Pending reports the number of scheduled events. Canceled events are
-// removed from the heap eagerly, so every counted event will fire.
-func (k *Kernel) Pending() int { return len(k.heap) }
+// Pending reports the number of scheduled events, stream entries
+// included. Canceled events are removed from the heap eagerly, so every
+// counted event will fire.
+func (k *Kernel) Pending() int { return len(k.heap) + k.queued }
 
 // --- 4-ary event heap ------------------------------------------------------
 //

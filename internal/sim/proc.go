@@ -215,16 +215,16 @@ func (p *Proc) WaitCond(s *Signal, cond func() bool) {
 }
 
 // timedWaiter is a process's reusable WaitTimeout state: the waiter record,
-// the signal and deadline of the current round, and the cached timeout
-// callback. The timer event is never canceled — a stale timer recognizes
-// itself by the deadline mismatch (or the done flag) and fires as a no-op,
-// which lets its event record recycle through the kernel's free list.
+// the signal and timer of the current round, and the cached timeout
+// callback. A round's timer is still live when the process resumes only
+// if the signal won; the process then discards it, so no dead timer is
+// left in the heap. When the timer wins, the kernel has already recycled
+// its record.
 type timedWaiter struct {
-	w        *waiter
-	s        *Signal
-	deadline Time
-	fired    bool
-	timeout  func()
+	w       *waiter
+	s       *Signal
+	timer   Handle
+	timeout func()
 }
 
 // WaitTimeout parks the process until s fires or d elapses. It reports true
@@ -234,15 +234,8 @@ func (p *Proc) WaitTimeout(s *Signal, d Duration) bool {
 		d = 0
 	}
 	if p.tw == nil {
-		t := &timedWaiter{}
-		t.w = newWaiter(func() {
-			t.fired = true
-			p.transfer()
-		})
+		t := &timedWaiter{w: newWaiter(p.transferFn)}
 		t.timeout = func() {
-			if t.w.done || p.k.now != t.deadline {
-				return // the wait already completed, or this timer is stale
-			}
 			t.w.done = true
 			t.s.remove(t.w)
 			p.transfer()
@@ -255,31 +248,25 @@ func (p *Proc) WaitTimeout(s *Signal, d Duration) bool {
 		// A broadcast wakeup for the previous wait is still scheduled (the
 		// timer won that race at the same instant). The record cannot be
 		// reused until it drains, so this rare round pays for a one-shot.
-		fired := false
-		ow := newWaiter(func() {
-			fired = true
-			p.transfer()
-		})
+		ow := newWaiter(p.transferFn)
 		s.addWaiter(ow)
 		timer := p.k.After(d, func() {
-			if ow.done {
-				return
-			}
 			ow.done = true
 			s.remove(ow)
 			p.transfer()
 		})
 		p.park()
-		if fired {
-			timer.Cancel()
-		}
+		fired := timer.live()
+		timer.discard()
 		return fired
 	}
-	t.s, t.deadline, t.fired, w.done = s, p.k.now.Add(d), false, false
+	t.s, w.done = s, false
 	s.addWaiter(w)
-	p.k.After(d, t.timeout)
+	t.timer = p.k.After(d, t.timeout)
 	p.park()
-	return t.fired
+	fired := t.timer.live()
+	t.timer.discard()
+	return fired
 }
 
 // Signal is a broadcast condition variable for processes. Broadcast wakes

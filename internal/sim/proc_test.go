@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 )
@@ -180,6 +181,67 @@ func TestWaitTimeoutLateBroadcastHarmless(t *testing.T) {
 	k.Run()
 	if wakes != 1 {
 		t.Fatalf("process woke %d times, want 1", wakes)
+	}
+}
+
+// TestWaitTimeoutRoundsAllocateNothing pins the timed wait's steady state:
+// a round the signal wins and a round that times out each allocate
+// nothing, and each leaves no event behind. In particular the timer of a
+// round the signal won is gone, so the clock stops at the signal rather
+// than running on to the dead timer.
+func TestWaitTimeoutRoundsAllocateNothing(t *testing.T) {
+	k := New(1)
+	s, gate := k.NewSignal("s"), k.NewSignal("gate")
+	var fired bool
+	k.Spawn("waiter", func(p *Proc) {
+		for {
+			p.Wait(gate)
+			fired = p.WaitTimeout(s, Second)
+		}
+	})
+	broadcast := func() { s.Broadcast() }
+	k.Run() // the waiter parks on gate
+	for _, win := range []bool{true, false} {
+		allocs := testing.AllocsPerRun(100, func() {
+			start := k.Now()
+			gate.Broadcast()
+			if win {
+				k.After(Millisecond, broadcast)
+			}
+			k.Run()
+			end := start.Add(Second)
+			if win {
+				end = start.Add(Millisecond)
+			}
+			if fired != win || k.Now() != end || k.Pending() != 0 {
+				t.Fatalf("signal wins=%v: fired=%v, ended at %v (want %v), %d events pending",
+					win, fired, k.Now().Sub(start), end.Sub(start), k.Pending())
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("signal wins=%v: a WaitTimeout round allocates %v objects, want 0", win, allocs)
+		}
+	}
+}
+
+// TestWaitTimeoutAfterSameInstantRace covers the round after a timer that
+// beat a broadcast at the same instant: the waiter's wakeup is still
+// scheduled, so the next round waits on a one-shot waiter. When the
+// signal wins that round, its timer is discarded too.
+func TestWaitTimeoutAfterSameInstantRace(t *testing.T) {
+	k := New(1)
+	s := k.NewSignal("s")
+	k.At(Time(Second), s.Broadcast) // due with the first timer, ordered before it
+	k.At(Time(Second+Second/2), s.Broadcast)
+	var got []bool
+	k.Spawn("w", func(p *Proc) {
+		got = append(got, p.WaitTimeout(s, Second))
+		got = append(got, p.WaitTimeout(s, Second))
+	})
+	k.Run()
+	if fmt.Sprint(got) != "[false true]" || k.Now() != Time(Second+Second/2) || k.Pending() != 0 {
+		t.Fatalf("rounds fired %v, run ended at %v with %d events pending; want [false true] at 1.5s with none",
+			got, k.Now(), k.Pending())
 	}
 }
 

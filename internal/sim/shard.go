@@ -268,7 +268,7 @@ func (s *ShardSet) Now() Time { return s.frontier }
 func (s *ShardSet) Pending() int {
 	n := 0
 	for _, k := range s.domains {
-		n += len(k.heap)
+		n += k.Pending()
 	}
 	return n
 }

@@ -136,3 +136,79 @@ func TestMediatedReadRedirectAllocs(t *testing.T) {
 	}
 	t.Logf("mediated read redirect: %.1f allocs (budget %d)", avg, budget)
 }
+
+// fanIn is eight stations sending bursts of pooled jumbo frames through
+// one switch to a ninth, the shape of a fleet's requests converging on its
+// storage server: the egress link serializes one frame at a time, so most
+// of a burst queues on it.
+type fanIn struct {
+	k        *sim.Kernel
+	senders  []*ethernet.Link
+	free     []*ethernet.Frame
+	got      int
+	maxQueue int // most events pending at any arrival
+}
+
+const fanInSenders, fanInBurst = 8, 40 // 320 frames per burst
+
+func newFanIn() *fanIn {
+	k := sim.New(1)
+	sw := ethernet.NewSwitch(k, "sw", 5*sim.Microsecond)
+	fi := &fanIn{k: k}
+	for i := 0; i < fanInSenders; i++ {
+		fi.senders = append(fi.senders, sw.Connect(ethernet.GigabitJumbo(), ethernet.MAC(i+1)))
+		fi.senders[i].AttachA(fi)
+	}
+	sw.Connect(ethernet.GigabitJumbo(), 0x99).AttachA(fi)
+	return fi
+}
+
+// Deliver consumes a frame at the receiving station.
+func (fi *fanIn) Deliver(f *ethernet.Frame) {
+	fi.got++
+	fi.maxQueue = max(fi.maxQueue, fi.k.Pending())
+	f.Release()
+}
+
+// ReleaseFrame returns a consumed frame to the senders' pool.
+func (fi *fanIn) ReleaseFrame(f *ethernet.Frame) { fi.free = append(fi.free, f) }
+
+// burst sends fanInBurst frames from every sender and runs the kernel
+// until the last one is delivered.
+func (fi *fanIn) burst() {
+	for i := 0; i < fanInBurst; i++ {
+		for s, l := range fi.senders {
+			var f *ethernet.Frame
+			if n := len(fi.free) - 1; n >= 0 {
+				f, fi.free = fi.free[n], fi.free[:n]
+			} else {
+				f = &ethernet.Frame{}
+			}
+			*f = ethernet.Frame{Src: ethernet.MAC(s + 1), Dst: 0x99, Size: 9000}
+			f.InitRef(fi)
+			l.SendFromA(f)
+		}
+	}
+	fi.k.Run()
+}
+
+// TestSwitchFanInAllocs pins the Ethernet hop's steady state: once its
+// pools are warm, a fan-in burst that queues hundreds of frames on one
+// link allocates nothing per frame.
+func TestSwitchFanInAllocs(t *testing.T) {
+	fi := newFanIn()
+	fi.burst()
+	avg := testing.AllocsPerRun(20, func() {
+		got := fi.got
+		fi.burst()
+		if fi.got-got != fanInSenders*fanInBurst {
+			t.Fatalf("delivered %d frames, want %d", fi.got-got, fanInSenders*fanInBurst)
+		}
+	})
+	if fi.maxQueue < 256 {
+		t.Fatalf("at most %d events pending at an arrival, want the burst to queue at least 256", fi.maxQueue)
+	}
+	if avg != 0 {
+		t.Fatalf("a fan-in burst of %d frames allocates %v objects, want 0", fanInSenders*fanInBurst, avg)
+	}
+}
