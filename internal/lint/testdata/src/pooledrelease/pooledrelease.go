@@ -163,3 +163,83 @@ func badExportedPutOnPool(pp *bufPool, r *record) {
 	pp.Put(r)
 	r.id = 5 // want "used after being released"
 }
+
+// Every later occurrence of a released variable counts, whatever its
+// shape: a read inside a closure, its address, a discard, a nil check.
+
+func badClosureAfterRelease(p *pool) func() int {
+	r := p.get()
+	p.release(r)
+	return func() int { return r.id } // want "used after being released"
+}
+
+func badAddressAfterRelease(p *pool) **record {
+	r := p.get()
+	p.release(r)
+	q := &r // want "used after being released"
+	return q
+}
+
+func badDiscardAndNilCheckAfterRelease(p *pool) bool {
+	r := p.get()
+	p.release(r)
+	_ = r           // want "used after being released"
+	return r == nil // want "used after being released"
+}
+
+func badTwoUsesAfterOneRelease(p *pool) int {
+	r := p.get()
+	p.release(r)
+	r.id = 1    // want "used after being released"
+	return r.id // want "used after being released"
+}
+
+func badEachValueOfOnePush(p *pool, a, b *record) {
+	p.freeList = append(p.freeList, a, b)
+	a.id = 1 // want "used after being released"
+	b.id = 2 // want "used after being released"
+}
+
+// A variable captured by a closure or address-taken before its release
+// is still tracked after it.
+
+func badUseAfterReleaseOfCaptured(p *pool) int {
+	r := p.get()
+	defer func() { _ = r }()
+	p.release(r)
+	return r.id // want "used after being released"
+}
+
+func badUseAfterReleaseOfAddressTaken(p *pool) int {
+	r := p.get()
+	q := &r
+	_ = q
+	p.release(r)
+	return r.id // want "used after being released"
+}
+
+// A release inside a function literal or a go statement runs at another
+// point in time, so it poisons nothing after it.
+
+func goodReleaseInFuncLit(p *pool) int {
+	r := p.get()
+	done := func() { p.release(r) }
+	_ = done
+	return r.id
+}
+
+func goodReleaseInGoStmt(p *pool) int {
+	r := p.get()
+	go p.release(r)
+	return r.id
+}
+
+// Not flagged, though the second iteration touches a released record:
+// under the must-join the loop head meets the entry edge (not released).
+func loopReleaseSeenOnBackEdgeOnly(p *pool) {
+	r := p.get()
+	for i := 0; i < 2; i++ {
+		r.id = i
+		p.release(r)
+	}
+}
