@@ -20,9 +20,11 @@ LINTJSON ?=
 
 # BENCH_SUITE is the gated benchmark run shared by bench, bench-rebase and
 # bench-compare: the micro and macro passes, concatenated on stdout for
-# one bench2json parse.
-BENCH_SUITE = ( $(GO) test -run '^$$' -bench '$(MICRO)' -benchmem -benchtime=1s -count 3 . && \
-	$(GO) test -run '^$$' -bench '$(MACRO)' -benchmem -benchtime=1x -count 3 . )
+# one bench2json parse. -cpu 1 pins GOMAXPROCS=1, the setting the baseline
+# was recorded at, so row names carry no -N suffix on any host and match
+# the baseline's.
+BENCH_SUITE = ( $(GO) test -run '^$$' -bench '$(MICRO)' -benchmem -benchtime=1s -count 3 -cpu 1 . && \
+	$(GO) test -run '^$$' -bench '$(MACRO)' -benchmem -benchtime=1x -count 3 -cpu 1 . )
 
 .PHONY: test bench bench-rebase bench-smoke bench-compare lint check chaos elasticity identity
 
@@ -103,9 +105,12 @@ bench-smoke:
 
 # identity checks that the working tree reproduces every output of
 # revision BASE byte for byte: the bmcast-sim chaos schedule at -shards 0,
-# 1 and 8 (stdout, trace, metrics), bmcast-experiments -quick, the
-# sharded fleet and elasticity cells, the traced fleet cell, the tenant
-# storm, and traced bmcast-bench at seeds 1-3. See scripts/identity.sh.
+# 1 and 8 (stdout, trace, metrics; -shards 8 must also match -shards 1 on
+# each side), bmcast-experiments -quick, the sharded fleet and elasticity
+# cells, the traced fleet cell and its bmcast-obs text and -json reports,
+# the tenant storm, and traced bmcast-bench at seeds 1-3. Any program
+# exiting non-zero also fails it. CI runs it with BASE=HEAD. See
+# scripts/identity.sh.
 identity:
 	@test -n "$(BASE)" || { echo "usage: make identity BASE=<rev>"; exit 2; }
 	scripts/identity.sh $(BASE)

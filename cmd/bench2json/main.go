@@ -17,7 +17,9 @@
 // a benchmark regresses when its ns/op grows by more than 20% (wall-clock
 // headroom for machine noise) or its allocs/op grows beyond a 0.001%
 // jitter allowance (allocation counts are near-deterministic; see
-// allocsSlack for why "near"). Regressions
+// allocsSlack for why "near"), and a baseline row missing from the run
+// regresses too: a gate that matches no rows gates nothing, so a
+// deliberate removal goes through `make bench-rebase`. Regressions
 // are listed on stderr and the exit status is non-zero, which is how
 // `make bench` and the bench-compare CI job gate perf changes.
 package main
@@ -185,9 +187,9 @@ func Aggregate(in []Benchmark) []Benchmark {
 }
 
 // Compare checks every benchmark in cur against its baseline entry. It
-// returns regression descriptions (ns/op growth beyond nsOpSlack, or any
-// allocs/op growth) and informational notes (benchmarks without a baseline
-// counterpart, baseline entries that disappeared).
+// returns regression descriptions (ns/op growth beyond nsOpSlack, any
+// allocs/op growth, or a baseline entry missing from cur) and
+// informational notes (benchmarks without a baseline counterpart).
 func Compare(base, cur Doc) (regressions, notes []string) {
 	old := make(map[string]Benchmark, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
@@ -215,7 +217,8 @@ func Compare(base, cur Doc) (regressions, notes []string) {
 	}
 	for _, o := range base.Benchmarks {
 		if !seen[o.Name] {
-			notes = append(notes, fmt.Sprintf("%s: in baseline but not in this run", o.Name))
+			regressions = append(regressions,
+				fmt.Sprintf("%s: in baseline but not in this run (remove it with make bench-rebase)", o.Name))
 		}
 	}
 	return regressions, notes

@@ -34,8 +34,8 @@ func TestCompareCatchesRegressions(t *testing.T) {
 		bench("BenchmarkNew", map[string]float64{"ns/op": 5}),
 	}}
 	regs, notes := Compare(base, cur)
-	if len(regs) != 2 {
-		t.Fatalf("regressions = %v, want 2", regs)
+	if len(regs) != 3 {
+		t.Fatalf("regressions = %v, want 3", regs)
 	}
 	if !strings.Contains(regs[0], "BenchmarkA") || !strings.Contains(regs[0], "ns/op") {
 		t.Fatalf("first regression = %q", regs[0])
@@ -43,8 +43,32 @@ func TestCompareCatchesRegressions(t *testing.T) {
 	if !strings.Contains(regs[1], "BenchmarkB") || !strings.Contains(regs[1], "allocs/op") {
 		t.Fatalf("second regression = %q", regs[1])
 	}
-	if len(notes) != 2 { // BenchmarkNew has no baseline; BenchmarkGone vanished
-		t.Fatalf("notes = %v, want 2", notes)
+	if !strings.Contains(regs[2], "BenchmarkGone") || !strings.Contains(regs[2], "not in this run") {
+		t.Fatalf("third regression = %q", regs[2])
+	}
+	if len(notes) != 1 { // BenchmarkNew has no baseline
+		t.Fatalf("notes = %v, want 1", notes)
+	}
+}
+
+func TestCompareMissingBaselineRowRegresses(t *testing.T) {
+	// A run at GOMAXPROCS=2 names every row with a -2 suffix; against a
+	// baseline recorded at GOMAXPROCS=1 no row matches, and that must
+	// fail the gate rather than pass it with notes only.
+	base := Doc{Benchmarks: []Benchmark{
+		bench("BenchmarkA", map[string]float64{"ns/op": 100, "allocs/op": 10}),
+		bench("BenchmarkB", map[string]float64{"ns/op": 100, "allocs/op": 10}),
+	}}
+	cur := Doc{Benchmarks: []Benchmark{
+		bench("BenchmarkA-2", map[string]float64{"ns/op": 500, "allocs/op": 99}),
+		bench("BenchmarkB-2", map[string]float64{"ns/op": 100, "allocs/op": 10}),
+	}}
+	regs, notes := Compare(base, cur)
+	if len(regs) != 2 || !strings.Contains(regs[0], "BenchmarkA:") || !strings.Contains(regs[1], "BenchmarkB:") {
+		t.Fatalf("regressions = %v, want BenchmarkA and BenchmarkB missing", regs)
+	}
+	if len(notes) != 2 {
+		t.Fatalf("notes = %v, want the two unmatched -2 rows", notes)
 	}
 }
 

@@ -10,24 +10,36 @@ import (
 	"repro/internal/lint/cfg"
 )
 
-// This file is the shared engine behind the path-sensitive resource
-// analyzers (spanleak, causerestore, framebalance). All three prove the
-// same shape of invariant — a value acquired here must be settled on
-// every path out of the function — and differ only in what acquires and
-// what settles:
+// This file is the shared engine behind the path-sensitive analyzers.
+// Three of them (spanleak, causerestore, framebalance) prove the same
+// shape of invariant — a value acquired here must be settled on every
+// path out of the function — and differ only in what acquires and what
+// settles. The fourth, pooledrelease, inverts the obligation: acquiring
+// means releasing a record to its pool, and every later occurrence of
+// the variable is the violation.
 //
-//	analyzer     acquires                      settles
-//	spanleak     sp := r.Begin/BeginChild(..)  sp.End(), or sp escapes
-//	causerestore prev := SwapCause(p, sp)      SwapCause(_, prev), or prev escapes
-//	framebalance f, _ := pool.Get(); f.Retain  f.Release(), or f escapes
+//	analyzer      acquires                      settles / is violated by
+//	spanleak      sp := r.Begin/BeginChild(..)  sp.End(), or sp escapes
+//	causerestore  prev := SwapCause(p, sp)      SwapCause(_, prev), or prev escapes
+//	framebalance  f, _ := pool.Get(); f.Retain  f.Release(), or f escapes
+//	pooledrelease p.release(r), append(free, r) any later use of r
 //
-// "Escapes" is deliberately broad and identical everywhere: returning
-// the value, storing it into anything that is not a plain local
-// (field, map, slice, global), passing it as a call argument, sending
-// it on a channel, or taking its address hands the obligation to
-// someone this intra-function analysis cannot see, so the value is
-// treated as settled. That is the zero-false-positive bar: every
-// report means no path settles the value and no path hands it off.
+// "Escapes" is deliberately broad and identical for the three leak
+// analyzers: returning the value, storing it into anything that is not
+// a plain local (field, map, slice, global), passing it as a call
+// argument, sending it on a channel, capturing it in a closure, or
+// taking its address hands the obligation to someone this
+// intra-function analysis cannot see, so the value is treated as
+// settled. That is the zero-false-positive bar: every report means no
+// path settles the value and no path hands it off. Their facts meet
+// with cfg.MayJoin (an obligation open on any path is open).
+//
+// pooledrelease facts meet with cfg.MustJoin instead: a variable counts
+// as released only where every path reaching the point released it, so
+// a release on an early-return branch does not poison the code after
+// the join. A plain reassignment revives the variable, nothing is owed
+// at exit, and closure-captured or address-taken variables stay
+// tracked: a use inside a closure is still a use.
 //
 // Paths ending in panic/os.Exit are exempt (the cfg package gives them
 // no edge to the function exit), matching the runtime contract: a
@@ -42,7 +54,8 @@ const (
 	// non-consuming method, a field access, a nil comparison.
 	occNeutral occKind = iota
 	// occSettle settles the obligation: a consuming method call, or any
-	// escape (return / store / call argument / send / address-of).
+	// escape (return / store / call argument / send / address-of /
+	// closure capture).
 	occSettle
 	// occOverwrite is the variable appearing as a plain assignment
 	// target: the old value is lost, which leaks an open obligation.
@@ -57,17 +70,26 @@ type flowRules struct {
 	// it (End, Release). May be empty: then only escape settles.
 	consumeMethods map[string]bool
 	// leakFormat renders the exit-path diagnostic; it receives the
-	// acquisition description and the variable name.
+	// variable name.
 	leakFormat string
 	// overwriteFormat renders the lost-before-settled diagnostic for a
 	// plain reassignment; it receives the variable name.
 	overwriteFormat string
+	// useFormat, when set, inverts the obligation (see the file
+	// comment): every occurrence of an acquired variable is reported
+	// with this format, which receives the variable name and the
+	// acquisition site. The leak rules above then go unused. Inverted,
+	// checkFlowBody differs in five places: captured and address-taken
+	// variables stay tracked, every occurrence is a use, facts meet
+	// with MustJoin, a plain reassignment revives after its node, and
+	// nothing is owed at exit.
+	useFormat string
 }
 
 // acquisition is one point where a tracked obligation is created.
 type acquisition struct {
 	v *types.Var
-	// id is the identifier the obligation is bound to, for positions.
+	// pos is where the obligation is created; reports name it.
 	pos token.Pos
 	// reacquire marks obligations renewed through an existing value
 	// (f.Retain()): they keep an earlier site as witness if one is
@@ -101,31 +123,39 @@ func runFlow(pass *analysis.Pass, rules flowRules) {
 func checkFlowBody(pass *analysis.Pass, rules flowRules, body *ast.BlockStmt) {
 	info := pass.TypesInfo
 	g := cfg.New(body)
+	inverted := rules.useFormat != ""
 
-	// Variables captured by a closure or address-taken anywhere in this
-	// body are untrackable: a deferred closure may settle them later
-	// regardless of where the acquisition sits, so tracking them risks
-	// false positives. (The closure body is analyzed as its own
-	// function; obligations it acquires itself are still proven.)
-	untrackable := untrackableVars(info, body)
+	// For the leak rules, variables captured by a closure or
+	// address-taken anywhere in this body are untrackable: a deferred
+	// closure may settle them later regardless of where the acquisition
+	// sits, so tracking them risks false positives. (The closure body is
+	// analyzed as its own function; obligations it acquires itself are
+	// still proven.)
+	var untrackable map[*types.Var]bool
+	if !inverted {
+		untrackable = untrackableVars(info, body)
+	}
 
-	// Deterministic site table: acquisitions in block/node order.
+	// Deterministic site table: acquisitions in block/node order, keyed
+	// by variable and position (one push may release several values).
+	type siteKey struct {
+		v   *types.Var
+		pos token.Pos
+	}
 	var sites []acquisition
-	siteOf := make(map[token.Pos]uint8)
+	siteOf := make(map[siteKey]uint8)
 	trackedVars := make(map[*types.Var]bool)
 	for _, b := range g.Blocks {
 		for _, n := range b.Nodes {
 			for _, a := range rules.acquires(info, n) {
-				if untrackable[a.v] {
-					continue
-				}
-				if _, dup := siteOf[a.pos]; dup {
+				k := siteKey{a.v, a.pos}
+				if _, dup := siteOf[k]; dup || untrackable[a.v] {
 					continue
 				}
 				if len(sites) >= 255 {
 					return // give up on absurdly large functions
 				}
-				siteOf[a.pos] = uint8(len(sites) + 1)
+				siteOf[k] = uint8(len(sites) + 1)
 				sites = append(sites, a)
 				trackedVars[a.v] = true
 			}
@@ -137,22 +167,33 @@ func checkFlowBody(pass *analysis.Pass, rules flowRules, body *ast.BlockStmt) {
 
 	transfer := func(report bool) func(n ast.Node, f cfg.Facts) {
 		return func(n ast.Node, f cfg.Facts) {
+			var revived []*types.Var
 			forEachTrackedUse(info, n, trackedVars, rules.consumeMethods,
 				func(v *types.Var, id *ast.Ident, k occKind) {
-					switch k {
-					case occSettle:
-						delete(f, v)
-					case occOverwrite:
-						if f[v] != 0 {
-							if report {
-								pass.Reportf(id.Pos(), rules.overwriteFormat, id.Name)
-							}
-							delete(f, v)
+					switch {
+					case inverted && k == occOverwrite:
+						// Revive after the whole node: `r = next(r)`
+						// still reads the released r.
+						revived = append(revived, v)
+					case inverted:
+						if st := f[v]; st != 0 && report {
+							pass.Reportf(id.Pos(), rules.useFormat, id.Name,
+								pass.Fset.Position(sites[st-1].pos))
 						}
+					case k == occSettle:
+						delete(f, v)
+					case k == occOverwrite && f[v] != 0:
+						if report {
+							pass.Reportf(id.Pos(), rules.overwriteFormat, id.Name)
+						}
+						delete(f, v)
 					}
 				})
+			for _, v := range revived {
+				delete(f, v)
+			}
 			for _, a := range rules.acquires(info, n) {
-				st, ok := siteOf[a.pos]
+				st, ok := siteOf[siteKey{a.v, a.pos}]
 				if !ok {
 					continue // untrackable or beyond the site cap
 				}
@@ -164,9 +205,14 @@ func checkFlowBody(pass *analysis.Pass, rules flowRules, body *ast.BlockStmt) {
 		}
 	}
 
-	in := cfg.Forward(g, cfg.Analysis{Transfer: transfer(false), Join: cfg.MayJoin})
+	join := cfg.MayJoin
+	if inverted {
+		join = cfg.MustJoin
+	}
+	in := cfg.Forward(g, cfg.Analysis{Transfer: transfer(false), Join: join})
 
-	// Replay the solution once, in block order, to report overwrites.
+	// Replay the solution once, in block order, to report overwrites
+	// and uses.
 	rt := transfer(true)
 	for _, b := range g.Blocks {
 		f, reachable := in[b]
@@ -177,6 +223,9 @@ func checkFlowBody(pass *analysis.Pass, rules flowRules, body *ast.BlockStmt) {
 		for _, n := range b.Nodes {
 			rt(n, f)
 		}
+	}
+	if inverted {
+		return // nothing is owed at exit
 	}
 
 	// Obligations still open at the function exit leak on some path.
@@ -228,10 +277,10 @@ func untrackableVars(info *types.Info, body *ast.BlockStmt) map[*types.Var]bool 
 }
 
 // forEachTrackedUse walks one CFG node (which never contains nested
-// statement bodies — the cfg builder decomposes those) and classifies
-// every identifier occurrence resolving to a tracked variable. Function
-// literals are not entered: captured variables are excluded from
-// tracking up front.
+// statement bodies — the cfg builder decomposes those, except inside
+// function literals) and classifies every identifier occurrence
+// resolving to a tracked variable. An occurrence inside a function
+// literal is a capture: the value escapes into the closure.
 func forEachTrackedUse(info *types.Info, root ast.Node, tracked map[*types.Var]bool,
 	consumeMethods map[string]bool, visit func(*types.Var, *ast.Ident, occKind)) {
 
@@ -255,9 +304,6 @@ func forEachTrackedUse(info *types.Info, root ast.Node, tracked map[*types.Var]b
 			stack = stack[:len(stack)-1]
 			return true
 		}
-		if _, isLit := n.(*ast.FuncLit); isLit {
-			return false
-		}
 		stack = append(stack, n)
 		id, ok := n.(*ast.Ident)
 		if !ok {
@@ -276,6 +322,11 @@ func forEachTrackedUse(info *types.Info, root ast.Node, tracked map[*types.Var]b
 // classifyUse decides how the innermost enclosing construct treats the
 // value of id. stack is the ancestor chain, id last.
 func classifyUse(stack []ast.Node, id *ast.Ident, consumeMethods map[string]bool) occKind {
+	for _, n := range stack {
+		if _, isLit := n.(*ast.FuncLit); isLit {
+			return occSettle
+		}
+	}
 	// Find the nearest non-paren ancestor.
 	i := len(stack) - 2
 	for i >= 0 {

@@ -20,9 +20,10 @@
 //     every path out of the function.
 //   - framebalance: FramePool retains and releases balance on every path.
 //
-// The last four are path-sensitive: they run a forward dataflow analysis
-// over the intra-function CFG built by repro/internal/lint/cfg, so early
-// returns and branchy error paths are proven, not sampled (DESIGN.md §11).
+// The last four are path-sensitive: each is a flowRules value run by one
+// flow harness (runFlow, flow.go), a forward dataflow analysis over the
+// intra-function CFG built by repro/internal/lint/cfg, so early returns
+// and branchy error paths are proven, not sampled (DESIGN.md §11).
 //
 // Violations are suppressed only by an explicit, line-anchored
 // `//bmcast:allow <analyzer>` directive; see directive.go. A directive

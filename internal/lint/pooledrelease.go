@@ -2,12 +2,10 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/cfg"
 )
 
 // PooledReleaseAnalyzer flags use of a pooled value after it has been
@@ -35,18 +33,20 @@ import (
 //     semaphore-style Release methods (sim.Resource, hw/mem.Memory) out
 //     of scope: releasing capacity is not releasing memory.
 //
-// The analysis runs forward over the intra-function CFG with a
-// must-join: a variable counts as released at a point only when *every*
-// path reaching that point has released it. Releases on one arm of a
-// branch therefore do not poison code after the join — early-return
-// error paths (`if err != nil { release(v); return }`) stay clean — but
-// uses later in the same path, in later branches, in defers registered
-// after the release, or on a loop's next iteration are reported, until
-// the variable is reassigned (revived). Releases inside a defer, go
-// statement, or function literal are not recorded: they execute at
-// another point in time. This is deliberately a same-function analysis —
-// cheap, zero false positives on the idioms the simulator uses — not a
-// whole-program escape analysis.
+// The analysis is the shared flow harness (flow.go) with the obligation
+// inverted: each release is an acquisition, facts meet with a must-join,
+// and a variable counts as released at a point only when *every* path
+// reaching that point has released it. Releases on one arm of a branch
+// therefore do not poison code after the join — early-return error paths
+// (`if err != nil { release(v); return }`) stay clean — but uses later in
+// the same path, in later branches, in defers registered or closures
+// created after the release are reported, until the variable is
+// reassigned (revived). A use on a loop's next iteration is *not*
+// reported: the loop head meets the entry edge, on which the variable is
+// not released yet. Releases inside a defer, go statement, or function
+// literal are not recorded: they execute at another point in time. This
+// is deliberately a same-function analysis — cheap, zero false positives
+// on the idioms the simulator uses — not a whole-program escape analysis.
 var PooledReleaseAnalyzer = &analysis.Analyzer{
 	Name: "pooledrelease",
 	Doc: "flag reads/writes through a pooled value after its release/free-list " +
@@ -90,19 +90,11 @@ func runPooledRelease(pass *analysis.Pass) (any, error) {
 	for _, f := range pass.Files {
 		c.collectPooledTypes(f)
 	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					c.checkBody(fn.Body)
-				}
-			case *ast.FuncLit:
-				c.checkBody(fn.Body)
-			}
-			return true
-		})
-	}
+	runFlow(pass, flowRules{
+		acquires: c.releasesIn,
+		useFormat: "%s used after being released to its pool at %s; " +
+			"the record may already belong to another owner",
+	})
 	return nil, nil
 }
 
@@ -137,104 +129,16 @@ func (c *prChecker) collectPooledTypes(f *ast.File) {
 	})
 }
 
-// releaseOp is one release of a local variable at a call position.
-type releaseOp struct {
-	v  *types.Var
-	at token.Pos
-}
-
-// checkBody runs the use-after-release dataflow over one function body.
-func (c *prChecker) checkBody(body *ast.BlockStmt) {
-	g := cfg.New(body)
-
-	// Deterministic table of release sites, in block/node order. The
-	// dataflow state for a released variable is its site index + 1.
-	var sites []token.Pos
-	siteOf := make(map[token.Pos]uint8)
-	for _, b := range g.Blocks {
-		for _, n := range b.Nodes {
-			for _, op := range c.releasesIn(n) {
-				if _, dup := siteOf[op.at]; dup {
-					continue
-				}
-				if len(sites) >= 255 {
-					return
-				}
-				siteOf[op.at] = uint8(len(sites) + 1)
-				sites = append(sites, op.at)
-			}
-		}
-	}
-	if len(sites) == 0 {
-		return
-	}
-
-	transfer := func(report bool) func(n ast.Node, f cfg.Facts) {
-		return func(n ast.Node, f cfg.Facts) {
-			// Range headers re-bind the key/value variables each
-			// iteration: a fresh record, never a released one.
-			if rs, ok := n.(*ast.RangeStmt); ok {
-				for _, e := range []ast.Expr{rs.Key, rs.Value} {
-					if id, ok := e.(*ast.Ident); ok {
-						if v, ok := c.pass.TypesInfo.Uses[id].(*types.Var); ok {
-							delete(f, v)
-						}
-					}
-				}
-				return
-			}
-			// 1. Uses of already-released values are violations. A plain
-			// identifier being overwritten on an assignment's left-hand
-			// side is not a use — it is the revival below.
-			if report && len(f) > 0 {
-				c.reportUses(n, f, sites, assignTargets(n))
-			}
-			// 2. Reassignment revives a variable: `e = &event{}` or
-			// `pr = pool.Get()` makes it a fresh record.
-			if as, ok := n.(*ast.AssignStmt); ok {
-				for _, lhs := range as.Lhs {
-					if id, ok := lhs.(*ast.Ident); ok {
-						if v, ok := c.pass.TypesInfo.Uses[id].(*types.Var); ok {
-							delete(f, v)
-						}
-					}
-				}
-			}
-			// 3. Record the releases this node performs — except defers
-			// and goroutines, which run at another point in time.
-			switch n.(type) {
-			case *ast.DeferStmt, *ast.GoStmt:
-				return
-			}
-			for _, op := range c.releasesIn(n) {
-				f[op.v] = siteOf[op.at]
-			}
-		}
-	}
-
-	in := cfg.Forward(g, cfg.Analysis{Transfer: transfer(false), Join: cfg.MustJoin})
-
-	rt := transfer(true)
-	for _, b := range g.Blocks {
-		f, reachable := in[b]
-		if !reachable {
-			continue
-		}
-		f = f.Clone()
-		for _, n := range b.Nodes {
-			rt(n, f)
-		}
-	}
-}
-
-// releasesIn scans one CFG node for release patterns. Function literals
-// are opaque (analyzed as their own bodies) and a RangeStmt node is only
-// the key/value re-binding marker.
-func (c *prChecker) releasesIn(n ast.Node) []releaseOp {
-	if _, ok := n.(*ast.RangeStmt); ok {
+// releasesIn scans one CFG node for release patterns: the flow rules'
+// acquisitions. Function literals are opaque (analyzed as their own
+// bodies), defers and go statements release at another point in time,
+// and a RangeStmt node is only the key/value re-binding marker.
+func (c *prChecker) releasesIn(_ *types.Info, n ast.Node) []acquisition {
+	switch n.(type) {
+	case *ast.RangeStmt, *ast.DeferStmt, *ast.GoStmt:
 		return nil
 	}
-	var out []releaseOp
+	var out []acquisition
 	ast.Inspect(n, func(m ast.Node) bool {
 		if _, isLit := m.(*ast.FuncLit); isLit {
 			return false
@@ -246,14 +150,14 @@ func (c *prChecker) releasesIn(n ast.Node) []releaseOp {
 		if args := c.freelistPushArgs(call); args != nil {
 			for _, arg := range args {
 				if v := c.localVar(arg); v != nil {
-					out = append(out, releaseOp{v: v, at: call.Pos()})
+					out = append(out, acquisition{v: v, pos: call.Pos()})
 				}
 			}
 			return true
 		}
 		if arg := c.releaseCallArg(call); arg != nil {
 			if v := c.localVar(arg); v != nil {
-				out = append(out, releaseOp{v: v, at: call.Pos()})
+				out = append(out, acquisition{v: v, pos: call.Pos()})
 			}
 			return true
 		}
@@ -263,7 +167,7 @@ func (c *prChecker) releasesIn(n ast.Node) []releaseOp {
 			releaseMethodsOnValue[sel.Sel.Name] && len(call.Args) == 0 {
 			if tn := namedOf(c.pass.TypesInfo.TypeOf(sel.X)); tn != nil && c.pooled[tn] {
 				if v := c.localVar(sel.X); v != nil {
-					out = append(out, releaseOp{v: v, at: call.Pos()})
+					out = append(out, acquisition{v: v, pos: call.Pos()})
 				}
 			}
 		}
@@ -340,46 +244,6 @@ func namedOf(t types.Type) *types.TypeName {
 		}
 	}
 	return nil
-}
-
-// assignTargets returns the exact identifier nodes that n overwrites
-// (plain-ident LHS of an assignment).
-func assignTargets(n ast.Node) map[*ast.Ident]bool {
-	as, ok := n.(*ast.AssignStmt)
-	if !ok {
-		return nil
-	}
-	out := make(map[*ast.Ident]bool, len(as.Lhs))
-	for _, lhs := range as.Lhs {
-		if id, ok := lhs.(*ast.Ident); ok {
-			out[id] = true
-		}
-	}
-	return out
-}
-
-// reportUses flags every identifier under node that resolves to a
-// released variable, except the exempt overwrite targets. Unlike the
-// release scan this *does* descend into defers and function literals: a
-// closure or deferred call reading a record released earlier on this
-// path still touches recycled memory when it runs.
-func (c *prChecker) reportUses(node ast.Node, released cfg.Facts, sites []token.Pos, exempt map[*ast.Ident]bool) {
-	ast.Inspect(node, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || exempt[id] {
-			return true
-		}
-		v, ok := c.pass.TypesInfo.Uses[id].(*types.Var)
-		if !ok {
-			return true
-		}
-		if st := released[v]; st != 0 {
-			c.pass.Reportf(id.Pos(),
-				"%s used after being released to its pool at %s; the record may already belong to another owner",
-				id.Name, c.pass.Fset.Position(sites[st-1]))
-		}
-		return true
-	})
 }
 
 // exprName renders the trailing name of an identifier or selector chain

@@ -200,6 +200,25 @@ func badEachValueOfOnePush(p *pool, a, b *record) {
 	b.id = 2 // want "used after being released"
 }
 
+// A reassignment revives the variable only after its right-hand side
+// has read it; a write inside a closure is a use, not a revival.
+
+func (r *record) next() *record { return r }
+
+func badReadInReviving(p *pool) int {
+	r := p.get()
+	p.release(r)
+	r = r.next() // want "used after being released"
+	return r.id
+}
+
+func badWriteInClosure(p *pool) {
+	r := p.get()
+	p.release(r)
+	reset := func() { r = nil } // want "used after being released"
+	reset()
+}
+
 // A variable captured by a closure or address-taken before its release
 // is still tracked after it.
 

@@ -5,10 +5,17 @@
 #   scripts/identity.sh HEAD~1        # or: make identity BASE=HEAD~1
 #
 # It extracts BASE from the local repository with git archive (no
-# network), builds bmcast-sim, bmcast-experiments and bmcast-bench from
-# both trees, runs the artifact matrix below on each build in turn, and
-# prints one line per artifact: "identical" with its hash, or the first
-# differing line of each side. It exits 1 when any artifact differs.
+# network), builds bmcast-sim, bmcast-experiments, bmcast-obs and
+# bmcast-bench from both trees, runs the artifact matrix below on each
+# build in turn, and prints one line per artifact: "identical" with its
+# hash, or the first differing line of each side. On each side the chaos
+# run at -shards 8 must also match the one at -shards 1 (a worker count
+# picks no schedule, DESIGN.md §13). It exits 1 when anything differs or
+# any program exits non-zero, on either side.
+#
+# With BASE=HEAD on a clean checkout (what CI runs) both sides are the
+# same commit, so the matrix checks that two builds and two runs of it
+# agree byte for byte.
 #
 # Artifacts stream from the programs through FIFOs, are hashed on the
 # way and kept gzipped. JSON is split into one record per line on "},{"
@@ -34,10 +41,10 @@ export GOTOOLCHAIN=local GOPROXY=off GOFLAGS=
 mkdir "$work/src"
 git -C "$root" archive "$rev" | tar -x -C "$work/src"
 
-# build SRC SIDE builds the three programs of tree SRC into $work/SIDE.
+# build SRC SIDE builds the four programs of tree SRC into $work/SIDE.
 build() {
 	mkdir -p "$work/$2/out"
-	go -C "$1" build -o "$work/$2/" ./cmd/bmcast-sim ./cmd/bmcast-experiments
+	go -C "$1" build -o "$work/$2/" ./cmd/bmcast-sim ./cmd/bmcast-experiments ./cmd/bmcast-obs
 	go -C "$1/cmd/bmcast-bench" build -o "$work/$2/bmcast-bench" .
 }
 echo "identity: building $1 ($rev) and the working tree" >&2
@@ -74,13 +81,20 @@ settle() {
 
 # capture NAME CMD... runs CMD and keeps its stdout, minus the "wrote"
 # lines that echo output paths, as artifact NAME. A failing CMD leaves
-# its exit status as the last line.
+# its exit status as the last line, prints the tail of its stderr, and
+# fails the whole check: two sides that fail alike are still a failure.
 capture() {
 	local name=$1
 	shift
 	echo "$name" >>"$out/names"
-	{ "$@" 2>>"$out/stderr" || echo "exit status $?"; } | { grep -v '^wrote ' || true; } | store "$name"
+	{ "$@" 2>"$out/$name.stderr" || echo "exit status $?" | tee "$out/$name.failed"; } |
+		{ grep -v '^wrote ' || true; } | store "$name"
 	settle
+	if [ -e "$out/$name.failed" ]; then
+		echo "identity: $side $name: $(cat "$out/$name.failed"); its stderr ends:" >&2
+		tail -n 20 "$out/$name.stderr" >&2
+		echo "$side $name: $(cat "$out/$name.failed")" >>"$work/failed"
+	fi
 }
 
 # benchcounts BIN DIR SEED runs bmcast-bench traced and keeps its
@@ -105,10 +119,17 @@ for side in base head; do
 	capture experiments-quick.stdout "$bin/bmcast-experiments" -quick
 	capture experiments-quick-fleet-elasticity-shards2.stdout \
 		"$bin/bmcast-experiments" -quick -fig fleet,elasticity -shards 2
-	sink fleet-traced.trace.json
-	sink fleet-traced.metrics.json
+	# The traced fleet cell is written to plain files, because
+	# bmcast-obs reads it back for its -json report.
 	capture fleet-traced.stdout "$bin/bmcast-experiments" -fig fleet -fleet 16 -image-mb 32 -boot-mb 1 \
-		-trace-out "$out/fleet-traced.trace.json" -metrics-out "$out/fleet-traced.metrics.json"
+		-trace-out "$out/fleet.trace" -metrics-out "$out/fleet.metrics"
+	for f in trace metrics; do
+		echo "fleet-traced.$f.json" >>"$out/names"
+		store "fleet-traced.$f.json" <"$out/fleet.$f"
+	done
+	capture fleet-traced.report.txt "$bin/bmcast-obs" -trace "$out/fleet.trace" -metrics "$out/fleet.metrics"
+	capture fleet-traced.report.json "$bin/bmcast-obs" -trace "$out/fleet.trace" -metrics "$out/fleet.metrics" -json
+	rm "$out/fleet.trace" "$out/fleet.metrics"
 	capture sim-tenants-storm.stdout "$bin/bmcast-sim" -tenants default -storm default
 	for seed in 1 2 3; do
 		mkdir "$out/bench$seed"
@@ -116,33 +137,51 @@ for side in base head; do
 	done
 done
 
-# firstdiff A B prints the first line where the two gzipped artifacts
-# differ, reading both in lockstep.
+# firstdiff A B LA LB prints the first line where the two gzipped
+# artifacts differ, reading both in lockstep, each labeled LA or LB.
 firstdiff() {
-	awk -v a=<(gzip -dc "$1") -v b=<(gzip -dc "$2") 'BEGIN {
+	awk -v a=<(gzip -dc "$1") -v b=<(gzip -dc "$2") -v la="$3" -v lb="$4" 'BEGIN {
 		for (n = 1; ; n++) {
-			ra = (getline la <a); rb = (getline lb <b)
+			ra = (getline xa <a); rb = (getline xb <b)
 			if (ra <= 0 && rb <= 0) exit
-			if (ra <= 0) la = "<end of artifact>"
-			if (rb <= 0) lb = "<end of artifact>"
-			if (ra <= 0 || rb <= 0 || la != lb) {
-				printf "    line %d\n      base: %s\n      head: %s\n", n, substr(la, 1, 240), substr(lb, 1, 240)
+			if (ra <= 0) xa = "<end of artifact>"
+			if (rb <= 0) xb = "<end of artifact>"
+			if (ra <= 0 || rb <= 0 || xa != xb) {
+				printf "    line %d\n      %s: %s\n      %s: %s\n", n, la, substr(xa, 1, 240), lb, substr(xb, 1, 240)
 				exit
 			}
 		}
 	}'
 }
 
+# compare LABEL A B LA LB prints one verdict line for artifacts A and B
+# (paths without the .sha/.gz suffix) and the first differing line.
 status=0
-while read -r name; do
-	ha=$(cat "$work/base/out/$name.sha")
-	hb=$(cat "$work/head/out/$name.sha")
+compare() {
+	local ha hb
+	ha=$(cat "$2.sha")
+	hb=$(cat "$3.sha")
 	if [ "$ha" = "$hb" ]; then
-		printf '%-52s identical %s\n' "$name" "$ha"
+		printf '%-52s identical %s\n' "$1" "$ha"
 	else
-		printf '%-52s DIFFERS\n' "$name"
-		firstdiff "$work/base/out/$name.gz" "$work/head/out/$name.gz"
+		printf '%-52s DIFFERS\n' "$1"
+		firstdiff "$2.gz" "$3.gz" "$4" "$5"
 		status=1
 	fi
+}
+
+while read -r name; do
+	compare "$name" "$work/base/out/$name" "$work/head/out/$name" base head
 done <"$work/base/out/names"
+for side in base head; do
+	for kind in stdout trace.json metrics.json; do
+		compare "$side sim-chaos-shards1-vs-8.$kind" "$work/$side/out/sim-chaos-shards1.$kind" \
+			"$work/$side/out/sim-chaos-shards8.$kind" shards1 shards8
+	done
+done
+if [ -e "$work/failed" ]; then
+	echo "FAILED (non-zero exit):"
+	sed 's/^/  /' "$work/failed"
+	status=1
+fi
 exit $status
