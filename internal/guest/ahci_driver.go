@@ -6,6 +6,7 @@ import (
 	"repro/internal/hw/ahci"
 	"repro/internal/hw/disk"
 	hwio "repro/internal/hw/io"
+	"repro/internal/hw/mem"
 	"repro/internal/machine"
 	"repro/internal/sim"
 )
@@ -87,7 +88,7 @@ func (d *AHCIDriver) Init(p *sim.Proc) error {
 	d.mmw(p, ahci.PortBase+ahci.PxFBU, 0)
 	d.mmw(p, ahci.PortBase+ahci.PxIE, ahci.ISDHRS|ahci.ISTFES)
 	d.mmw(p, ahci.PortBase+ahci.PxCMD, ahci.CmdST|ahci.CmdFRE)
-	if err := d.command(p, ahci.CmdIdentify, 0, 1, false, nil, false, nil); err != nil {
+	if _, err := d.command(p, ahci.CmdIdentify, 0, 1, false, nil, false, nil); err != nil {
 		return fmt.Errorf("guest/ahci: identify failed: %w", err)
 	}
 	return nil
@@ -113,7 +114,9 @@ func (d *AHCIDriver) releaseSlot(s int) {
 }
 
 // command issues one command in a free slot and waits for its completion.
-func (d *AHCIDriver) command(p *sim.Proc, cmd uint8, lba, count int64, write bool, hintSrc disk.SectorSource, hintDiscard bool, literal []byte) error {
+// A read that is not discarded returns its data, copied out of the slot's
+// buffer before the slot is released.
+func (d *AHCIDriver) command(p *sim.Proc, cmd uint8, lba, count int64, write bool, hintSrc disk.SectorSource, hintDiscard bool, literal []byte) ([]byte, error) {
 	slot := d.allocSlot(p)
 	defer d.releaseSlot(slot)
 
@@ -123,21 +126,24 @@ func (d *AHCIDriver) command(p *sim.Proc, cmd uint8, lba, count int64, write boo
 		d.m.Mem.Write(buf, literal)
 	}
 	ahci.WriteFIS(d.m.Mem, ctba, ahci.FIS{Command: cmd, LBA: lba, Count: count})
-	ahci.WritePRDT(d.m.Mem, ctba, []ahci.PRD{{Addr: buf, Bytes: count * disk.SectorSize}})
+	ahci.WritePRDT(d.m.Mem, ctba, []mem.Region{{Start: buf, Size: count * disk.SectorSize}})
 	ahci.WriteCmdHeader(d.m.Mem, ahciCLB, slot, ahci.CmdHeader{
 		FISLen: 5, Write: write, PRDTL: 1, CTBA: ctba,
 	})
 
 	if hintSrc != nil || hintDiscard {
-		d.m.SetNextStorageDMA(buf, hintSrc, hintDiscard)
+		d.m.Disk.SetNextDMA(buf, hintSrc, hintDiscard)
 	}
 	d.mmw(p, ahci.PortBase+ahci.PxCI, 1<<slot)
 
 	p.WaitCond(d.doneSig, func() bool { return d.slotDone[slot] })
 	if d.slotErr[slot] {
-		return fmt.Errorf("guest/ahci: command %#x at lba %d failed", cmd, lba)
+		return nil, fmt.Errorf("guest/ahci: command %#x at lba %d failed", cmd, lba)
 	}
-	return nil
+	if cmd != ahci.CmdReadDMAExt || hintDiscard {
+		return nil, nil
+	}
+	return d.m.Mem.Read(buf, count*disk.SectorSize), nil
 }
 
 // ReadSectors implements BlockDriver.
@@ -145,22 +151,7 @@ func (d *AHCIDriver) ReadSectors(p *sim.Proc, lba, count int64, discard bool) ([
 	if err := validateRange(lba, count); err != nil {
 		return nil, err
 	}
-	if discard {
-		return nil, d.command(p, ahci.CmdReadDMAExt, lba, count, false, nil, true, nil)
-	}
-	slot := d.allocSlot(p)
-	defer d.releaseSlot(slot)
-	ctba := uint64(ahciCTBABase + slot*0x200)
-	buf := int64(ahciBufBase + slot*(MaxTransferSectors*disk.SectorSize))
-	ahci.WriteFIS(d.m.Mem, ctba, ahci.FIS{Command: ahci.CmdReadDMAExt, LBA: lba, Count: count})
-	ahci.WritePRDT(d.m.Mem, ctba, []ahci.PRD{{Addr: buf, Bytes: count * disk.SectorSize}})
-	ahci.WriteCmdHeader(d.m.Mem, ahciCLB, slot, ahci.CmdHeader{FISLen: 5, PRDTL: 1, CTBA: ctba})
-	d.mmw(p, ahci.PortBase+ahci.PxCI, 1<<slot)
-	p.WaitCond(d.doneSig, func() bool { return d.slotDone[slot] })
-	if d.slotErr[slot] {
-		return nil, fmt.Errorf("guest/ahci: read at lba %d failed", lba)
-	}
-	return d.m.Mem.Read(buf, count*disk.SectorSize), nil
+	return d.command(p, ahci.CmdReadDMAExt, lba, count, false, nil, discard, nil)
 }
 
 // WriteSectors implements BlockDriver.
@@ -168,13 +159,16 @@ func (d *AHCIDriver) WriteSectors(p *sim.Proc, payload disk.Payload) error {
 	if err := validateRange(payload.LBA, payload.Count); err != nil {
 		return err
 	}
-	if _, ok := payload.Source.(*disk.Buffer); ok {
-		return d.command(p, ahci.CmdWriteDMAExt, payload.LBA, payload.Count, true, nil, false, payload.Bytes())
+	src, literal := payload.Source, []byte(nil)
+	if _, ok := src.(*disk.Buffer); ok {
+		src, literal = nil, payload.Bytes()
 	}
-	return d.command(p, ahci.CmdWriteDMAExt, payload.LBA, payload.Count, true, payload.Source, false, nil)
+	_, err := d.command(p, ahci.CmdWriteDMAExt, payload.LBA, payload.Count, true, src, false, literal)
+	return err
 }
 
 // Flush implements BlockDriver.
 func (d *AHCIDriver) Flush(p *sim.Proc) error {
-	return d.command(p, ahci.CmdFlushCache, 0, 1, false, nil, false, nil)
+	_, err := d.command(p, ahci.CmdFlushCache, 0, 1, false, nil, false, nil)
+	return err
 }

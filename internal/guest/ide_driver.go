@@ -100,7 +100,7 @@ func (d *IDEDriver) command(p *sim.Proc, cmd uint8, lba, count int64, write bool
 		d.m.Mem.Write(ideDMABuf, literal)
 	}
 	if hintSrc != nil || hintDiscard {
-		d.m.SetNextStorageDMA(ideDMABuf, hintSrc, hintDiscard)
+		d.m.Disk.SetNextDMA(ideDMABuf, hintSrc, hintDiscard)
 	}
 
 	ide.WritePRDTable(d.m.Mem, idePRDTable, ideDMABuf, count*disk.SectorSize)

@@ -124,10 +124,8 @@ type HBA struct {
 
 	issueOrder []int // FIFO of issued slots awaiting the engine
 	execReady  *sim.Signal
-	dmaScratch []byte // reusable buffer for scatterPRD materialization
-
-	// DMA content hints keyed by buffer address (see SetNextDMA).
-	hints map[int64]dmaHint
+	dmaLabel   string       // provenance name of gathered write data
+	sg         []mem.Region // reusable decoded PRDT
 
 	// CmdLog counts executed ATA commands by opcode.
 	CmdLog map[uint8]int64
@@ -146,7 +144,7 @@ func New(k *sim.Kernel, name string, drive *disk.Device, memory *mem.Memory, irq
 		tfd:       0x50, // DRDY, not busy
 		execReady: k.NewSignal(name + ".exec"),
 		CmdLog:    make(map[uint8]int64),
-		hints:     make(map[int64]dmaHint),
+		dmaLabel:  name + ".dma",
 	}
 	k.Spawn(name+".engine", h.engine)
 	return h
@@ -349,66 +347,28 @@ func WriteFIS(m *mem.Memory, ctba uint64, f FIS) {
 	m.Write(int64(ctba)+CmdTableFIS, b[:])
 }
 
-// PRD is one decoded PRDT entry.
-type PRD struct {
-	Addr  int64
-	Bytes int64
-}
-
-// ReadPRDT decodes n PRDT entries from a command table.
-func ReadPRDT(m *mem.Memory, ctba uint64, n int) []PRD {
-	out := make([]PRD, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, ReadPRD(m, ctba, i))
-	}
-	return out
-}
-
-// ReadPRD decodes the i'th PRDT entry from a command table without
-// allocating — the hot paths walk entries one at a time instead of
-// materializing the whole table.
-func ReadPRD(m *mem.Memory, ctba uint64, i int) PRD {
+// AppendPRDs decodes the first n PRDT entries of the command table at
+// ctba onto dst, one region per entry, and returns the extended slice.
+func AppendPRDs(dst []mem.Region, m *mem.Memory, ctba uint64, n int) []mem.Region {
 	var b [PRDTEntrySize]byte
-	m.ReadInto(int64(ctba)+CmdTablePRDT+int64(i)*PRDTEntrySize, b[:])
-	addr := int64(binary.LittleEndian.Uint32(b[0:])) | int64(binary.LittleEndian.Uint32(b[4:]))<<32
-	dbc := int64(binary.LittleEndian.Uint32(b[12:])&0x3FFFFF) + 1 // 0-based
-	return PRD{Addr: addr, Bytes: dbc}
+	for i := 0; i < n; i++ {
+		m.ReadInto(int64(ctba)+CmdTablePRDT+int64(i)*PRDTEntrySize, b[:])
+		dst = append(dst, mem.Region{
+			Start: int64(binary.LittleEndian.Uint64(b[0:])),
+			Size:  int64(binary.LittleEndian.Uint32(b[12:])&0x3FFFFF) + 1, // 0-based
+		})
+	}
+	return dst
 }
 
-// WritePRDT encodes PRDT entries into a command table.
-func WritePRDT(m *mem.Memory, ctba uint64, prds []PRD) {
-	for i, pe := range prds {
+// WritePRDT encodes PRDT entries, one per region, into a command table.
+func WritePRDT(m *mem.Memory, ctba uint64, prds []mem.Region) {
+	for i, r := range prds {
 		var b [PRDTEntrySize]byte
-		binary.LittleEndian.PutUint32(b[0:], uint32(pe.Addr))
-		binary.LittleEndian.PutUint32(b[4:], uint32(pe.Addr>>32))
-		binary.LittleEndian.PutUint32(b[12:], uint32(pe.Bytes-1)&0x3FFFFF)
+		binary.LittleEndian.PutUint64(b[0:], uint64(r.Start))
+		binary.LittleEndian.PutUint32(b[12:], uint32(r.Size-1)&0x3FFFFF)
 		m.Write(int64(ctba)+CmdTablePRDT+int64(i)*PRDTEntrySize, b[:])
 	}
-}
-
-// dmaHint is a DMA content annotation: src supplies write data; discard
-// marks read data as not-to-be-materialized.
-type dmaHint struct {
-	src     disk.SectorSource
-	discard bool
-}
-
-// SetNextDMA annotates the DMA buffer at bufAddr, exactly as
-// ide.Controller.SetNextDMA does: a simulation affordance keyed by buffer
-// address so guest and VMM hints never collide.
-func (h *HBA) SetNextDMA(bufAddr int64, src disk.SectorSource, discard bool) {
-	h.hints[bufAddr] = dmaHint{src: src, discard: discard}
-}
-
-// TakeHintAt removes and returns the DMA annotation for bufAddr, for
-// mediators that swallow a command issue and replay it later.
-func (h *HBA) TakeHintAt(bufAddr int64) (src disk.SectorSource, discard, armed bool) {
-	hint, ok := h.hints[bufAddr]
-	if !ok {
-		return nil, false, false
-	}
-	delete(h.hints, bufAddr)
-	return hint.src, hint.discard, true
 }
 
 // engine processes issued slots in FIFO order.
@@ -431,41 +391,19 @@ func (h *HBA) execute(p *sim.Proc, slot int) {
 	}
 	h.CmdLog[fis.Command]++
 	h.tfd |= TFDBusy
-	var hintSrc disk.SectorSource
-	var discard bool
-	if hd.PRDTL > 0 {
-		hintSrc, discard, _ = h.TakeHintAt(ReadPRD(h.memory, hd.CTBA, 0).Addr)
-	}
+	h.sg = AppendPRDs(h.sg[:0], h.memory, hd.CTBA, hd.PRDTL)
 
 	switch fis.Command {
 	case CmdFlushCache:
 		p.Sleep(500 * sim.Microsecond)
 	case CmdIdentify:
 		p.Sleep(100 * sim.Microsecond)
-		// Identify data DMA'd to the first PRD buffer.
-		if hd.PRDTL > 0 {
-			h.memory.Write(ReadPRD(h.memory, hd.CTBA, 0).Addr, h.identifyData())
-		}
+		h.memory.Scatter(h.sg, h.identifyData()) // identify data is DMA'd like a read
 	case CmdReadDMAExt, CmdWriteDMAExt:
-		if fis.LBA < 0 || fis.LBA+fis.Count > h.drive.Sectors {
+		if hd.Write != (fis.Command == CmdWriteDMAExt) ||
+			!h.drive.DMA(p, h.memory, h.sg, fis.LBA, fis.Count, hd.Write, h.dmaLabel) {
 			h.fault(slot)
 			return
-		}
-		if hd.Write != (fis.Command == CmdWriteDMAExt) {
-			h.fault(slot)
-			return
-		}
-		if hd.Write {
-			src := hintSrc
-			if src == nil {
-				src = h.gatherPRD(hd, fis)
-			}
-			h.drive.Write(p, fis.LBA, fis.Count, src)
-		} else {
-			pl := h.drive.Read(p, fis.LBA, fis.Count)
-			if !discard {
-				h.scatterPRD(hd, pl)
-			}
 		}
 		hd.PRDBC = uint32(fis.Count * disk.SectorSize)
 		WriteCmdHeader(h.memory, h.clb, slot, hd)
@@ -501,45 +439,6 @@ func (h *HBA) identifyData() []byte {
 		put16(100+i, uint16(h.drive.Sectors>>(16*i)))
 	}
 	return b
-}
-
-func (h *HBA) gatherPRD(hd CmdHeader, fis FIS) disk.SectorSource {
-	want := fis.Count * disk.SectorSize
-	buf := make([]byte, 0, want)
-	for i := 0; i < hd.PRDTL; i++ {
-		pe := ReadPRD(h.memory, hd.CTBA, i)
-		take := pe.Bytes
-		if rem := want - int64(len(buf)); take > rem {
-			take = rem
-		}
-		n := len(buf)
-		buf = buf[:n+int(take)]
-		h.memory.ReadInto(pe.Addr, buf[n:])
-		if int64(len(buf)) >= want {
-			break
-		}
-	}
-	if int64(len(buf)) < want {
-		buf = append(buf, make([]byte, want-int64(len(buf)))...)
-	}
-	return disk.NewBuffer(fis.LBA, buf, h.Name+".dma")
-}
-
-func (h *HBA) scatterPRD(hd CmdHeader, pl disk.Payload) {
-	data := pl.AppendTo(h.dmaScratch[:0])
-	h.dmaScratch = data[:0]
-	for i := 0; i < hd.PRDTL; i++ {
-		pe := ReadPRD(h.memory, hd.CTBA, i)
-		take := pe.Bytes
-		if rem := int64(len(data)); take > rem {
-			take = rem
-		}
-		h.memory.Write(pe.Addr, data[:take])
-		data = data[take:]
-		if len(data) == 0 {
-			break
-		}
-	}
 }
 
 // Busy reports whether a command is currently executing.

@@ -2,6 +2,7 @@ package ahci
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/hw/disk"
@@ -68,7 +69,7 @@ func (r *rig) initPort(p *sim.Proc) {
 func (r *rig) issue(p *sim.Proc, slot int, cmd uint8, lba, count int64, write bool) {
 	ctba := uint64(ctbaAddr + slot*0x200)
 	WriteFIS(r.m, ctba, FIS{Command: cmd, LBA: lba, Count: count})
-	WritePRDT(r.m, ctba, []PRD{{Addr: bufAddr, Bytes: count * disk.SectorSize}})
+	WritePRDT(r.m, ctba, []mem.Region{{Start: bufAddr, Size: count * disk.SectorSize}})
 	WriteCmdHeader(r.m, clbAddr, slot, CmdHeader{FISLen: 5, Write: write, PRDTL: 1, CTBA: ctba})
 	r.mmw(p, PortBase+PxCI, 1<<slot)
 }
@@ -118,7 +119,7 @@ func TestMultipleSlotsFIFO(t *testing.T) {
 		for slot, lba := range []int64{100, 200, 300} {
 			ctba := uint64(ctbaAddr + slot*0x200)
 			WriteFIS(r.m, ctba, FIS{Command: CmdWriteDMAExt, LBA: lba, Count: 1})
-			WritePRDT(r.m, ctba, []PRD{{Addr: bufAddr, Bytes: disk.SectorSize}})
+			WritePRDT(r.m, ctba, []mem.Region{{Start: bufAddr, Size: disk.SectorSize}})
 			WriteCmdHeader(r.m, clbAddr, slot, CmdHeader{FISLen: 5, Write: true, PRDTL: 1, CTBA: ctba})
 		}
 		r.m.Write(bufAddr, bytes.Repeat([]byte{1}, disk.SectorSize))
@@ -231,13 +232,11 @@ func TestHeaderFISPRDTRoundTrip(t *testing.T) {
 	if err != nil || got != f {
 		t.Fatalf("FIS round trip: got %+v, %v", got, err)
 	}
-	prds := []PRD{{Addr: 0x10000, Bytes: 65536}, {Addr: 0x30000, Bytes: 512}}
+	prds := []mem.Region{{Start: 0x1_0001_0000, Size: 65536}, {Start: 0x30000, Size: 512}}
 	WritePRDT(m, 0x2000, prds)
-	rt := ReadPRDT(m, 0x2000, 2)
-	for i := range prds {
-		if rt[i] != prds[i] {
-			t.Fatalf("PRDT round trip: %+v vs %+v", rt[i], prds[i])
-		}
+	rt := AppendPRDs(nil, m, 0x2000, 2)
+	if !slices.Equal(rt, prds) {
+		t.Fatalf("PRDT round trip: %+v vs %+v", rt, prds)
 	}
 }
 
@@ -253,7 +252,7 @@ func TestSymbolicHints(t *testing.T) {
 	src := disk.Synth{Seed: 5, Label: "wl"}
 	r.k.Spawn("drv", func(p *sim.Proc) {
 		r.initPort(p)
-		r.h.SetNextDMA(bufAddr, src, false)
+		r.d.SetNextDMA(bufAddr, src, false)
 		r.issue(p, 0, CmdWriteDMAExt, 700, 8, true)
 		p.Wait(r.done)
 	})

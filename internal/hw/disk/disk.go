@@ -3,6 +3,7 @@ package disk
 import (
 	"math"
 
+	"repro/internal/hw/mem"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -55,6 +56,9 @@ type Device struct {
 	head  int64 // LBA under the head after the last access
 
 	cache []cachedRange // LRU of recently read ranges (drive cache)
+
+	hints  map[int64]hint // DMA content hints keyed by buffer address (see SetNextDMA)
+	dmaBuf []byte         // reusable read buffer for DMA's scatter
 
 	// Statistics.
 	BytesRead    metrics.Counter
@@ -179,3 +183,69 @@ func (d *Device) Write(p *sim.Proc, lba, count int64, src SectorSource) {
 
 // Busy reports whether a command is being serviced right now.
 func (d *Device) Busy() bool { return d.arm.InUse() > 0 }
+
+// hint is a DMA content annotation: src supplies write data; discard
+// marks read data as not-to-be-materialized.
+type hint struct {
+	src     SectorSource
+	discard bool
+}
+
+// SetNextDMA annotates the DMA buffer at bufAddr: for a write command
+// whose scatter-gather list starts at that buffer, src supplies the
+// content; for a read command, discard=true means the data is not
+// materialized into guest memory. This is a simulation affordance
+// standing in for "the bytes are already in the buffer": performance
+// workloads move symbolic payloads without allocating, and keying by
+// buffer address keeps guest and VMM hints from ever colliding. The
+// controllers' architectural state machines are unaffected.
+func (d *Device) SetNextDMA(bufAddr int64, src SectorSource, discard bool) {
+	if d.hints == nil {
+		d.hints = make(map[int64]hint)
+	}
+	d.hints[bufAddr] = hint{src: src, discard: discard}
+}
+
+// TakeDMAHint removes and returns the annotation for bufAddr. A mediator
+// that swallows a guest command takes its hint and re-arms it when the
+// command passes through to the device.
+func (d *Device) TakeDMAHint(bufAddr int64) (src SectorSource, discard, armed bool) {
+	h, ok := d.hints[bufAddr]
+	if !ok {
+		return nil, false, false
+	}
+	delete(d.hints, bufAddr)
+	return h.src, h.discard, true
+}
+
+// DMA runs the data phase of one controller command: count sectors at lba
+// move between the drive and the guest buffers that sg lists in m. It
+// takes the hint armed at sg[0] first, so a command the drive refuses
+// still consumes it, and reports false, moving nothing, when the range is
+// not on the drive. A write takes its content from the hint, or gathers
+// it from sg as a literal source named label; a read is scattered into sg
+// unless the hint says discard.
+func (d *Device) DMA(p *sim.Proc, m *mem.Memory, sg []mem.Region, lba, count int64, write bool, label string) bool {
+	var src SectorSource
+	var discard bool
+	if len(sg) > 0 {
+		src, discard, _ = d.TakeDMAHint(sg[0].Start)
+	}
+	if lba < 0 || count <= 0 || lba+count > d.Sectors {
+		return false
+	}
+	if write {
+		if src == nil {
+			want := count * SectorSize
+			src = OwnedBuffer(lba, m.Gather(make([]byte, 0, want), sg, want), label)
+		}
+		d.Write(p, lba, count, src)
+		return true
+	}
+	pl := d.Read(p, lba, count)
+	if !discard {
+		d.dmaBuf = pl.AppendTo(d.dmaBuf[:0])
+		m.Scatter(sg, d.dmaBuf)
+	}
+	return true
+}

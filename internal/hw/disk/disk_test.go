@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/hw/mem"
 	"repro/internal/sim"
 )
 
@@ -124,6 +125,62 @@ func TestReadWriteContent(t *testing.T) {
 	if d.BytesWritten.Value() != 4*SectorSize || d.BytesRead.Value() != 4*SectorSize {
 		t.Fatalf("stats: read=%d written=%d", d.BytesRead.Value(), d.BytesWritten.Value())
 	}
+}
+
+func TestDMAHints(t *testing.T) {
+	d := NewDevice(sim.New(1), "sda", testParams())
+	src := Synth{Seed: 1}
+	d.SetNextDMA(0x1000, src, true)
+	got, discard, armed := d.TakeDMAHint(0x1000)
+	if !armed || !discard || got != SectorSource(src) {
+		t.Fatal("hint round trip failed")
+	}
+	if _, _, armed := d.TakeDMAHint(0x1000); armed {
+		t.Fatal("hint not consumed")
+	}
+}
+
+// TestDMA drives the controller data phase through a two-region
+// scatter-gather list: a literal write gathers from guest memory, a read
+// scatters back, a discard hint leaves memory alone, and a refused range
+// still consumes its hint.
+func TestDMA(t *testing.T) {
+	k := sim.New(1)
+	d := NewDevice(k, "sda", testParams())
+	m := mem.New(1 << 20)
+	sg := []mem.Region{{Start: 0x3000, Size: SectorSize}, {Start: 0x1000, Size: 2 * SectorSize}}
+	data := make([]byte, 3*SectorSize)
+	for i := range data {
+		data[i] = byte(i / 7)
+	}
+	m.Scatter(sg, data)
+	k.Spawn("p", func(p *sim.Proc) {
+		if !d.DMA(p, m, sg, 40, 3, true, "ctl.dma") {
+			t.Fatal("in-range write refused")
+		}
+		if name := d.Store().SourceAt(41).Name(); name != "ctl.dma" {
+			t.Errorf("gathered write source = %q, want ctl.dma", name)
+		}
+		m.Scatter(sg, make([]byte, len(data)))
+		d.DMA(p, m, sg, 40, 3, false, "ctl.dma")
+		if got := m.Gather(nil, sg, int64(len(data))); !bytes.Equal(got, data) {
+			t.Error("read did not scatter the written bytes back")
+		}
+		m.Scatter(sg, make([]byte, len(data)))
+		d.SetNextDMA(sg[0].Start, nil, true)
+		d.DMA(p, m, sg, 40, 3, false, "ctl.dma")
+		if got := m.Gather(nil, sg, int64(len(data))); !bytes.Equal(got, make([]byte, len(data))) {
+			t.Error("discarded read wrote guest memory")
+		}
+		d.SetNextDMA(sg[0].Start, Zero, false)
+		if d.DMA(p, m, sg, d.Sectors-1, 2, true, "ctl.dma") {
+			t.Error("write past the end of the drive accepted")
+		}
+		if _, _, armed := d.TakeDMAHint(sg[0].Start); armed {
+			t.Error("refused command left its hint armed")
+		}
+	})
+	k.Run()
 }
 
 func TestAlternatingRegionsIncurSeeks(t *testing.T) {

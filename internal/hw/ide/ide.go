@@ -12,7 +12,7 @@
 package ide
 
 import (
-	"fmt"
+	"encoding/binary"
 
 	"repro/internal/hw/disk"
 	hwio "repro/internal/hw/io"
@@ -137,8 +137,8 @@ type Controller struct {
 	pioBuf []byte
 	pioPos int
 
-	// DMA content hints keyed by buffer address (see SetNextDMA).
-	hints map[int64]dmaHint
+	dmaLabel string       // provenance name of gathered write data
+	sg       []mem.Region // reusable decoded PRD table
 
 	// CmdLog counts executed commands by opcode, for tests and reports.
 	CmdLog map[uint8]int64
@@ -156,7 +156,7 @@ func New(k *sim.Kernel, name string, drive *disk.Device, memory *mem.Memory, irq
 		status:    StatusDRDY,
 		execReady: k.NewSignal(name + ".exec"),
 		CmdLog:    make(map[uint8]int64),
-		hints:     make(map[int64]dmaHint),
+		dmaLabel:  name + ".dma",
 	}
 	k.Spawn(name+".engine", c.engine)
 	return c
@@ -366,37 +366,6 @@ func (c *Controller) identifyData() []byte {
 	return b
 }
 
-// dmaHint is a DMA content annotation: src supplies write data; discard
-// marks read data as not-to-be-materialized.
-type dmaHint struct {
-	src     disk.SectorSource
-	discard bool
-}
-
-// SetNextDMA annotates the DMA buffer at bufAddr: for a write command
-// whose PRD table starts at that buffer, src supplies the content; for a
-// read command, discard=true means the data is not materialized into
-// guest memory. This is a simulation affordance standing in for "the
-// bytes are already in the buffer": performance workloads move symbolic
-// payloads without allocating, and keying by buffer address keeps guest
-// and VMM hints from ever colliding. The architectural state machine is
-// unaffected.
-func (c *Controller) SetNextDMA(bufAddr int64, src disk.SectorSource, discard bool) {
-	c.hints[bufAddr] = dmaHint{src: src, discard: discard}
-}
-
-// TakeHintAt removes and returns the DMA annotation for bufAddr. A
-// mediator that swallows a guest command takes its hint and re-arms it on
-// replay.
-func (c *Controller) TakeHintAt(bufAddr int64) (src disk.SectorSource, discard, armed bool) {
-	h, ok := c.hints[bufAddr]
-	if !ok {
-		return nil, false, false
-	}
-	delete(c.hints, bufAddr)
-	return h.src, h.discard, true
-}
-
 // engine executes accepted commands against the drive.
 func (c *Controller) engine(p *sim.Proc) {
 	for {
@@ -412,38 +381,18 @@ func (c *Controller) engine(p *sim.Proc) {
 		cmd := c.pendingCmd
 		c.pendingCmd = 0
 		c.CmdLog[cmd]++
-		switch cmd {
-		case CmdFlushCache:
+		if cmd == CmdFlushCache {
 			p.Sleep(500 * sim.Microsecond)
 			c.complete(false)
 			continue
 		}
-		lba, n := c.pendingLBA, c.pendingN
 		write := cmd == CmdWriteDMA || cmd == CmdWriteDMAExt
-		var hintSrc disk.SectorSource
-		var discard bool
-		if entries := c.prdEntries(); len(entries) > 0 {
-			hintSrc, discard, _ = c.TakeHintAt(entries[0].Start)
-		}
-
-		if lba < 0 || n <= 0 || lba+n > c.drive.Sectors {
+		c.sg = AppendPRDs(c.sg[:0], c.memory, int64(c.prdtAddr), c.pendingN*disk.SectorSize)
+		ok := c.drive.DMA(p, c.memory, c.sg, c.pendingLBA, c.pendingN, write, c.dmaLabel)
+		if !ok {
 			c.errReg = 0x10 // IDNF
-			c.complete(true)
-			continue
 		}
-		if write {
-			src := hintSrc
-			if src == nil {
-				src = c.readPRDData(lba, n)
-			}
-			c.drive.Write(p, lba, n, src)
-		} else {
-			pl := c.drive.Read(p, lba, n)
-			if !discard {
-				c.writePRDData(pl)
-			}
-		}
-		c.complete(false)
+		c.complete(!ok)
 	}
 }
 
@@ -464,61 +413,28 @@ func (c *Controller) raiseIRQ() {
 	}
 }
 
-// prdEntries parses the PRD table at the current bus-master address.
-func (c *Controller) prdEntries() []mem.Region {
-	var out []mem.Region
-	addr := int64(c.prdtAddr)
-	for i := 0; ; i++ {
-		e := c.memory.Read(addr, PRDEntrySize)
-		bufAddr := int64(uint32(e[0]) | uint32(e[1])<<8 | uint32(e[2])<<16 | uint32(e[3])<<24)
-		count := int64(uint16(e[4]) | uint16(e[5])<<8)
-		if count == 0 {
-			count = 65536
-		}
-		flags := uint16(e[6]) | uint16(e[7])<<8
-		out = append(out, mem.Region{Start: bufAddr, Size: count})
-		if flags&PRDEOT != 0 || i > 4096 {
-			break
-		}
-		addr += PRDEntrySize
-	}
-	return out
-}
+// maxPRDs caps a PRD table walk: a guest table without an EOT entry ends
+// here.
+const maxPRDs = 4098
 
-// readPRDData gathers literal write data from guest memory via the PRD
-// table, producing a source anchored at lba.
-func (c *Controller) readPRDData(lba, n int64) disk.SectorSource {
-	want := n * disk.SectorSize
-	buf := make([]byte, 0, want)
-	for _, r := range c.prdEntries() {
-		take := r.Size
-		if rem := want - int64(len(buf)); take > rem {
-			take = rem
+// AppendPRDs decodes the PRD table at table in m onto dst, one region per
+// entry (a zero byte count means 64 KiB), and returns the extended slice.
+// The walk stops at the entry marked EOT, once the regions cover want
+// bytes, or after maxPRDs entries; it always decodes the first entry.
+func AppendPRDs(dst []mem.Region, m *mem.Memory, table, want int64) []mem.Region {
+	var e [PRDEntrySize]byte
+	for i := 1; ; i++ {
+		m.ReadInto(table, e[:])
+		size := int64(binary.LittleEndian.Uint16(e[4:]))
+		if size == 0 {
+			size = 65536
 		}
-		buf = append(buf, c.memory.Read(r.Start, take)...)
-		if int64(len(buf)) >= want {
-			break
+		dst = append(dst, mem.Region{Start: int64(binary.LittleEndian.Uint32(e[0:])), Size: size})
+		want -= size
+		if binary.LittleEndian.Uint16(e[6:])&PRDEOT != 0 || want <= 0 || i == maxPRDs {
+			return dst
 		}
-	}
-	if int64(len(buf)) < want {
-		buf = append(buf, make([]byte, want-int64(len(buf)))...)
-	}
-	return disk.NewBuffer(lba, buf, fmt.Sprintf("%s.dma", c.Name))
-}
-
-// writePRDData scatters read data into guest memory via the PRD table.
-func (c *Controller) writePRDData(pl disk.Payload) {
-	data := pl.Bytes()
-	for _, r := range c.prdEntries() {
-		take := r.Size
-		if rem := int64(len(data)); take > rem {
-			take = rem
-		}
-		c.memory.Write(r.Start, data[:take])
-		data = data[take:]
-		if len(data) == 0 {
-			break
-		}
+		table += PRDEntrySize
 	}
 }
 

@@ -261,7 +261,7 @@ func TestSetNextDMASymbolicWrite(t *testing.T) {
 	r := newRig()
 	src := disk.Synth{Seed: 77, Label: "workload"}
 	r.k.Spawn("drv", func(p *sim.Proc) {
-		r.c.SetNextDMA(dmaBufAddr, src, false)
+		r.d.SetNextDMA(dmaBufAddr, src, false)
 		r.dmaCmd(p, CmdWriteDMAExt, 500, 8)
 	})
 	r.k.Run()
@@ -278,7 +278,7 @@ func TestSetNextDMADiscardRead(t *testing.T) {
 		r.m.Write(dmaBufAddr, bytes.Repeat([]byte{0xEE}, disk.SectorSize))
 		r.dmaCmd(p, CmdWriteDMAExt, 5, 1)
 		r.m.Write(dmaBufAddr, bytes.Repeat([]byte{0x11}, disk.SectorSize))
-		r.c.SetNextDMA(dmaBufAddr, nil, true)
+		r.d.SetNextDMA(dmaBufAddr, nil, true)
 		r.dmaCmd(p, CmdReadDMAExt, 5, 1)
 		got := r.m.Read(dmaBufAddr, disk.SectorSize)
 		if got[0] != 0x11 {
@@ -306,7 +306,7 @@ func TestDeviceAccessorsBypassTap(t *testing.T) {
 		cb.IOWrite(p, RegLBAHigh, 1, 0)
 		cb.IOWrite(p, RegLBAHigh, 1, 0)
 		cb.IOWrite(p, RegDevice, 1, DeviceLBA)
-		r.c.SetNextDMA(dmaBufAddr, disk.Synth{Seed: 3}, false)
+		r.d.SetNextDMA(dmaBufAddr, disk.Synth{Seed: 3}, false)
 		cb.IOWrite(p, RegStatusCmd, 1, CmdWriteDMAExt)
 		bm.IOWrite(p, BMRegCmd, 1, BMCmdStart)
 		for cb.IORead(p, RegStatusCmd, 1)&StatusBSY != 0 {
@@ -316,5 +316,17 @@ func TestDeviceAccessorsBypassTap(t *testing.T) {
 	r.k.Run()
 	if r.d.Store().SourceAt(42) == disk.Zero {
 		t.Fatal("VMM-side command did not execute")
+	}
+}
+
+// TestAppendPRDsEntryCap pins the walk's bound on a table without an EOT
+// entry whose regions never cover the transfer.
+func TestAppendPRDsEntryCap(t *testing.T) {
+	m := mem.New(1 << 20)
+	for i := int64(0); i < 2*maxPRDs; i++ {
+		m.Write(prdTableAddr+i*PRDEntrySize, []byte{0, 0, 2, 0, 1, 0, 0, 0}) // 1 byte at 0x20000
+	}
+	if got := AppendPRDs(nil, m, prdTableAddr, 1<<30); len(got) != maxPRDs {
+		t.Fatalf("decoded %d entries, want the cap of %d", len(got), maxPRDs)
 	}
 }

@@ -7,7 +7,10 @@
 // and an e820-style map that hides reserved regions from the guest.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // PageSize is the allocation granularity of the sparse backing store.
 const PageSize = 4096
@@ -105,6 +108,41 @@ func (m *Memory) ReadInto(addr int64, buf []byte) {
 		buf = buf[c:]
 		addr += int64(c)
 	}
+}
+
+// Scatter copies data into the regions of sg in order, as a DMA engine
+// fills the buffers of a scatter-gather list. It stops when data runs
+// out; data past the regions' total size is dropped.
+func (m *Memory) Scatter(sg []Region, data []byte) {
+	for _, r := range sg {
+		if len(data) == 0 {
+			return
+		}
+		n := min(r.Size, int64(len(data)))
+		m.Write(r.Start, data[:n])
+		data = data[n:]
+	}
+}
+
+// Gather appends want bytes to dst, read from the regions of sg in order,
+// and returns the extended slice. It stops once want bytes are read; if
+// the regions cover fewer, the rest reads as zeros.
+func (m *Memory) Gather(dst []byte, sg []Region, want int64) []byte {
+	dst = slices.Grow(dst, int(want))
+	for _, r := range sg {
+		if want == 0 {
+			break
+		}
+		n := min(r.Size, want)
+		off := len(dst)
+		dst = dst[:off+int(n)]
+		m.ReadInto(r.Start, dst[off:])
+		want -= n
+	}
+	off := len(dst)
+	dst = dst[:off+int(want)]
+	clear(dst[off:])
+	return dst
 }
 
 // Reserve carves a region of the given size from the top of usable memory,

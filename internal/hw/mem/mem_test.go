@@ -132,3 +132,21 @@ func TestMemoryRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestScatterGather(t *testing.T) {
+	m := New(1 << 16)
+	sg := []Region{{Start: 0x2000, Size: 3}, {Start: 0x100, Size: 4}}
+	m.Scatter(sg, []byte{1, 2, 3, 4, 5})
+	if got := m.Read(0x2000, 4); !bytes.Equal(got, []byte{1, 2, 3, 0}) {
+		t.Fatalf("first region = %v", got)
+	}
+	if got := m.Read(0x100, 4); !bytes.Equal(got, []byte{4, 5, 0, 0}) {
+		t.Fatalf("second region = %v: Scatter must stop when data runs out", got)
+	}
+	if got := m.Gather([]byte{9}, sg, 10); !bytes.Equal(got, []byte{9, 1, 2, 3, 4, 5, 0, 0, 0, 0, 0}) {
+		t.Fatalf("Gather = %v, want the prefix, 7 region bytes and zero padding", got)
+	}
+	if got := m.Gather(nil, sg, 2); !bytes.Equal(got, []byte{1, 2}) {
+		t.Fatalf("Gather = %v, want it to stop after 2 bytes", got)
+	}
+}

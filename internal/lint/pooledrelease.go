@@ -217,10 +217,11 @@ func (c *prChecker) releaseCallArg(call *ast.CallExpr) ast.Expr {
 	return call.Args[0]
 }
 
-// localVar resolves expr to a plain local identifier's variable, or nil.
+// localVar resolves expr, parentheses stripped, to a plain local
+// identifier's variable, or nil.
 // Field selectors (in.pending[id]) are beyond this tracking.
 func (c *prChecker) localVar(expr ast.Expr) *types.Var {
-	id, ok := expr.(*ast.Ident)
+	id, ok := unparen(expr).(*ast.Ident)
 	if !ok {
 		return nil
 	}

@@ -262,3 +262,10 @@ func loopReleaseSeenOnBackEdgeOnly(p *pool) {
 		p.release(r)
 	}
 }
+
+// Parentheses around the released value do not hide it.
+func badUseAfterParenthesizedRelease(p *pool) int {
+	r := p.get()
+	p.release((r))
+	return (r).id // want "used after being released"
+}

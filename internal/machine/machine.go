@@ -148,28 +148,6 @@ func (m *Machine) SetDiskImage(img *disk.Image) {
 	m.Disk.Store().Write(0, n, img)
 }
 
-// SetNextStorageDMA annotates the DMA buffer at bufAddr on whichever
-// controller the machine has (see ide.Controller.SetNextDMA).
-func (m *Machine) SetNextStorageDMA(bufAddr int64, src disk.SectorSource, discard bool) {
-	switch m.Storage {
-	case StorageIDE:
-		m.IDE.SetNextDMA(bufAddr, src, discard)
-	case StorageAHCI:
-		m.AHCI.SetNextDMA(bufAddr, src, discard)
-	}
-}
-
-// TakeStorageDMAHint removes and returns the DMA annotation for bufAddr
-// from the machine's storage controller (see ide.Controller.TakeHintAt).
-func (m *Machine) TakeStorageDMAHint(bufAddr int64) (src disk.SectorSource, discard, armed bool) {
-	switch m.Storage {
-	case StorageIDE:
-		return m.IDE.TakeHintAt(bufAddr)
-	default:
-		return m.AHCI.TakeHintAt(bufAddr)
-	}
-}
-
 // StorageBusy reports whether the storage controller is executing a
 // command.
 func (m *Machine) StorageBusy() bool {

@@ -29,6 +29,9 @@ func TestRX200S6Assembly(t *testing.T) {
 	if m.Firmware.InitTime != 133*sim.Second {
 		t.Fatalf("firmware init = %v", m.Firmware.InitTime)
 	}
+	if m.StorageBusy() {
+		t.Fatal("fresh controller reports busy")
+	}
 }
 
 func TestIDEVariant(t *testing.T) {
@@ -75,24 +78,5 @@ func TestSetDiskImage(t *testing.T) {
 	}
 	if m.Disk.Store().SourceAt(img.Sectors) != disk.Zero {
 		t.Fatal("preload spilled past the image")
-	}
-}
-
-func TestStorageDMAHints(t *testing.T) {
-	k := sim.New(1)
-	cfg := RX200S6("m0")
-	cfg.Disk.Sectors = 1 << 20
-	m := New(k, cfg)
-	src := disk.Synth{Seed: 1}
-	m.SetNextStorageDMA(0x1000, src, true)
-	got, discard, armed := m.TakeStorageDMAHint(0x1000)
-	if !armed || !discard || got != disk.SectorSource(src) {
-		t.Fatal("hint round trip failed")
-	}
-	if _, _, armed := m.TakeStorageDMAHint(0x1000); armed {
-		t.Fatal("hint not consumed")
-	}
-	if m.StorageBusy() {
-		t.Fatal("fresh controller reports busy")
 	}
 }

@@ -65,7 +65,7 @@ func NewAHCI(m *machine.Machine, backend Backend, vmmRegion mem.Region) *AHCI {
 		dummyLBA:  m.Disk.Sectors - 1,
 		devLock:   sim.NewResource(m.K, m.Name+".med.dev", 1),
 	}
-	md.pipeline = newPipeline(m, backend, md, m.AHCI, m.AHCI.Name)
+	md.pipeline = newPipeline(m, backend, md, m.AHCI.Name)
 	return md
 }
 
@@ -169,7 +169,8 @@ func (md *AHCI) interpret(slot int) command {
 	cmd := command{slot: slot, ctba: hd.CTBA, prdtl: hd.PRDTL}
 	// Data information: the guest DMA buffer from the first PRDT entry.
 	if hd.PRDTL > 0 {
-		cmd.bufAddr = ahci.ReadPRD(md.m.Mem, hd.CTBA, 0).Addr
+		md.sg = ahci.AppendPRDs(md.sg[:0], md.m.Mem, hd.CTBA, 1)
+		cmd.bufAddr = md.sg[0].Start
 	}
 	fis, err := ahci.ReadFIS(md.m.Mem, hd.CTBA)
 	if err != nil {
@@ -248,14 +249,14 @@ func (md *AHCI) vmmSlotOp(p *sim.Proc, write bool, payload disk.Payload, keepIRQ
 		opcode = ahci.CmdWriteDMAExt
 	}
 	ahci.WriteFIS(md.m.Mem, ctba, ahci.FIS{Command: opcode, LBA: payload.LBA, Count: payload.Count})
-	ahci.WritePRDT(md.m.Mem, ctba, []ahci.PRD{{Addr: buf, Bytes: payload.Count * disk.SectorSize}})
+	ahci.WritePRDT(md.m.Mem, ctba, []mem.Region{{Start: buf, Size: payload.Count * disk.SectorSize}})
 	ahci.WriteCmdHeader(md.m.Mem, md.shCLB, vmmSlot, ahci.CmdHeader{
 		FISLen: 5, Write: write, PRDTL: 1, CTBA: ctba,
 	})
 	if write {
-		md.hba.SetNextDMA(buf, payload.Source, false)
+		md.m.Disk.SetNextDMA(buf, payload.Source, false)
 	} else {
-		md.hba.SetNextDMA(buf, nil, true)
+		md.m.Disk.SetNextDMA(buf, nil, true)
 	}
 	if keepIRQ {
 		dev.IOWrite(p, ahci.PortBase+ahci.PxIE, 4, uint64(md.shPxIE))
@@ -305,21 +306,9 @@ func (md *AHCI) finish(p *sim.Proc, cmd command) {
 	}
 }
 
-// copyToGuest implements controller: scatter data into the guest's PRDT
-// buffers parsed from its command table.
-func (md *AHCI) copyToGuest(cmd command, data []byte) {
-	for i := 0; i < cmd.prdtl; i++ {
-		prd := ahci.ReadPRD(md.m.Mem, cmd.ctba, i)
-		n := prd.Bytes
-		if n > int64(len(data)) {
-			n = int64(len(data))
-		}
-		md.m.Mem.Write(prd.Addr, data[:n])
-		data = data[n:]
-		if len(data) == 0 {
-			break
-		}
-	}
+// appendSG implements controller: the PRDT in the guest's command table.
+func (md *AHCI) appendSG(dst []mem.Region, cmd command, _ int64) []mem.Region {
+	return ahci.AppendPRDs(dst, md.m.Mem, cmd.ctba, cmd.prdtl)
 }
 
 var _ Mediator = (*AHCI)(nil)

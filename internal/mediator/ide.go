@@ -81,7 +81,7 @@ func NewIDE(m *machine.Machine, backend Backend, vmmRegion mem.Region) *IDE {
 		dummyLBA:  m.Disk.Sectors - 1, // a sector the guest image never uses
 		devLock:   sim.NewResource(m.K, m.Name+".med.dev", 1),
 	}
-	md.pipeline = newPipeline(m, backend, md, m.IDE, m.IDE.Name)
+	md.pipeline = newPipeline(m, backend, md, m.IDE.Name)
 	return md
 }
 
@@ -198,8 +198,8 @@ func (md *IDE) TapWrite(p *sim.Proc, r *hwio.Region, off int64, size int, v uint
 func (md *IDE) decode(opcode uint8) command {
 	c := command{opcode: opcode, prdt: md.shPRDT, bmCmd: md.shBMCmd}
 	// Data information: the guest DMA buffer from the first PRD entry.
-	e := md.m.Mem.Read(int64(md.shPRDT), ide.PRDEntrySize)
-	c.bufAddr = int64(uint32(e[0]) | uint32(e[1])<<8 | uint32(e[2])<<16 | uint32(e[3])<<24)
+	md.sg = ide.AppendPRDs(md.sg[:0], md.m.Mem, int64(md.shPRDT), 1)
+	c.bufAddr = md.sg[0].Start
 	switch opcode {
 	case ide.CmdReadDMA, ide.CmdWriteDMA:
 		c.data = true
@@ -275,28 +275,10 @@ func (md *IDE) transfer(p *sim.Proc, write bool, payload disk.Payload) {
 // takeOver implements controller: the guest sees the device busy.
 func (md *IDE) takeOver(command) { md.mode = ideRedirecting }
 
-// copyToGuest implements controller: walk the guest's PRD table captured
-// by interpretation.
-func (md *IDE) copyToGuest(cmd command, data []byte) {
-	addr := int64(cmd.prdt)
-	for len(data) > 0 {
-		e := md.m.Mem.Read(addr, ide.PRDEntrySize)
-		bufAddr := int64(uint32(e[0]) | uint32(e[1])<<8 | uint32(e[2])<<16 | uint32(e[3])<<24)
-		count := int64(uint16(e[4]) | uint16(e[5])<<8)
-		if count == 0 {
-			count = 65536
-		}
-		if count > int64(len(data)) {
-			count = int64(len(data))
-		}
-		md.m.Mem.Write(bufAddr, data[:count])
-		data = data[count:]
-		flags := uint16(e[6]) | uint16(e[7])<<8
-		if flags&ide.PRDEOT != 0 {
-			break
-		}
-		addr += ide.PRDEntrySize
-	}
+// appendSG implements controller: the guest's PRD table captured by
+// interpretation.
+func (md *IDE) appendSG(dst []mem.Region, cmd command, want int64) []mem.Region {
+	return ide.AppendPRDs(dst, md.m.Mem, int64(cmd.prdt), want)
 }
 
 // deviceOp issues one VMM request directly to the device (through the
@@ -318,9 +300,9 @@ func (md *IDE) deviceOp(p *sim.Proc, write bool, payload disk.Payload, keepIRQ b
 	ide.WritePRDTable(md.m.Mem, prd, buf, payload.Count*disk.SectorSize)
 	bm.IOWrite(p, ide.BMRegPRDT, 4, uint64(prd))
 	if write {
-		md.ctrl.SetNextDMA(buf, payload.Source, false)
+		md.m.Disk.SetNextDMA(buf, payload.Source, false)
 	} else {
-		md.ctrl.SetNextDMA(buf, nil, true) // VMM reads are bookkeeping only
+		md.m.Disk.SetNextDMA(buf, nil, true) // VMM reads are bookkeeping only
 	}
 	writeTaskFile(p, cb, payload.LBA, payload.Count)
 	opcode := uint64(ide.CmdReadDMAExt)

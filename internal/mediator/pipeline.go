@@ -2,6 +2,7 @@ package mediator
 
 import (
 	"repro/internal/hw/disk"
+	"repro/internal/hw/mem"
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -51,15 +52,9 @@ type controller interface {
 	// finish completes a taken-over command toward the guest, with the
 	// completion interrupt the guest expects.
 	finish(p *sim.Proc, cmd command)
-	// copyToGuest scatters data into the guest buffers cmd's DMA table
-	// names: the mediator acting as a virtual DMA controller.
-	copyToGuest(cmd command, data []byte)
-}
-
-// dmaHinter is the controller's DMA content annotation (see
-// ide.Controller.SetNextDMA).
-type dmaHinter interface {
-	SetNextDMA(bufAddr int64, src disk.SectorSource, discard bool)
+	// appendSG appends to dst the guest buffers cmd's DMA table names;
+	// want, the transfer length in bytes, lets the walk stop early.
+	appendSG(dst []mem.Region, cmd command, want int64) []mem.Region
 }
 
 // pipeline is the controller-independent half of a mediator (paper
@@ -72,7 +67,6 @@ type pipeline struct {
 	backend Backend
 	stats   Stats
 	dev     controller
-	hints   dmaHinter
 
 	// Pre-built spawn names and reusable scratch for the redirect path,
 	// which runs once per intercepted guest read and must not allocate
@@ -83,14 +77,14 @@ type pipeline struct {
 	runs        []Run
 	parts       []disk.Payload
 	dmaBuf      []byte
+	sg          []mem.Region // decoded DMA table; never held across a yield, so interpretation shares it
 }
 
-func newPipeline(m *machine.Machine, backend Backend, dev controller, hints dmaHinter, ctrlName string) pipeline {
+func newPipeline(m *machine.Machine, backend Backend, dev controller, ctrlName string) pipeline {
 	return pipeline{
 		m:           m,
 		backend:     backend,
 		dev:         dev,
-		hints:       hints,
 		redirName:   ctrlName + ".med.redirect",
 		protectName: ctrlName + ".med.protect",
 	}
@@ -106,7 +100,7 @@ func (pl *pipeline) Stats() *Stats { return &pl.stats }
 func (pl *pipeline) intercept(p *sim.Proc, cmd *command) {
 	pl.stats.GuestCommands.Inc()
 	cmd.cause = trace.Cause(p)
-	cmd.hintSrc, cmd.hintDiscard, cmd.hintArmed = pl.m.TakeStorageDMAHint(cmd.bufAddr)
+	cmd.hintSrc, cmd.hintDiscard, cmd.hintArmed = pl.m.Disk.TakeDMAHint(cmd.bufAddr)
 }
 
 // route is the routing decision for an interpreted guest command; it
@@ -148,7 +142,7 @@ func (pl *pipeline) route(cmd command) bool {
 // the device, so the controller captures it at issue as usual.
 func (pl *pipeline) rearmHint(cmd command) {
 	if cmd.hintArmed {
-		pl.hints.SetNextDMA(cmd.bufAddr, cmd.hintSrc, cmd.hintDiscard)
+		pl.m.Disk.SetNextDMA(cmd.bufAddr, cmd.hintSrc, cmd.hintDiscard)
 	}
 }
 
@@ -234,15 +228,16 @@ func (pl *pipeline) protect(p *sim.Proc, cmd command) {
 	pl.dev.finish(p, cmd)
 }
 
-// copyToGuest assembles parts and hands them to the controller's virtual
-// DMA.
+// copyToGuest assembles parts and scatters them into the guest buffers
+// cmd's DMA table names: the mediator acting as a virtual DMA controller.
 func (pl *pipeline) copyToGuest(cmd command, parts []disk.Payload) {
 	data := pl.dmaBuf[:0]
 	for _, part := range parts {
 		data = part.AppendTo(data)
 	}
 	pl.dmaBuf = data[:0] // keep the grown backing array for the next command
-	pl.dev.copyToGuest(cmd, data)
+	pl.sg = pl.dev.appendSG(pl.sg[:0], cmd, int64(len(data)))
+	pl.m.Mem.Scatter(pl.sg, data)
 }
 
 // InsertWrite implements Mediator: background-copy multiplexing.

@@ -12,17 +12,16 @@ import (
 // Handle, which stays valid (as a guaranteed no-op) after the record is
 // recycled.
 type event struct {
-	when     Time
-	seq      uint64 // schedule order; 0 once fired (invalidates handles)
-	fn       func()
-	index    int32 // position in the kernel's heap, -1 when not queued
-	canceled bool
+	when  Time
+	seq   uint64 // schedule order; 0 once fired or canceled (invalidates handles)
+	fn    func()
+	index int32 // position in the kernel's heap, -1 when not queued
 }
 
 // Handle identifies a scheduled event so it can be canceled. The zero
 // Handle is inert. A Handle held past its event's firing is harmless:
 // the record's sequence number changes when the kernel recycles it, so a
-// stale Cancel or Canceled is a no-op rather than an aliased mutation of
+// stale Cancel or When is a no-op rather than an aliased mutation of
 // whatever event reuses the record.
 type Handle struct {
 	k   *Kernel
@@ -31,11 +30,11 @@ type Handle struct {
 }
 
 // live reports whether the handle still refers to the event it was issued
-// for (scheduled or canceled, but not yet fired and recycled).
+// for: scheduled, and neither fired nor canceled.
 func (h Handle) live() bool { return h.e != nil && h.e.seq == h.seq }
 
 // When reports the instant the event is scheduled to fire, or zero once
-// the event has fired.
+// the event has fired or been canceled.
 func (h Handle) When() Time {
 	if !h.live() {
 		return 0
@@ -43,32 +42,13 @@ func (h Handle) When() Time {
 	return h.e.when
 }
 
-// Cancel prevents the event from firing, removing it from the event heap
-// immediately (no tombstone is left behind). Canceling an already-fired or
+// Cancel prevents the event from firing: it removes the event from the
+// heap and recycles its record at once, so no tombstone is left behind.
+// The record may serve another event straight away; the handle, whose
+// sequence number no longer matches, stays inert. Canceling a fired or
 // already-canceled event is a no-op.
 func (h Handle) Cancel() {
-	if !h.live() || h.e.canceled {
-		return
-	}
-	h.e.canceled = true
-	if h.e.index >= 0 {
-		h.k.remove(h.e)
-	}
-	// Canceled records are left to the garbage collector rather than
-	// recycled, so Canceled() keeps answering truthfully for this handle.
-	h.e.fn = nil
-}
-
-// Canceled reports whether Cancel was called before the event fired.
-func (h Handle) Canceled() bool { return h.live() && h.e.canceled }
-
-// discard removes a pending event from the heap and recycles its record
-// at once. Only the code that scheduled the event may call it: the record
-// may serve another event straight away, so unlike Cancel it leaves
-// nothing for a later Canceled to read. Discarding a fired, canceled or
-// discarded event is a no-op.
-func (h Handle) discard() {
-	if !h.live() || h.e.index < 0 {
+	if !h.live() {
 		return
 	}
 	k, e := h.k, h.e
@@ -82,7 +62,7 @@ func (h Handle) discard() {
 type Kernel struct {
 	now      Time
 	heap     []*event  // 4-ary min-heap ordered by (when, seq)
-	free     []*event  // recycled fired records, reused by At
+	free     []*event  // recycled fired and canceled records, reused by At
 	xfree    []*xevent // recycled post delivery records (shard.go)
 	seq      uint64
 	queued   int // stream entries queued behind their stream's head (stream.go)
@@ -163,7 +143,7 @@ func (k *Kernel) schedule(t Time, seq uint64, fn func()) Handle {
 	} else {
 		e = &event{}
 	}
-	e.when, e.seq, e.fn, e.canceled = t, seq, fn, false
+	e.when, e.seq, e.fn = t, seq, fn
 	k.push(e)
 	return Handle{k: k, e: e, seq: seq}
 }

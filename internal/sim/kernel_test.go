@@ -44,8 +44,17 @@ func TestEventCancel(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !e.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	// Cancel recycles the record at once: the next event reuses it, and a
+	// second Cancel through the old handle must not touch that event.
+	fresh := false
+	k.After(Second, func() { fresh = true })
+	e.Cancel()
+	if e.When() != 0 {
+		t.Fatal("canceled handle reports a scheduled instant")
+	}
+	k.Run()
+	if !fresh {
+		t.Fatal("repeated Cancel killed the event that reused the record")
 	}
 }
 
@@ -224,9 +233,6 @@ func TestStaleHandleIsInert(t *testing.T) {
 	fired := false
 	fresh := k.After(Millisecond, func() { fired = true }) // reuses the record
 	stale.Cancel()
-	if stale.Canceled() {
-		t.Fatal("stale handle reports Canceled")
-	}
 	if stale.When() != 0 {
 		t.Fatal("stale handle reports a scheduled instant")
 	}

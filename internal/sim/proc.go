@@ -217,7 +217,7 @@ func (p *Proc) WaitCond(s *Signal, cond func() bool) {
 // timedWaiter is a process's reusable WaitTimeout state: the waiter record,
 // the signal and timer of the current round, and the cached timeout
 // callback. A round's timer is still live when the process resumes only
-// if the signal won; the process then discards it, so no dead timer is
+// if the signal won; the process then cancels it, so no dead timer is
 // left in the heap. When the timer wins, the kernel has already recycled
 // its record.
 type timedWaiter struct {
@@ -257,7 +257,7 @@ func (p *Proc) WaitTimeout(s *Signal, d Duration) bool {
 		})
 		p.park()
 		fired := timer.live()
-		timer.discard()
+		timer.Cancel()
 		return fired
 	}
 	t.s, w.done = s, false
@@ -265,7 +265,7 @@ func (p *Proc) WaitTimeout(s *Signal, d Duration) bool {
 	t.timer = p.k.After(d, t.timeout)
 	p.park()
 	fired := t.timer.live()
-	t.timer.discard()
+	t.timer.Cancel()
 	return fired
 }
 
