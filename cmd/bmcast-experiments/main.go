@@ -54,7 +54,7 @@ func main() {
 	fleetN := flag.Int("fleet", 0, "override the fleet cell's instance count (0 = scale default)")
 	imageMB := flag.Int64("image-mb", 0, "override the OS image size in MB (0 = scale default)")
 	bootMB := flag.Int64("boot-mb", 0, "override the guest boot bytes in MB for the fleet cell (0 = calibrated profile)")
-	shards := flag.Int("shards", 0, "give every node of the fleet and elasticity cells its own shard domain, run by up to N workers (0 = one domain; output is byte-identical at every N >= 1)")
+	shards := flag.Int("shards", 0, "give every node of the fleet and elasticity cells its own shard domain when N > 0 (0 = one domain; output is byte-identical at every N >= 1)")
 	flag.Parse()
 
 	if *list {

@@ -9,11 +9,11 @@
 //	           [-faults SCHEDULE] [-tenants PROFILE [-storm STORM] [-pool N]]
 //	           [-shards N] [-cpuprofile FILE] [-memprofile FILE]
 //
-// -shards N picks the shard executor's partition and worker count
-// (DESIGN.md §13). At 0 the testbed is one domain; at N >= 1 it is one
-// domain per node plus a hub, executed by up to N workers. Output —
-// stdout, trace JSON, metrics — is byte-identical at every N >= 1 for a
-// given seed; it differs from the one-domain partition at -shards 0,
+// -shards N picks the shard executor's partition (DESIGN.md §13); only
+// zero versus non-zero matters. At 0 the testbed is one domain; at N >= 1
+// it is one domain per node plus a hub, stepped in barrier windows on one
+// goroutine. Output — stdout, trace JSON, metrics — is therefore
+// byte-identical at every N >= 1 for a given seed; it differs from the one-domain partition at -shards 0,
 // whose node-to-hub deliveries are not quantized to a window, so compare
 // per-node runs with per-node runs. -cpuprofile and -memprofile write pprof
 // profiles of the run (parity with bmcast-experiments).
@@ -141,7 +141,7 @@ func main() {
 	tenantsFlag := flag.String("tenants", "", "elastic control-plane mode: tenant traffic profile, e.g. 'rate=0.25,dur=4m0s,hold=10s,deadline=40s', or 'default'")
 	stormFlag := flag.String("storm", "", "fault storm for -tenants mode, e.g. 'at=1m0s,for=30s,links=node0.vmm+node1.vmm,server=server,crashes=2', or 'default'")
 	pool := flag.Int("pool", 0, "machine pool size for -tenants mode (0 = cell default)")
-	shards := flag.Int("shards", 0, "give every node its own shard domain, run by up to N workers (0 = one domain)")
+	shards := flag.Int("shards", 0, "give every node its own shard domain when N > 0 (0 = one domain; every N >= 1 runs the same schedule)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the run to `file`")
 	flag.Parse()

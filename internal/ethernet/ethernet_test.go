@@ -206,7 +206,7 @@ func TestSwitchScheduleSameOnShardSet(t *testing.T) {
 
 	// One domain per station; the window equals the switch latency, the
 	// shortest cross-domain hop, so no arrival is clamped to a barrier.
-	set := sim.NewShardSet(1, 1, latency)
+	set := sim.NewShardSet(1, latency)
 	doms := []*sim.Kernel{set.NewDomain("a"), set.NewDomain("b"), set.NewDomain("c")}
 	sharded := exchange(NewSwitch(doms[0], "sw", latency), doms, func() { set.Run(nil) })
 

@@ -36,9 +36,9 @@ const (
 // server crash/restart cycles and media-error bursts.
 func ElasticStorm() faults.StormConfig {
 	return faults.StormConfig{
-		At:  elasticStormAt,
-		For: elasticStormFor,
-		Links: []string{"node0.vmm", "node1.vmm", "node2.vmm"},
+		At:     elasticStormAt,
+		For:    elasticStormFor,
+		Links:  []string{"node0.vmm", "node1.vmm", "node2.vmm"},
 		Server: "server", Crashes: 2,
 		MediaErrs: 2, MediaErrLBA: 0, MediaErrCount: 64,
 	}
@@ -79,16 +79,16 @@ type ElasticityPhase struct {
 type ElasticityResult struct {
 	Phases []ElasticityPhase
 
-	Generated     int64
-	Completed     int64
-	SubmittedReqs int
-	Redeploys     int64
-	Quarantines   int64
-	Probes        int64
-	ShedTotal     int64
-	MaxQueueDepth int
-	Pool          int
-	FreeAtEnd     int
+	Generated        int64
+	Completed        int64
+	SubmittedReqs    int
+	Redeploys        int64
+	Quarantines      int64
+	Probes           int64
+	ShedTotal        int64
+	MaxQueueDepth    int
+	Pool             int
+	FreeAtEnd        int
 	QuarantinedAtEnd int
 
 	Storm   faults.StormConfig

@@ -47,13 +47,12 @@ type Options struct {
 	// (0 = the calibrated default profile).
 	BootBytes int64
 
-	// Shards picks the fleet and elasticity cells' partition and worker
-	// count (DESIGN.md §13): 0 is the one-domain partition; Shards > 0
-	// gives every node its own domain beside a hub, executed by up to
-	// Shards workers. Output is byte-identical at every Shards value ≥ 1;
-	// it differs from the one-domain partition, whose node-to-hub
-	// deliveries are not quantized to a window, so compare per-node runs
-	// with per-node runs.
+	// Shards picks the fleet and elasticity cells' partition (DESIGN.md
+	// §13); only zero versus non-zero matters. 0 is the one-domain
+	// partition; Shards > 0 gives every node its own domain beside a hub,
+	// so output is byte-identical at every Shards value ≥ 1. It differs
+	// from the one-domain partition, whose node-to-hub deliveries are not
+	// quantized to a window, so compare per-node runs with per-node runs.
 	Shards int
 
 	// observe, when set, receives each fleet-cell testbed's trace

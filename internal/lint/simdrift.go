@@ -26,8 +26,7 @@ var simdriftForbidden = map[string]bool{
 // with two or more live communication cases.
 //
 // The sim kernel serializes all model execution onto one logical thread
-// and advances a virtual clock; byte-identical same-seed traces — and
-// the ROADMAP's planned parallel kernel, which shards that loop — depend
+// and advances a virtual clock; byte-identical same-seed traces depend
 // on no model code racing the Go scheduler. A `go` statement hands
 // ordering to the runtime, a timer wakes on machine speed, and a
 // multi-case select resolves readiness ties by coin flip. The two

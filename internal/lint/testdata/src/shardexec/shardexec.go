@@ -1,10 +1,11 @@
-// Fixture for the simdrift analyzer modeling the parallel shard
-// executor's shape (internal/sim/shard.go): OS-thread worker goroutines
-// coordinated by atomic epochs. The executor itself is legitimate
-// concurrency inside a sim package — worker count cannot affect the
-// window schedule, so it carries a reasoned //bmcast:allow — but the
-// same shape WITHOUT the directive must be flagged: an unannotated
-// goroutine in sim code is exactly the drift the analyzer exists for.
+// Fixture for the simdrift analyzer modeling a parallel shard
+// executor's shape (a helper-worker pool over barrier windows):
+// OS-thread worker goroutines coordinated by atomic epochs. Such an
+// executor is legitimate concurrency inside a sim package when worker
+// count cannot affect the window schedule, so it carries a reasoned
+// //bmcast:allow — but the same shape WITHOUT the directive must be
+// flagged: an unannotated goroutine in sim code is exactly the drift the
+// analyzer exists for.
 package fixture
 
 import (

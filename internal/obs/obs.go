@@ -101,9 +101,9 @@ type Source struct {
 type Anomaly struct {
 	Node        string  `json:"node"`
 	ID          int64   `json:"instance"`
-	DeltaPct    float64 `json:"delta_pct"`      // % over fleet median
-	TopBucket   string  `json:"top_bucket"`     // largest bucket excess vs median
-	TopSharePct float64 `json:"top_share_pct"`  // share of the delta it explains
+	DeltaPct    float64 `json:"delta_pct"`     // % over fleet median
+	TopBucket   string  `json:"top_bucket"`    // largest bucket excess vs median
+	TopSharePct float64 `json:"top_share_pct"` // share of the delta it explains
 }
 
 // Report is the full analysis output.

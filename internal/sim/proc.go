@@ -19,9 +19,9 @@ import (
 // resumed the process, with the same panic value, on the goroutine that
 // made that call, where recover can catch it; runtime.Goexit (t.Fatal, for
 // one) likewise exits that goroutine. Inside a ShardSet the panic or Goexit
-// reaches the caller of ShardSet.Run or RunUntil the same way, whichever
-// worker ran the window. The re-raised panic does not carry the body's
-// stack, and the kernel is not usable afterwards.
+// reaches the caller of ShardSet.Run or RunUntil the same way. The
+// re-raised panic does not carry the body's stack, and the kernel is not
+// usable afterwards.
 type Proc struct {
 	k    *Kernel
 	name string
@@ -64,8 +64,9 @@ const maxIdleCarriers = 1024
 
 // carriers is the process-wide pool of idle carriers. It is shared by
 // every kernel, so it is bounded by peak process concurrency rather than
-// by the number of kernels ever built, and it is locked because shard
-// workers spawn and retire processes concurrently. An idle carrier holds
+// by the number of kernels ever built, and it is locked because kernels
+// on different goroutines (the experiment runner's cells, parallel tests)
+// spawn and retire processes concurrently. An idle carrier holds
 // no reference to a process or kernel, and which carrier runs which
 // process is invisible to the simulation.
 var carriers struct {

@@ -3,37 +3,39 @@ package sim
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync/atomic"
 )
 
-// This file is the conservative parallel executor: a ShardSet partitions a
+// This file is the conservative windowed executor: a ShardSet partitions a
 // scenario into domains (one kernel each) that execute windows of virtual
-// time in parallel and exchange timestamped cross-domain events at window
-// barriers. The serial schedule is the one-domain partition (NewSerialSet),
-// on which every event is a barrier.
+// time and exchange timestamped cross-domain events at window barriers.
+// Each window runs its domains one after another, in domain order, on the
+// caller's goroutine. The serial schedule is the one-domain partition
+// (NewSerialSet), on which every event is a barrier.
 //
 // Determinism contract (DESIGN.md §13). The partition and the window grid
-// are properties of the *model* (fixed at build time), not of the executor:
-// a ShardSet built the same way always runs the same domains over the same
-// window sequence and merges cross-domain posts in the same canonical
-// (time, source domain, source sequence) order, regardless of how many OS
-// workers execute the windows. Worker count therefore cannot influence any
-// simulation outcome — same seed ⇒ byte-identical traces, metrics, and
-// stdout at any -shards value — because within a window domains share no
-// mutable state (everything crossing a boundary goes through Post).
+// are properties of the *model* (fixed at build time): a ShardSet built the
+// same way always runs the same domains over the same window sequence and
+// merges cross-domain posts in the same canonical (time, source domain,
+// source sequence) order. Within a window domains share no mutable state
+// (everything crossing a boundary goes through Post), so no domain can
+// observe another's progress inside a window, and same seed ⇒
+// byte-identical traces, metrics and stdout.
 //
 // Conservatism. A post sent at local time t is delivered no earlier than
 // the end of the window that sent it. When the window width W is at most
 // the minimum cross-domain latency L (link propagation + switch latency),
 // this is exactly the Chandy-Misra-Bryant lookahead argument: the send
 // completes in [T, T+W) and the natural arrival t+L ≥ T+L ≥ T+W, so the
-// clamp never moves an arrival and the parallel run is event-for-event the
+// clamp never moves an arrival and the windowed run is event-for-event the
 // sequential schedule. With W > L, boundary deliveries quantize up to the
 // next window edge — a documented modeling choice (the grid is part of the
-// scenario) that buys W/L fewer barriers; the quantization is identical at
-// every shard count, so determinism is unaffected.
+// scenario) that buys W/L fewer barriers.
+//
+// Windows run on one goroutine: on the per-node fleet partition the hub
+// domain bounds a parallel speedup at about 2×, and with real barriers
+// parallel windows ran slower than this loop on every host measured
+// (DESIGN.md §13).
 
 // XHandler consumes a cross-domain payload on the destination kernel, the
 // typed (allocation-free) alternative to posting a closure.
@@ -66,155 +68,29 @@ type shardDomain struct {
 	id     int32
 	outbox []xpost
 	seq    uint64
-
-	// failed and failure record a panic or runtime.Goexit that escaped
-	// this domain's window in a parallel window, for the coordinator to
-	// re-raise after the barrier. failure is the panic value, nil for
-	// Goexit.
-	failed  bool
-	failure any
 }
 
 // ShardSet runs a fixed partition of kernels ("domains") under the
 // barrier-window protocol. Build every domain with NewDomain before the
 // first Run; the partition must not change afterwards.
 type ShardSet struct {
-	seed       int64
-	window     Duration // barrier width W; 0 marks a serial set
-	reqWorkers int
-	domains    []*Kernel
+	seed    int64
+	window  Duration // barrier width W; 0 marks a serial set
+	domains []*Kernel
 
 	frontier  Time // end of the last executed window
 	windowEnd Time // end of the window currently executing
 
-	scratch []xpost   // barrier merge buffer, reused across windows
-	active  []*Kernel // domains live in the window currently executing
-
-	// Worker coordination. The epoch counter releases workers into a
-	// parallel window; nextDom hands out domains (work stealing); done
-	// counts completed domains. A worker may lag arbitrarily — it can
-	// attempt to join a window whose barrier has already closed — so
-	// access to the window state (active, windowEnd, the counters) is
-	// gated: a worker must win tryEnter before touching anything, and
-	// the coordinator sets the closed bit and drains all entrants out
-	// before it rewrites the state for the next window. The gate reuses
-	// the same fields every window, keeping the steady state allocation
-	// free. These atomics also give the race detector its
-	// happens-before edges.
-	epoch   atomic.Uint64
-	nextDom atomic.Int64
-	done    atomic.Int64
-	gate    atomic.Uint64 // gateClosed bit | count of workers entered
-	exits   atomic.Uint64 // workers that entered and left the window
+	scratch []xpost // barrier merge buffer, reused across windows
 }
 
-// gateClosed marks the window gate shut: tryEnter fails, so the
-// coordinator may rewrite window state once every prior entrant exited.
-const gateClosed = uint64(1) << 63
-
-// tryEnter registers the caller as a worker inside the current window.
-// It fails when the gate is closed (the window's barrier already
-// completed, or the next window is still being set up).
-func (s *ShardSet) tryEnter() bool {
-	for {
-		v := s.gate.Load()
-		if v&gateClosed != 0 {
-			return false
-		}
-		if s.gate.CompareAndSwap(v, v+1) {
-			return true
-		}
-	}
-}
-
-// closeGate shuts the window gate and returns how many workers entered.
-func (s *ShardSet) closeGate() uint64 {
-	for {
-		v := s.gate.Load()
-		if s.gate.CompareAndSwap(v, v|gateClosed) {
-			return v &^ gateClosed
-		}
-	}
-}
-
-// work executes domains from the shared hand-out counter until none
-// remain. Which worker runs which domain is immaterial: domains are
-// independent within a window and the barrier merge is order-canonical.
-func (s *ShardSet) work() {
-	for {
-		i := s.nextDom.Add(1) - 1
-		if i >= int64(len(s.active)) {
-			return
-		}
-		s.runDomain(s.active[i])
-	}
-}
-
-// runDomain runs one domain's window in a parallel window. A panic or
-// runtime.Goexit out of the window is recorded on the domain rather than
-// left to end the worker: the domain still counts as done, so the barrier
-// completes, and the coordinator re-raises the failure afterwards. A
-// Goexit still ends the worker goroutine it ran on.
-func (s *ShardSet) runDomain(k *Kernel) {
-	returned := false
-	defer func() {
-		if !returned {
-			k.dom.failed, k.dom.failure = true, recover()
-		}
-		s.done.Add(1)
-	}()
-	k.runWindow(s.windowEnd)
-	returned = true
-}
-
-// helpWindow is a helper worker's share of a window it entered. The exit
-// is counted even when a domain's Goexit ends the worker.
-func (s *ShardSet) helpWindow() {
-	defer s.exits.Add(1)
-	s.work()
-}
-
-// awaitBarrier waits until every active domain ran its window, then shuts
-// the gate and waits out every worker that made it inside, so none can
-// touch window state after the barrier.
-func (s *ShardSet) awaitBarrier() {
-	for s.done.Load() < int64(len(s.active)) {
-		runtime.Gosched()
-	}
-	for entered := s.closeGate(); s.exits.Load() < entered; {
-		runtime.Gosched()
-	}
-}
-
-// raiseFailure re-raises, on the coordinator, the failure of the first
-// active domain (in domain order) whose window panicked or called
-// runtime.Goexit, so the caller of Run sees what a serial run would show.
-func (s *ShardSet) raiseFailure() {
-	for _, k := range s.active {
-		if d := k.dom; d.failed {
-			if d.failure == nil {
-				runtime.Goexit()
-			}
-			panic(d.failure)
-		}
-	}
-}
-
-// NewShardSet returns an empty shard set. workers is the requested
-// parallelism (the -shards value); the executor clamps the live worker
-// count to GOMAXPROCS at Run time, which is invisible to results. window
-// is the barrier width W; see the package comment for how W relates to
-// cross-domain latency.
-func NewShardSet(seed int64, workers int, window Duration) *ShardSet {
-	if workers < 1 {
-		workers = 1
-	}
+// NewShardSet returns an empty shard set. window is the barrier width W;
+// see the package comment for how W relates to cross-domain latency.
+func NewShardSet(seed int64, window Duration) *ShardSet {
 	if window <= 0 {
 		panic("sim: shard window must be positive")
 	}
-	s := &ShardSet{seed: seed, reqWorkers: workers, window: window}
-	s.gate.Store(gateClosed) // no window is executing yet
-	return s
+	return &ShardSet{seed: seed, window: window}
 }
 
 // NewSerialSet returns the one-domain partition: a set whose only domain
@@ -223,7 +99,7 @@ func NewShardSet(seed int64, workers int, window Duration) *ShardSet {
 // one at a time and checks stop after each (every event is a barrier).
 // A serial set has no window grid and takes no further domains.
 func NewSerialSet(seed int64) *ShardSet {
-	s := &ShardSet{seed: seed, reqWorkers: 1}
+	s := &ShardSet{seed: seed}
 	k := New(seed)
 	k.dom = &shardDomain{set: s}
 	s.domains = []*Kernel{k}
@@ -363,65 +239,15 @@ func (s *ShardSet) Run(stop func() bool) {
 
 // RunUntil executes barrier windows until the frontier reaches horizon,
 // stop reports true, or the set is quiescent. A serial set (NewSerialSet)
-// checks stop after every event. A panic or runtime.Goexit
-// in a domain's window reaches the caller's goroutine, whichever worker
-// ran that window; the set is not usable afterwards.
+// checks stop after every event. Each window runs its domains one after
+// another in domain order on the caller's goroutine, so a panic or
+// runtime.Goexit in a domain unwinds through RunUntil as it would through
+// Kernel.Run; the set is not usable afterwards.
 func (s *ShardSet) RunUntil(horizon Time, stop func() bool) {
 	if s.window == 0 {
 		s.runSerial(horizon, stop)
 		return
 	}
-	workers := s.reqWorkers
-	if max := runtime.GOMAXPROCS(0); workers > max {
-		// Fewer live workers than requested shards: pure execution policy,
-		// invisible to simulation results (see determinism contract).
-		workers = max
-	}
-	if workers > len(s.domains) {
-		workers = len(s.domains)
-	}
-
-	var quit atomic.Bool
-	inWindow := false // a parallel window is open
-	if workers > 1 {
-		// The helper workers exist only inside this call. They spin through
-		// barrier phases (with Gosched so a loaded scheduler still makes
-		// progress) because windows are short and dense; parking them on
-		// channels would cost a wake per worker per window.
-		for w := 1; w < workers; w++ {
-			go func() { //bmcast:allow simdrift shard executor workers: domains are handed out via atomics and each kernel window runs on exactly one worker
-				last := s.epoch.Load()
-				for {
-					e := s.epoch.Load()
-					if quit.Load() {
-						return
-					}
-					if e == last {
-						runtime.Gosched()
-						continue
-					}
-					last = e
-					// A failed enter means the window already closed
-					// without us (it was drained by the others) or is
-					// mid-setup; the next epoch bump will re-release us.
-					if s.tryEnter() {
-						s.helpWindow()
-					}
-				}
-			}()
-		}
-		defer quit.Store(true)
-		defer func() {
-			if inWindow {
-				// A domain the coordinator ran called runtime.Goexit. The
-				// helpers may have missed this window, so the coordinator
-				// finishes it before the helpers are released.
-				s.work()
-				s.awaitBarrier()
-			}
-		}()
-	}
-
 	for stop == nil || !stop() {
 		// Find the next populated window. Every event and undelivered post
 		// is at or after the frontier, so the grid floor of the earliest
@@ -443,31 +269,11 @@ func (s *ShardSet) RunUntil(horizon Time, stop func() bool) {
 		T := Time(int64(t) - int64(t)%int64(s.window))
 		end := T.Add(s.window)
 		s.windowEnd = end
-
-		s.active = s.active[:0]
+		// A domain with nothing before end returns at once, and posts
+		// land only at the barrier, so no domain's window depends on the
+		// domains run before it.
 		for _, k := range s.domains {
-			if w, kok := k.nextWhen(); kok && w < end {
-				s.active = append(s.active, k)
-			}
-		}
-		if workers > 1 && len(s.active) > 1 {
-			// The gate is closed and drained here (initial state, or the
-			// previous parallel barrier), so no worker can observe the
-			// resets or the window state rewritten above.
-			s.nextDom.Store(0)
-			s.done.Store(0)
-			s.exits.Store(0)
-			s.gate.Store(0) // open the window
-			s.epoch.Add(1)  // release workers into it
-			inWindow = true
-			s.work() // the coordinator is a worker too
-			s.awaitBarrier()
-			inWindow = false
-			s.raiseFailure()
-		} else {
-			for _, k := range s.active {
-				k.runWindow(end)
-			}
+			k.runWindow(end)
 		}
 		s.frontier = end
 		s.mergePosts()

@@ -6,110 +6,13 @@ import (
 	"testing"
 )
 
-// shardPingModel builds a small set of domains that exchange posts on a
-// fixed cadence and records a log line per delivery. Each domain appends
-// to its own log — domains share no mutable state within a window, the
-// same contract every real model obeys — and run() concatenates the logs
-// in domain order after quiescence. The merged log is the byte-identity
-// proxy: any ordering or timing difference between runs shows up as a
-// diff. (A single shared log slice would itself be a data race between
-// concurrently executing windows, and its append order would reflect
-// worker scheduling — exactly what the contract excludes from the model.)
-func shardPingModel(workers int, window Duration) (s *ShardSet, run func() []string) {
-	s = NewShardSet(42, workers, window)
-	const n = 5
-	doms := make([]*Kernel, n)
-	for i := 0; i < n; i++ {
-		doms[i] = s.NewDomain(fmt.Sprintf("d%d", i))
-	}
-	logs := make([][]string, n)
-	for i := 0; i < n; i++ {
-		i := i
-		k := doms[i]
-		var tick func()
-		count := 0
-		tick = func() {
-			count++
-			logs[i] = append(logs[i], fmt.Sprintf("d%d tick %d at %v rng %d", i, count, k.Now(), k.Rand().Intn(1000)))
-			// Fan a post to every other domain, arriving one window out.
-			for j := 0; j < n; j++ {
-				if j == i {
-					continue
-				}
-				j := j
-				from, tc := i, count
-				k.PostDeliver(doms[j], k.Now().Add(2*Microsecond), xfunc(func(any) {
-					logs[j] = append(logs[j], fmt.Sprintf("d%d got d%d/%d at %v", j, from, tc, doms[j].Now()))
-				}), nil)
-			}
-			if count < 8 {
-				k.After(Duration(50+10*i)*Microsecond, tick)
-			}
-		}
-		k.After(Duration(10*(i+1))*Microsecond, tick)
-	}
-	run = func() []string {
-		s.Run(nil)
-		var merged []string
-		for _, l := range logs {
-			merged = append(merged, l...)
-		}
-		return merged
-	}
-	return s, run
-}
-
 // xfunc adapts a func to XHandler for tests.
 type xfunc func(payload any)
 
 func (f xfunc) XDeliver(payload any) { f(payload) }
 
-func TestShardWorkerCountInvariance(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var want []string
-	for _, workers := range []int{1, 2, 4, 8} {
-		// Force real parallel execution even on a single-CPU machine so
-		// the worker pool itself is exercised (and race-checked).
-		runtime.GOMAXPROCS(4)
-		_, run := shardPingModel(workers, 100*Microsecond)
-		log := run()
-		if workers == 1 {
-			want = log
-			continue
-		}
-		if len(log) != len(want) {
-			t.Fatalf("workers=%d: got %d log lines, want %d", workers, len(log), len(want))
-		}
-		for i := range want {
-			if log[i] != want[i] {
-				t.Fatalf("workers=%d: line %d = %q, want %q", workers, i, log[i], want[i])
-			}
-		}
-	}
-	if len(want) == 0 {
-		t.Fatal("model produced no log lines")
-	}
-}
-
-func TestShardWindowInvariantUnderWorkers(t *testing.T) {
-	// Different window widths are allowed to produce different schedules
-	// (the grid is part of the model); the same width must not.
-	_, run1 := shardPingModel(1, 2*Microsecond)
-	log1 := run1()
-	_, run2 := shardPingModel(3, 2*Microsecond)
-	log2 := run2()
-	if len(log1) != len(log2) {
-		t.Fatalf("log lengths differ: %d vs %d", len(log1), len(log2))
-	}
-	for i := range log1 {
-		if log1[i] != log2[i] {
-			t.Fatalf("line %d differs:\n  %q\n  %q", i, log1[i], log2[i])
-		}
-	}
-}
-
 func TestShardPostClamp(t *testing.T) {
-	s := NewShardSet(1, 1, 100*Microsecond)
+	s := NewShardSet(1, 100*Microsecond)
 	a := s.NewDomain("a")
 	b := s.NewDomain("b")
 	var got Time
@@ -126,7 +29,7 @@ func TestShardPostClamp(t *testing.T) {
 func TestShardPostMergeOrder(t *testing.T) {
 	// Same-timestamp posts from different domains must deliver in domain
 	// order regardless of which domain's window ran first.
-	s := NewShardSet(1, 1, 10*Microsecond)
+	s := NewShardSet(1, 10*Microsecond)
 	a := s.NewDomain("a")
 	b := s.NewDomain("b")
 	c := s.NewDomain("c")
@@ -154,7 +57,7 @@ func TestShardPostMergeOrder(t *testing.T) {
 func TestShardQuiescenceFastForward(t *testing.T) {
 	// A long idle gap must be skipped, not iterated window by window: the
 	// set jumps to the grid floor of the next event.
-	s := NewShardSet(7, 1, 100*Microsecond)
+	s := NewShardSet(7, 100*Microsecond)
 	a := s.NewDomain("a")
 	fired := false
 	a.At(Time(10*Second), func() { fired = true })
@@ -168,7 +71,7 @@ func TestShardQuiescenceFastForward(t *testing.T) {
 }
 
 func TestShardRunUntilHorizon(t *testing.T) {
-	s := NewShardSet(7, 1, 100*Microsecond)
+	s := NewShardSet(7, 100*Microsecond)
 	a := s.NewDomain("a")
 	fired := 0
 	a.At(Time(1*Millisecond), func() { fired++ })
@@ -275,7 +178,7 @@ func TestSerialSetStopsAfterEvent(t *testing.T) {
 
 func TestShardLocalPostIsImmediate(t *testing.T) {
 	// Posting to the local kernel is exact: no window clamp.
-	s := NewShardSet(1, 1, 100*Microsecond)
+	s := NewShardSet(1, 100*Microsecond)
 	a := s.NewDomain("a")
 	var got Time
 	a.At(Time(10*Microsecond), func() {
@@ -328,28 +231,27 @@ func TestStandalonePostToSelfZeroAlloc(t *testing.T) {
 }
 
 func TestShardDomainSeedsIndependent(t *testing.T) {
-	s := NewShardSet(99, 1, 100*Microsecond)
+	s := NewShardSet(99, 100*Microsecond)
 	a := s.NewDomain("a")
 	b := s.NewDomain("b")
-	if a.Rand().Int63() == b.Rand().Int63() {
+	first := a.Rand().Int63()
+	if first == b.Rand().Int63() {
 		t.Fatal("domain RNG streams coincide")
 	}
 	// Rebuilding the set reproduces the same streams.
-	s2 := NewShardSet(99, 4, 100*Microsecond)
+	s2 := NewShardSet(99, 100*Microsecond)
 	a2 := s2.NewDomain("a")
-	if a2.Rand().Int63() == 0 {
-		t.Fatal("degenerate seed")
+	if got := a2.Rand().Int63(); got != first {
+		t.Fatalf("rebuilt domain draws %d, want %d", got, first)
 	}
 }
 
 // shardProcModel runs two processes in every domain: a sleeper whose
 // sleeps span barrier windows and who posts to the next domain on each
-// wake, and a waiter parked on a signal that those posts broadcast. With
-// more than one worker, successive windows of a domain run on whichever
-// worker claims it, so each process coroutine is resumed from different
-// goroutines over its life. It returns the per-domain logs concatenated
-// in domain order, and the frontier the set reached.
-func shardProcModel(workers int, window Duration) ([]string, Time) {
+// wake, and a waiter parked on a signal that those posts broadcast. It
+// returns the per-domain logs concatenated in domain order, and the
+// frontier the set reached.
+func shardProcModel(window Duration) ([]string, Time) {
 	const n, rounds = 4, 60
 	type domain struct {
 		k     *Kernel
@@ -357,7 +259,7 @@ func shardProcModel(workers int, window Duration) ([]string, Time) {
 		got   int
 		log   []string
 	}
-	s := NewShardSet(5, workers, window)
+	s := NewShardSet(5, window)
 	doms := make([]*domain, n)
 	for i := range doms {
 		k := s.NewDomain(fmt.Sprintf("d%d", i))
@@ -393,32 +295,19 @@ func shardProcModel(workers int, window Duration) ([]string, Time) {
 
 func TestShardProcsInsideDomains(t *testing.T) {
 	// Processes must work inside domain windows, including sleeps and
-	// waits that span windows and resumes from different workers. Run
-	// under -race -cpu 1,2,4 so the parallel windows really interleave.
+	// waits that span windows.
 	const window = 50 * Microsecond
-	var want []string
-	for _, workers := range []int{1, 2, 4} {
-		log, end := shardProcModel(workers, window)
-		if len(log) != 4*2*60 {
-			t.Fatalf("workers=%d: got %d log lines, want %d", workers, len(log), 4*2*60)
-		}
-		if end < Time(100*window) {
-			t.Fatalf("workers=%d: run ended at %v, under 100 windows", workers, end)
-		}
-		if want == nil {
-			want = log
-			continue
-		}
-		for i := range want {
-			if log[i] != want[i] {
-				t.Fatalf("workers=%d: line %d = %q, want %q", workers, i, log[i], want[i])
-			}
-		}
+	log, end := shardProcModel(window)
+	if len(log) != 4*2*60 {
+		t.Fatalf("got %d log lines, want %d", len(log), 4*2*60)
+	}
+	if end < Time(100*window) {
+		t.Fatalf("run ended at %v, under 100 windows", end)
 	}
 }
 
 func BenchmarkShardWindow(b *testing.B) {
-	s := NewShardSet(1, 1, 100*Microsecond)
+	s := NewShardSet(1, 100*Microsecond)
 	doms := make([]*Kernel, 8)
 	for i := range doms {
 		doms[i] = s.NewDomain(fmt.Sprintf("d%d", i))
@@ -443,8 +332,8 @@ func BenchmarkShardWindow(b *testing.B) {
 
 // shardFailModel builds four domains whose processes all wake in the same
 // window; the ones in domains 2 and 3 then call fail.
-func shardFailModel(workers int, fail func(dom int)) *ShardSet {
-	s := NewShardSet(5, workers, 50*Microsecond)
+func shardFailModel(fail func(dom int)) *ShardSet {
+	s := NewShardSet(5, 50*Microsecond)
 	for i := 0; i < 4; i++ {
 		i := i
 		s.NewDomain(fmt.Sprintf("d%d", i)).Spawn("p", func(p *Proc) {
@@ -458,39 +347,31 @@ func shardFailModel(workers int, fail func(dom int)) *ShardSet {
 }
 
 func TestShardDomainPanicReachesCaller(t *testing.T) {
-	// A panic in a domain process reaches the caller of Run with the same
-	// value at every worker count, whichever worker ran the domain: the
-	// first failing domain in domain order wins.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	// A panic in a domain process reaches the caller of Run: the first
+	// failing domain in domain order wins.
 	type boom struct{ dom int }
-	for _, workers := range []int{1, 2, 4} {
-		s := shardFailModel(workers, func(dom int) { panic(boom{dom}) })
-		got := func() (r any) {
-			defer func() { r = recover() }()
-			s.Run(nil)
-			return nil
-		}()
-		if got != (boom{2}) {
-			t.Fatalf("workers=%d: Run panicked with %v, want %v", workers, got, boom{2})
-		}
+	s := shardFailModel(func(dom int) { panic(boom{dom}) })
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		s.Run(nil)
+		return nil
+	}()
+	if got != (boom{2}) {
+		t.Fatalf("Run panicked with %v, want %v", got, boom{2})
 	}
 }
 
 func TestShardDomainGoexitReachesCaller(t *testing.T) {
 	// runtime.Goexit in a domain process (t.Fatal inside a body, say)
-	// exits the goroutine that called Run instead of stranding the window
-	// barrier on a worker that is gone.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	for _, workers := range []int{1, 2, 4} {
-		returned := make(chan bool)
-		go func() { //bmcast:allow simdrift the goroutine under test must be exited by Goexit, which a test can only observe from outside it
-			ok := false
-			defer func() { returned <- ok }()
-			shardFailModel(workers, func(int) { runtime.Goexit() }).Run(nil)
-			ok = true
-		}()
-		if <-returned {
-			t.Fatalf("workers=%d: Run returned normally after a Goexit", workers)
-		}
+	// exits the goroutine that called Run.
+	returned := make(chan bool)
+	go func() { //bmcast:allow simdrift the goroutine under test must be exited by Goexit, which a test can only observe from outside it
+		ok := false
+		defer func() { returned <- ok }()
+		shardFailModel(func(int) { runtime.Goexit() }).Run(nil)
+		ok = true
+	}()
+	if <-returned {
+		t.Fatal("Run returned normally after a Goexit")
 	}
 }

@@ -11,10 +11,9 @@ import (
 // Shard-domain plumbing (DESIGN.md §13). Every testbed runs on one
 // ShardSet whose domain 0 is the hub (storage servers, control plane,
 // fault bookkeeping). Config.Shards picks the partition: at 0 the hub is
-// the only domain and every node runs on it; above 0 domain 1+i is node i,
-// and Shards only chooses how many workers execute the domains, which
-// cannot affect simulation output. The helpers below work on either
-// partition: a node on the hub kernel is reached directly.
+// the only domain and every node runs on it; above 0, whatever the value,
+// domain 1+i is node i. The helpers below work on either partition: a node
+// on the hub kernel is reached directly.
 
 // NodeKernel returns the shard-domain kernel node n runs on (the hub
 // kernel on the one-domain partition).
@@ -50,7 +49,7 @@ func (tb *Testbed) PostToHub(from *sim.Kernel, fn func()) {
 }
 
 // TraceMerged returns the whole-cluster trace: the hub lane and every node
-// lane merged in canonical order (lane contents are worker-count-invariant,
+// lane merged in canonical order (lane contents depend only on the seed,
 // so the merge is byte-stable), or nil when tracing is off. With no node
 // lanes (the one-domain partition) the hub lane is the whole trace and is
 // returned as is. Merge after the run — lanes must be quiescent.

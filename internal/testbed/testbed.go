@@ -95,12 +95,12 @@ type Config struct {
 	DiskSectors   int64 // 0 = full 500 GB testbed disk
 	EnableTrace   bool  // record structured spans/events (see Testbed.Trace)
 
-	// Shards picks the partition and the worker count (DESIGN.md §13).
-	// 0 is the one-domain partition: every node runs on the hub kernel,
-	// seeded with Seed, and stays on the InfiniBand fabric. Shards > 0
-	// gives the control plane and storage servers the hub domain and every
-	// node its own domain, executed by up to Shards workers; simulation
-	// output is byte-identical at every Shards value ≥ 1 for a given seed.
+	// Shards picks the partition (DESIGN.md §13); only zero versus
+	// non-zero matters. 0 is the one-domain partition: every node runs on
+	// the hub kernel, seeded with Seed, and stays on the InfiniBand fabric.
+	// Shards > 0 gives the control plane and storage servers the hub
+	// domain and every node its own domain, all stepped in barrier windows
+	// on the caller's goroutine, so every value ≥ 1 runs the same schedule.
 	Shards int
 }
 
@@ -135,7 +135,7 @@ func New(cfg Config) *Testbed {
 	}
 	var k *sim.Kernel
 	if tb.perNode {
-		tb.Set = sim.NewShardSet(cfg.Seed, cfg.Shards, DefaultShardWindow)
+		tb.Set = sim.NewShardSet(cfg.Seed, DefaultShardWindow)
 		k = tb.Set.NewDomain("hub")
 	} else {
 		tb.Set = sim.NewSerialSet(cfg.Seed)

@@ -31,9 +31,9 @@ func (r *Recorder) SetIDBase(base int64) {
 
 // Merge folds lanes into a single recorder in canonical order: spans by
 // (Start, ID), events by (Time, lane index, lane position). Lane
-// contents are worker-count-invariant under the sharded executor and
-// lane order is the fixed domain order, so the merged trace is
-// byte-stable for a given seed. The merged recorder is timed by clock
+// contents depend only on the seed and the partition, and lane order is
+// the fixed domain order, so the merged trace is byte-stable for a given
+// seed. The merged recorder is timed by clock
 // (typically a FixedClock at the set frontier); span pointers are shared
 // with the lanes, not copied.
 func Merge(clock Clock, lanes ...*Recorder) *Recorder {
