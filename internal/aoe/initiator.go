@@ -93,7 +93,14 @@ func (in *Initiator) Instrument(reg *metrics.Registry, tr *trace.Recorder, node 
 	reg.RegisterCounter("aoe.bytes_written", &in.BytesWritten, l)
 }
 
+// pendingReq is one request in flight. It runs as kernel callbacks: the
+// request owns its timed wait for progress (wait, on progress), whose
+// callback continues the request loop in the slot a process blocked in
+// WaitTimeout would have resumed in. A request completes by calling done
+// or, for the blocking Read and Write, by resuming the process parked on it.
 type pendingReq struct {
+	in         *Initiator
+	reqID      uint32
 	lba, count int64
 	frags      int
 	got        []bool
@@ -102,9 +109,19 @@ type pendingReq struct {
 	write      bool
 	src        disk.SectorSource // write data source
 	progress   *sim.Signal
+	wait       *sim.Waiter
 	err        error
 	cycled     int   // failovers consumed by this request (≤ len(targets)-1)
+	retries    int   // timeout rounds since the last progress
+	before     int   // gotCount when the current wait began
 	flowID     int64 // trace span ID stamped on outgoing frames (0 untraced)
+	sp         *trace.Span
+
+	done   func(disk.Payload, error) // callback completion
+	proc   *sim.Proc                 // blocking completion: the caller, until done
+	parked bool                      // proc is suspended on the request
+	out    disk.Payload              // blocking completion's result
+	outErr error
 }
 
 // newReq takes a request record from the pool (or allocates one) and sizes
@@ -122,22 +139,26 @@ func (in *Initiator) newReq(frags int) *pendingReq {
 		pr.parts = resetSlice(pr.parts, frags)
 		return pr
 	}
-	return &pendingReq{
+	pr := &pendingReq{
+		in:       in,
 		frags:    frags,
 		got:      make([]bool, frags),
 		parts:    make([]disk.Payload, frags),
 		progress: in.k.NewSignal("aoe.req"),
 	}
+	pr.wait = in.k.NewWaiter(pr.woken)
+	return pr
 }
 
-// release returns a completed record to the pool. Safe because run()
-// deletes the reqID from pending before returning, so late frames for the
-// old request can never touch the recycled record.
+// release returns a completed record to the pool. Safe because complete
+// deletes the reqID from pending first, so late frames for the old
+// request can never touch the recycled record.
 func (in *Initiator) release(pr *pendingReq) {
 	for i := range pr.parts {
 		pr.parts[i] = disk.Payload{} // drop payload sources for the GC
 	}
-	pr.src = nil
+	pr.src, pr.done, pr.parked = nil, nil, false
+	pr.out, pr.outErr = disk.Payload{}, nil
 	in.reqPool = append(in.reqPool, pr)
 }
 
@@ -323,83 +344,133 @@ func (in *Initiator) sendFragment(pr *pendingReq, reqID uint32, frag int) {
 	in.nic.Send(f)
 }
 
-// run executes a request to completion with retransmission, blocking the
-// calling process.
-func (in *Initiator) run(p *sim.Proc, pr *pendingReq) error {
-	reqID := in.nextReq
+// start issues a request: it registers the request, opens its round-trip
+// span under cause, sends every fragment and enters the request loop.
+func (in *Initiator) start(pr *pendingReq, cause *trace.Span) {
+	pr.reqID = in.nextReq
 	in.nextReq = (in.nextReq + 1) % (1 << (32 - tagFragBits))
-	in.pending[reqID] = pr
-	defer delete(in.pending, reqID)
+	in.pending[pr.reqID] = pr
 	in.Requests.Inc()
-	// Building span attributes boxes values even when no recorder is
-	// installed, so the uninstrumented hot path skips Begin entirely
-	// (End is nil-safe).
-	var sp *trace.Span
-	pr.flowID = 0
-	if in.tr != nil {
-		name := "read"
-		if pr.write {
-			name = "write"
-		}
-		sp = in.tr.BeginChild(trace.Cause(p), in.node, "aoe", name,
-			trace.Int("lba", pr.lba), trace.Int("count", pr.count), trace.Int("frags", int64(pr.frags)))
-		pr.flowID = sp.SpanID()
+	name := "read"
+	if pr.write {
+		name = "write"
 	}
-	defer sp.End()
-
+	pr.sp = in.tr.BeginChild(cause, in.node, "aoe", name,
+		trace.Int("lba", pr.lba), trace.Int("count", pr.count), trace.Int("frags", int64(pr.frags)))
+	pr.flowID = pr.sp.SpanID() // 0 untraced
 	for f := 0; f < pr.frags; f++ {
-		in.sendFragment(pr, reqID, f)
+		in.sendFragment(pr, pr.reqID, f)
 	}
-	retries := 0
+	pr.retries = 0
+	in.advance(pr)
+}
+
+// advance runs the request loop until the request completes or must wait
+// for progress.
+func (in *Initiator) advance(pr *pendingReq) {
 	for pr.gotCount < pr.frags {
 		if in.closed {
-			return fmt.Errorf("aoe: initiator closed with request %d incomplete (%d/%d fragments)",
-				reqID, pr.gotCount, pr.frags)
+			in.complete(pr, fmt.Errorf("aoe: initiator closed with request %d incomplete (%d/%d fragments)",
+				pr.reqID, pr.gotCount, pr.frags))
+			return
 		}
 		if pr.err != nil {
 			// The target answered with an error status. With a secondary
 			// configured, rotate to it and retry; otherwise fail the request.
 			if !in.failover(pr) {
-				return pr.err
+				in.complete(pr, pr.err)
+				return
 			}
 			pr.err = nil
-			retries = 0
-			in.retransmitMissing(pr, reqID)
+			pr.retries = 0
+			in.retransmitMissing(pr, pr.reqID)
 			continue
 		}
 		// Wait for progress; time out after 4×RTT of silence, doubling
 		// per retry round (exponential backoff keeps a loaded server
 		// from melting down under retransmit storms).
-		rto := 4 * in.rtt << uint(retries)
+		rto := 4 * in.rtt << uint(pr.retries)
 		if min := 2 * sim.Millisecond; rto < min {
 			rto = min
 		}
 		if max := 2 * sim.Second; rto > max {
 			rto = max
 		}
-		before := pr.gotCount
-		if p.WaitTimeout(pr.progress, rto) {
-			if pr.gotCount > before {
-				// Forward progress: the path is live again, so stop
-				// escalating — otherwise one early loss burst pins every
-				// later timeout in this request at the cap.
-				retries = 0
-			}
-			continue // a fragment (or an error) arrived
-		}
-		retries++
-		if retries > in.MaxRetries {
-			// The current target is unreachable. Fail over if a fresh
-			// target remains; otherwise surface the timeout.
-			if !in.failover(pr) {
-				return fmt.Errorf("aoe: request %d timed out after %d retries (%d/%d fragments)",
-					reqID, in.MaxRetries, pr.gotCount, pr.frags)
-			}
-			retries = 0
-		}
-		in.retransmitMissing(pr, reqID)
+		pr.before = pr.gotCount
+		pr.wait.WaitTimeout(pr.progress, rto)
+		return
 	}
-	return nil
+	in.complete(pr, nil)
+}
+
+// woken continues the request loop after a wait for progress: a fragment
+// or an error arrived (fired), or the RTO elapsed.
+func (pr *pendingReq) woken(fired bool) {
+	in := pr.in
+	if fired {
+		if pr.gotCount > pr.before {
+			// Forward progress: the path is live again, so stop
+			// escalating — otherwise one early loss burst pins every
+			// later timeout in this request at the cap.
+			pr.retries = 0
+		}
+		in.advance(pr)
+		return
+	}
+	pr.retries++
+	if pr.retries > in.MaxRetries {
+		// The current target is unreachable. Fail over if a fresh
+		// target remains; otherwise surface the timeout.
+		if !in.failover(pr) {
+			in.complete(pr, fmt.Errorf("aoe: request %d timed out after %d retries (%d/%d fragments)",
+				pr.reqID, in.MaxRetries, pr.gotCount, pr.frags))
+			return
+		}
+		pr.retries = 0
+	}
+	in.retransmitMissing(pr, pr.reqID)
+	in.advance(pr)
+}
+
+// complete ends a request: it closes the span, accounts the bytes and
+// hands the result to the blocked process or the done callback.
+func (in *Initiator) complete(pr *pendingReq, err error) {
+	delete(in.pending, pr.reqID)
+	pr.sp.End()
+	pr.sp = nil
+	var out disk.Payload
+	if err == nil {
+		if pr.write {
+			in.BytesWritten.Add(pr.count * disk.SectorSize)
+		} else {
+			in.BytesRead.Add(pr.count * disk.SectorSize)
+			out = in.assemble(pr)
+		}
+	}
+	if p := pr.proc; p != nil {
+		pr.proc, pr.out, pr.outErr = nil, out, err
+		if pr.parked {
+			p.Resume()
+		}
+		return
+	}
+	done := pr.done
+	in.release(pr)
+	done(out, err)
+}
+
+// await runs a request for the blocking Read and Write: the calling
+// process parks until the request's final step resumes it.
+func (in *Initiator) await(p *sim.Proc, pr *pendingReq) (disk.Payload, error) {
+	pr.proc = p
+	in.start(pr, trace.Cause(p))
+	if pr.proc != nil { // not completed at once
+		pr.parked = true
+		p.Suspend()
+	}
+	out, err := pr.out, pr.outErr
+	in.release(pr)
+	return out, err
 }
 
 // retransmitMissing resends every fragment not yet acknowledged.
@@ -413,20 +484,28 @@ func (in *Initiator) retransmitMissing(pr *pendingReq, reqID uint32) {
 }
 
 // Read fetches count sectors at lba from the target, blocking the process.
+// The round trip's span parents on the process's causal span.
 func (in *Initiator) Read(p *sim.Proc, lba, count int64) (disk.Payload, error) {
 	if count <= 0 {
 		return disk.Payload{}, fmt.Errorf("aoe: non-positive read count %d", count)
 	}
 	pr := in.newReq(Fragments(count, in.perFrame))
 	pr.lba, pr.count = lba, count
-	if err := in.run(p, pr); err != nil {
-		in.release(pr)
-		return disk.Payload{}, err
+	return in.await(p, pr)
+}
+
+// ReadAsync is the callback form of Read: it fetches count sectors at lba
+// and calls done with the result from the event that completes the
+// request, or at once for a request that fails before it is sent. The
+// round trip's span parents on cause.
+func (in *Initiator) ReadAsync(cause *trace.Span, lba, count int64, done func(disk.Payload, error)) {
+	if count <= 0 {
+		done(disk.Payload{}, fmt.Errorf("aoe: non-positive read count %d", count))
+		return
 	}
-	in.BytesRead.Add(count * disk.SectorSize)
-	out := in.assemble(pr)
-	in.release(pr)
-	return out, nil
+	pr := in.newReq(Fragments(count, in.perFrame))
+	pr.lba, pr.count, pr.done = lba, count, done
+	in.start(pr, cause)
 }
 
 // assemble merges fragment payloads into one. Fragments sharing one source
@@ -457,11 +536,6 @@ func (in *Initiator) Write(p *sim.Proc, payload disk.Payload) error {
 	pr := in.newReq(Fragments(payload.Count, in.perFrame))
 	pr.lba, pr.count = payload.LBA, payload.Count
 	pr.write, pr.src = true, payload.Source
-	err := in.run(p, pr)
-	in.release(pr)
-	if err != nil {
-		return err
-	}
-	in.BytesWritten.Add(payload.Count * disk.SectorSize)
-	return nil
+	_, err := in.await(p, pr)
+	return err
 }

@@ -299,10 +299,7 @@ func (c *Controller) Request(strategy Strategy) (*Instance, error) {
 	c.nextID++
 	c.instances = append(c.instances, in)
 	c.Requested.Inc()
-	if c.tb.Trace != nil { // variadic attrs box; skip entirely when not tracing
-		c.tb.Trace.Emit(node.M.Name, "cloud", "requested",
-			trace.Int("instance", int64(in.ID)))
-	}
+	c.tb.Trace.Emit(node.M.Name, "cloud", "requested", trace.Int("instance", int64(in.ID)))
 	c.tb.K.Spawn(fmt.Sprintf("cloud.deploy.%d", in.ID), func(p *sim.Proc) { c.deploy(p, in) })
 	return in, nil
 }

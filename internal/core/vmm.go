@@ -172,6 +172,11 @@ type VMM struct {
 	stopped bool
 	err     error // terminal failure cause once PhaseFailed is reached
 
+	// The mediator's fetch in flight: its callback, and the cached
+	// continuation that accounts the bytes and calls it.
+	fetchDone func(disk.Payload, error)
+	fetchedFn func(disk.Payload, error)
+
 	// Timings and counters.
 	BootedAt     sim.Time
 	DeployedAt   sim.Time
@@ -211,6 +216,7 @@ func Boot(p *sim.Proc, m *machine.Machine, cfg Config, vmmNIC int, serverMAC eth
 		fifo:         sim.NewQueue[disk.Payload](m.K, m.Name+".vmm.fifo"),
 		inflight:     make(map[int64]int64),
 	}
+	v.fetchedFn = v.fetched
 	v.phaseSpan = m.Trace.Begin(m.Name, "phase", PhaseInitialization.SpanName())
 	l := metrics.L("node", m.Name)
 	m.Metrics.RegisterCounter("vmm.fetched_bytes", &v.FetchedBytes, l)
@@ -401,13 +407,22 @@ func (v *VMM) AppendUnfilledRuns(dst []Run, lba, count int64) []Run {
 }
 
 // Fetch implements mediator.Backend: retrieve blocks from the server over
-// the extended AoE protocol.
-func (v *VMM) Fetch(p *sim.Proc, lba, count int64) (disk.Payload, error) {
-	pl, err := v.init.Read(p, lba, count)
+// the extended AoE protocol. The mediator has at most one fetch in flight,
+// so the VMM keeps its callback and completes it through one cached
+// continuation.
+func (v *VMM) Fetch(cause *trace.Span, lba, count int64, done func(disk.Payload, error)) {
+	v.fetchDone = done
+	v.init.ReadAsync(cause, lba, count, v.fetchedFn)
+}
+
+// fetched completes the mediator's fetch.
+func (v *VMM) fetched(pl disk.Payload, err error) {
+	done := v.fetchDone
+	v.fetchDone = nil
 	if err == nil {
-		v.FetchedBytes.Add(count * disk.SectorSize)
+		v.FetchedBytes.Add(pl.Count * disk.SectorSize)
 	}
-	return pl, err
+	done(pl, err)
 }
 
 // MarkFilled implements mediator.Backend.
@@ -528,17 +543,18 @@ func (v *VMM) retriever(p *sim.Proc) {
 		// Carry the span as the proc's cause so the AoE round trip it
 		// triggers parents here, not on the guest's critical path.
 		prev := trace.SwapCause(p, sp)
-		pl, err := v.Fetch(p, run.LBA, run.Count)
+		pl, err := v.init.Read(p, run.LBA, run.Count)
 		trace.SwapCause(p, prev)
 		sp.End()
 		if err != nil {
-			if v.M.Trace != nil { // the error text and attrs allocate; skip when not tracing
+			if v.M.Trace != nil { // the error text allocates; skip it when not tracing
 				v.M.Trace.Emit(v.M.Name, "vmm", "bg-fetch-failed", trace.Int("lba", run.LBA),
 					trace.Int("count", run.Count), trace.Str("err", err.Error()))
 			}
 			p.Sleep(100 * sim.Millisecond) // back off and retry
 			continue
 		}
+		v.FetchedBytes.Add(run.Count * disk.SectorSize)
 		if v.stopped || v.phase != PhaseDeployment {
 			break // the watchdog closed the FIFO while we were fetching
 		}

@@ -13,6 +13,7 @@ package ahci
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"repro/internal/hw/disk"
@@ -69,9 +70,14 @@ const (
 
 // PxIS bits.
 const (
-	ISDHRS = 1 << 0 // device-to-host register FIS (command completion)
-	ISTFES = 1 << 30
+	ISDHRS = 1 << 0  // device-to-host register FIS (command completion)
+	ISHBFS = 1 << 29 // host bus fatal error: a command structure or buffer outside memory
+	ISTFES = 1 << 30 // task file error
 )
+
+// ErrOutsideMemory reports a command structure at a guest-set address
+// outside memory. The HBA fails such a command with a host bus fatal error.
+var ErrOutsideMemory = errors.New("ahci: command structure outside memory")
 
 // Task-file data (PxTFD) status bits mirror the ATA status register.
 const (
@@ -282,10 +288,15 @@ type CmdHeader struct {
 	PRDBC  uint32
 }
 
-// ReadCmdHeader decodes slot's header from the command list at clb.
-func ReadCmdHeader(m *mem.Memory, clb uint64, slot int) CmdHeader {
+// ReadCmdHeader decodes slot's header from the command list at clb. It
+// fails with ErrOutsideMemory if the header lies outside memory.
+func ReadCmdHeader(m *mem.Memory, clb uint64, slot int) (CmdHeader, error) {
 	var b [CmdHeaderSize]byte
-	m.ReadInto(int64(clb)+int64(slot)*CmdHeaderSize, b[:])
+	addr := int64(clb) + int64(slot)*CmdHeaderSize
+	if !m.Contains(addr, CmdHeaderSize) {
+		return CmdHeader{}, ErrOutsideMemory
+	}
+	m.ReadInto(addr, b[:])
 	dw0 := binary.LittleEndian.Uint32(b[0:])
 	return CmdHeader{
 		FISLen: int(dw0 & 0x1F),
@@ -293,7 +304,7 @@ func ReadCmdHeader(m *mem.Memory, clb uint64, slot int) CmdHeader {
 		PRDTL:  int(dw0 >> 16),
 		PRDBC:  binary.LittleEndian.Uint32(b[4:]),
 		CTBA:   uint64(binary.LittleEndian.Uint32(b[8:])) | uint64(binary.LittleEndian.Uint32(b[12:]))<<32,
-	}
+	}, nil
 }
 
 // WriteCmdHeader encodes a header into the command list.
@@ -317,9 +328,13 @@ type FIS struct {
 	Count   int64
 }
 
-// ReadFIS decodes the command FIS from a command table.
+// ReadFIS decodes the command FIS from a command table. It fails with
+// ErrOutsideMemory if the FIS lies outside memory.
 func ReadFIS(m *mem.Memory, ctba uint64) (FIS, error) {
 	var b [20]byte
+	if !m.Contains(int64(ctba)+CmdTableFIS, int64(len(b))) {
+		return FIS{}, ErrOutsideMemory
+	}
 	m.ReadInto(int64(ctba)+CmdTableFIS, b[:])
 	if b[0] != FISRegH2D {
 		return FIS{}, fmt.Errorf("ahci: not a Register H2D FIS: %#x", b[0])
@@ -348,17 +363,23 @@ func WriteFIS(m *mem.Memory, ctba uint64, f FIS) {
 }
 
 // AppendPRDs decodes the first n PRDT entries of the command table at
-// ctba onto dst, one region per entry, and returns the extended slice.
-func AppendPRDs(dst []mem.Region, m *mem.Memory, ctba uint64, n int) []mem.Region {
+// ctba onto dst, one region per entry, and returns the extended slice. It
+// fails with ErrOutsideMemory, leaving dst as it was, if those entries lie
+// outside memory; the regions they name are not checked.
+func AppendPRDs(dst []mem.Region, m *mem.Memory, ctba uint64, n int) ([]mem.Region, error) {
+	base := int64(ctba) + CmdTablePRDT
+	if !m.Contains(base, int64(n)*PRDTEntrySize) {
+		return dst, ErrOutsideMemory
+	}
 	var b [PRDTEntrySize]byte
 	for i := 0; i < n; i++ {
-		m.ReadInto(int64(ctba)+CmdTablePRDT+int64(i)*PRDTEntrySize, b[:])
+		m.ReadInto(base+int64(i)*PRDTEntrySize, b[:])
 		dst = append(dst, mem.Region{
 			Start: int64(binary.LittleEndian.Uint64(b[0:])),
 			Size:  int64(binary.LittleEndian.Uint32(b[12:])&0x3FFFFF) + 1, // 0-based
 		})
 	}
-	return dst
+	return dst, nil
 }
 
 // WritePRDT encodes PRDT entries, one per region, into a command table.
@@ -382,41 +403,68 @@ func (h *HBA) engine(p *sim.Proc) {
 	}
 }
 
+// execute runs one issued slot. A command structure or data buffer the
+// guest placed outside memory fails the slot with a host bus fatal error.
 func (h *HBA) execute(p *sim.Proc, slot int) {
-	hd := ReadCmdHeader(h.memory, h.clb, slot)
-	fis, err := ReadFIS(h.memory, hd.CTBA)
+	hd, err := ReadCmdHeader(h.memory, h.clb, slot)
 	if err != nil {
-		h.fault(slot)
+		h.fault(slot, ISHBFS)
+		return
+	}
+	fis, err := ReadFIS(h.memory, hd.CTBA)
+	switch {
+	case errors.Is(err, ErrOutsideMemory):
+		h.fault(slot, ISHBFS)
+		return
+	case err != nil:
+		h.fault(slot, ISDHRS)
 		return
 	}
 	h.CmdLog[fis.Command]++
 	h.tfd |= TFDBusy
-	h.sg = AppendPRDs(h.sg[:0], h.memory, hd.CTBA, hd.PRDTL)
+	if h.sg, err = AppendPRDs(h.sg[:0], h.memory, hd.CTBA, hd.PRDTL); err != nil {
+		h.fault(slot, ISHBFS)
+		return
+	}
 
 	switch fis.Command {
 	case CmdFlushCache:
 		p.Sleep(500 * sim.Microsecond)
 	case CmdIdentify:
 		p.Sleep(100 * sim.Microsecond)
-		h.memory.Scatter(h.sg, h.identifyData()) // identify data is DMA'd like a read
+		data := h.identifyData()
+		if !h.memory.Reachable(h.sg, int64(len(data))) {
+			h.fault(slot, ISHBFS)
+			return
+		}
+		h.memory.Scatter(h.sg, data) // identify data is DMA'd like a read
 	case CmdReadDMAExt, CmdWriteDMAExt:
-		if hd.Write != (fis.Command == CmdWriteDMAExt) ||
-			!h.drive.DMA(p, h.memory, h.sg, fis.LBA, fis.Count, hd.Write, h.dmaLabel) {
-			h.fault(slot)
+		if hd.Write != (fis.Command == CmdWriteDMAExt) {
+			h.fault(slot, ISDHRS)
+			return
+		}
+		if !h.memory.Reachable(h.sg, fis.Count*disk.SectorSize) {
+			h.fault(slot, ISHBFS)
+			return
+		}
+		if !h.drive.DMA(p, h.memory, h.sg, fis.LBA, fis.Count, hd.Write, h.dmaLabel) {
+			h.fault(slot, ISDHRS)
 			return
 		}
 		hd.PRDBC = uint32(fis.Count * disk.SectorSize)
 		WriteCmdHeader(h.memory, h.clb, slot, hd)
 	default:
-		h.fault(slot)
+		h.fault(slot, ISDHRS)
 		return
 	}
 	h.completeSlot(slot, ISDHRS)
 }
 
-func (h *HBA) fault(slot int) {
+// fault fails slot with a task-file error; cause is ISDHRS for an error
+// the device reported, ISHBFS for a structure or buffer outside memory.
+func (h *HBA) fault(slot int, cause uint32) {
 	h.tfd = 0x50 | TFDErr
-	h.completeSlot(slot, ISDHRS|ISTFES)
+	h.completeSlot(slot, cause|ISTFES)
 }
 
 func (h *HBA) completeSlot(slot int, isBits uint32) {

@@ -20,6 +20,7 @@ type rig struct {
 	ios  *hwio.Space
 	done *sim.Signal
 	irqs int
+	is   uint64 // PxIS at the last interrupt
 }
 
 const (
@@ -44,6 +45,7 @@ func newRig() *rig {
 	irq.SetHandler(func() {
 		r.irqs++
 		is := r.ios.Read(nil, hwio.MMIO, port0Base+PxIS, 4)
+		r.is = is
 		r.ios.Write(nil, hwio.MMIO, port0Base+PxIS, 4, is) // ack
 		r.ios.Write(nil, hwio.MMIO, abarMMIO+RegIS, 4, 1)
 		r.done.Broadcast()
@@ -223,8 +225,8 @@ func TestHeaderFISPRDTRoundTrip(t *testing.T) {
 	m := mem.New(1 << 20)
 	hd := CmdHeader{FISLen: 5, Write: true, PRDTL: 3, CTBA: 0xABCD00, PRDBC: 4096}
 	WriteCmdHeader(m, 0x100, 7, hd)
-	if got := ReadCmdHeader(m, 0x100, 7); got != hd {
-		t.Fatalf("header round trip: got %+v want %+v", got, hd)
+	if got, err := ReadCmdHeader(m, 0x100, 7); err != nil || got != hd {
+		t.Fatalf("header round trip: got %+v, %v want %+v", got, err, hd)
 	}
 	f := FIS{Command: CmdReadDMAExt, LBA: 0x123456789A, Count: 2048}
 	WriteFIS(m, 0x2000, f)
@@ -234,9 +236,91 @@ func TestHeaderFISPRDTRoundTrip(t *testing.T) {
 	}
 	prds := []mem.Region{{Start: 0x1_0001_0000, Size: 65536}, {Start: 0x30000, Size: 512}}
 	WritePRDT(m, 0x2000, prds)
-	rt := AppendPRDs(nil, m, 0x2000, 2)
-	if !slices.Equal(rt, prds) {
-		t.Fatalf("PRDT round trip: %+v vs %+v", rt, prds)
+	rt, err := AppendPRDs(nil, m, 0x2000, 2)
+	if err != nil || !slices.Equal(rt, prds) {
+		t.Fatalf("PRDT round trip: %+v, %v vs %+v", rt, err, prds)
+	}
+}
+
+// TestStructuresOutsideMemory: the decoders refuse headers, FISes and
+// PRDTs that do not lie wholly inside memory, including addresses whose
+// high bit makes them negative as int64.
+func TestStructuresOutsideMemory(t *testing.T) {
+	m := mem.New(1 << 20)
+	if _, err := ReadCmdHeader(m, 1<<20-CmdHeaderSize, 1); err != ErrOutsideMemory {
+		t.Errorf("header past the end: err = %v", err)
+	}
+	if _, err := ReadCmdHeader(m, 1<<63, 0); err != ErrOutsideMemory {
+		t.Errorf("header at 1<<63: err = %v", err)
+	}
+	if _, err := ReadFIS(m, 1<<20-CmdTableFIS-8); err != ErrOutsideMemory {
+		t.Errorf("FIS straddling the end: err = %v", err)
+	}
+	if _, err := ReadFIS(m, 1<<63-4); err != ErrOutsideMemory {
+		t.Errorf("FIS whose offset overflows: err = %v", err)
+	}
+	prefix := []mem.Region{{Start: 1, Size: 1}}
+	got, err := AppendPRDs(prefix, m, 1<<20-CmdTablePRDT-PRDTEntrySize, 2)
+	if err != ErrOutsideMemory || !slices.Equal(got, prefix) {
+		t.Errorf("PRDT straddling the end: %v, %v", got, err)
+	}
+	if _, err := AppendPRDs(nil, m, 1<<20-CmdTablePRDT-PRDTEntrySize, 1); err != nil {
+		t.Errorf("PRDT ending at the end: %v", err)
+	}
+}
+
+// TestHostBusFaultOutsideMemory: a command whose header, command table,
+// PRDT or data buffer lies outside memory completes with a host bus fatal
+// and a task-file error instead of stopping the simulation.
+func TestHostBusFaultOutsideMemory(t *testing.T) {
+	size := int64(64 << 20)
+	for _, tc := range []struct {
+		name  string
+		setup func(r *rig, ctba uint64) // rewrites the slot-0 command issue builds
+	}{
+		{"header", func(r *rig, _ uint64) { r.mmw(nil, PortBase+PxCLB, uint64(size)) }},
+		{"table", func(r *rig, _ uint64) {
+			WriteCmdHeader(r.m, clbAddr, 0, CmdHeader{FISLen: 5, PRDTL: 1, CTBA: uint64(size) - 8})
+		}},
+		{"prdt", func(r *rig, _ uint64) {
+			ctba := uint64(size) - CmdTablePRDT - PRDTEntrySize
+			WriteFIS(r.m, ctba, FIS{Command: CmdReadDMAExt, LBA: 10, Count: 1})
+			WriteCmdHeader(r.m, clbAddr, 0, CmdHeader{FISLen: 5, PRDTL: 2, CTBA: ctba})
+		}},
+		{"buffer", func(r *rig, ctba uint64) {
+			WritePRDT(r.m, ctba, []mem.Region{{Start: size - 256, Size: disk.SectorSize}})
+		}},
+		{"negative-buffer", func(r *rig, ctba uint64) {
+			WritePRDT(r.m, ctba, []mem.Region{{Start: -4096, Size: disk.SectorSize}})
+		}},
+		{"identify-buffer", func(r *rig, ctba uint64) {
+			WriteFIS(r.m, ctba, FIS{Command: CmdIdentify})
+			WritePRDT(r.m, ctba, []mem.Region{{Start: size, Size: 512}})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig()
+			r.k.Spawn("drv", func(p *sim.Proc) {
+				r.initPort(p)
+				ctba := uint64(ctbaAddr)
+				WriteFIS(r.m, ctba, FIS{Command: CmdReadDMAExt, LBA: 10, Count: 1})
+				WritePRDT(r.m, ctba, []mem.Region{{Start: bufAddr, Size: disk.SectorSize}})
+				WriteCmdHeader(r.m, clbAddr, 0, CmdHeader{FISLen: 5, PRDTL: 1, CTBA: ctba})
+				tc.setup(r, ctba)
+				r.mmw(p, PortBase+PxCI, 1)
+				p.Wait(r.done)
+			})
+			r.k.Run()
+			if r.is&(ISHBFS|ISTFES) != ISHBFS|ISTFES || r.is&ISDHRS != 0 {
+				t.Errorf("PxIS = %#x, want HBFS|TFES without DHRS", r.is)
+			}
+			if tfd := r.h.IORead(nil, PortBase+PxTFD, 4); tfd&TFDErr == 0 || tfd&TFDBusy != 0 {
+				t.Errorf("TFD = %#x, want error, not busy", tfd)
+			}
+			if ci := r.h.OutstandingCI(); ci != 0 {
+				t.Errorf("CI = %#x after the fault", ci)
+			}
+		})
 	}
 }
 

@@ -9,13 +9,30 @@ import (
 )
 
 // Fuzz memory layout: the command table (CFIS area plus up to 65,535
-// PRDT entries, just over 1 MiB) is placed anywhere it fits, and the
-// scatter-gather pass moves at most fuzzPayload bytes, so a region start
-// reduced into [0, fuzzMem-fuzzPayload) always fits.
+// PRDT entries, just over 1 MiB) is placed by placeTable, inside memory,
+// across its end or far past it, and the scatter-gather pass moves at
+// most fuzzPayload bytes.
 const (
 	fuzzMem     = 1<<20 + 1<<18
 	fuzzPayload = 1 << 17
 )
+
+// placeTable maps the fuzzer's position word to a command-table address
+// for a table of span bytes. Below 1<<31 the table fits in memory, as a
+// driver places it; from 1<<31 it starts within 256 KiB after the place
+// where it would end flush with memory, so it may end past memory or
+// start past it; from 3<<30 it is far past memory, at or above 1<<63,
+// where the address is negative as int64.
+func placeTable(at uint32, span int) uint64 {
+	switch at >> 30 {
+	case 0, 1:
+		return uint64(at) % uint64(fuzzMem-span+1)
+	case 2:
+		return uint64(fuzzMem-span) + uint64(at&(1<<18-1))
+	default:
+		return uint64(at) << 32
+	}
+}
 
 // refPRDs is the naive reference decoder: one entry at a time, straight
 // from the AHCI PRDT entry layout. Bytes 0-7 are the data base address,
@@ -38,17 +55,21 @@ func refPRDs(m *mem.Memory, ctba uint64, n int) []mem.Region {
 }
 
 // FuzzAHCIPRDT decodes an arbitrary guest-written PRDT of any length the
-// command header can name (0 to 65,535 entries), placed anywhere in memory
-// the table fits. AppendPRDs must not panic, must leave dst's prefix alone
-// and must match the reference decoder. The decoded list, each start
-// reduced into memory, then carries a payload: Scatter must write exactly
-// what a flat byte model predicts, and Gather must read it back,
-// zero-padded past the regions, whenever they do not overlap.
+// command header can name (0 to 65,535 entries), placed anywhere: inside
+// memory, across its end, or far past it. AppendPRDs must not panic, must
+// refuse exactly the tables not wholly inside memory and leave dst alone,
+// and must otherwise match the reference decoder. The decoded list, each
+// non-negative start reduced into memory (so regions may cross its end,
+// and negative ones stay out), then carries a payload: Reachable must say
+// whether every byte the payload touches is inside memory, and when it
+// is, Scatter must write exactly what a flat byte model predicts, and
+// Gather must read it back, zero-padded past the regions, whenever they
+// do not overlap.
 func FuzzAHCIPRDT(f *testing.F) {
 	f.Fuzz(func(t *testing.T, table []byte, at uint32, prdtl uint16, w uint32) {
 		n := int(prdtl)
 		span := CmdTablePRDT + n*PRDTEntrySize
-		ctba := uint64(at) % uint64(fuzzMem-span+1)
+		ctba := placeTable(at, span)
 		want := int64(w % (fuzzPayload + 1))
 
 		m := mem.New(fuzzMem)
@@ -56,14 +77,27 @@ func FuzzAHCIPRDT(f *testing.F) {
 		for i := range model {
 			model[i] = byte(i*13>>3) | 1
 		}
-		copy(model[int(ctba)+CmdTablePRDT:int(ctba)+span], table)
+		// The table's bytes land where the table overlaps memory.
+		if lo := int64(ctba) + CmdTablePRDT; lo >= 0 && lo < fuzzMem {
+			copy(model[lo:min(int64(ctba)+int64(span), fuzzMem)], table)
+		}
 		m.Write(0, model)
 
 		// A reused dst, as the HBA passes: the entries must go after it.
 		prefix := append(make([]mem.Region, 0, 1+n), mem.Region{Start: 1, Size: 1})
-		sg := AppendPRDs(prefix, m, ctba, n)
+		sg, err := AppendPRDs(prefix, m, ctba, n)
 		if !slices.Equal(sg[:1], prefix) {
 			t.Fatalf("AppendPRDs overwrote dst: %v", sg[:1])
+		}
+		inside := int64(ctba) >= 0 && int64(ctba)+int64(span) <= fuzzMem
+		if inside != (err == nil) {
+			t.Fatalf("AppendPRDs of a table at %#x+%d in %d bytes: err = %v", ctba, span, fuzzMem, err)
+		}
+		if err != nil {
+			if len(sg) != 1 {
+				t.Fatalf("failed AppendPRDs extended dst to %d entries", len(sg))
+			}
+			return
 		}
 		sg = sg[1:]
 		if ref := refPRDs(m, ctba, n); !slices.Equal(sg, ref) {
@@ -76,11 +110,25 @@ func FuzzAHCIPRDT(f *testing.F) {
 			if r.Size < 1 || r.Size > 1<<22 {
 				t.Fatalf("entry %d: size %d outside [1, 4 MiB]", i, r.Size)
 			}
-			sg[i].Start = int64(uint64(r.Start) % (fuzzMem - fuzzPayload))
+			if r.Start >= 0 {
+				sg[i].Start = r.Start % fuzzMem
+			}
 			if reach < want {
 				reach += r.Size
 				used = sg[:i+1]
 			}
+		}
+		inside, left := true, want
+		for _, r := range used {
+			n := min(r.Size, left)
+			inside = inside && r.Start >= 0 && r.Start+n <= fuzzMem
+			left -= n
+		}
+		if got := m.Reachable(sg, want); got != inside {
+			t.Fatalf("Reachable(%v, %d) = %v, want %v", used, want, got, inside)
+		}
+		if !inside {
+			return // a device faults this transfer instead of moving data
 		}
 
 		payload := make([]byte, want)

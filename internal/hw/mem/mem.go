@@ -53,10 +53,33 @@ func New(size int64) *Memory {
 // Size reports total physical memory in bytes.
 func (m *Memory) Size() int64 { return m.size }
 
+// Contains reports whether the n bytes at addr lie inside memory.
+func (m *Memory) Contains(addr, n int64) bool {
+	return addr >= 0 && n >= 0 && addr <= m.size-n
+}
+
+// Reachable reports whether the first want bytes of sg's regions, the
+// bytes Scatter and Gather would touch, lie inside memory. A device
+// checks a guest-built scatter-gather list with it before moving data.
+func (m *Memory) Reachable(sg []Region, want int64) bool {
+	for _, r := range sg {
+		if want <= 0 {
+			break
+		}
+		n := min(r.Size, want)
+		if !m.Contains(r.Start, n) {
+			return false
+		}
+		want -= n
+	}
+	return true
+}
+
 // check panics on out-of-range accesses; simulated DMA engines and drivers
-// are trusted code, so a violation is a bug in the simulation.
+// are trusted code, so a violation is a bug in the simulation. Devices
+// that follow guest-set pointers check them first (Contains, Reachable).
 func (m *Memory) check(addr, n int64) {
-	if addr < 0 || n < 0 || addr+n > m.size {
+	if !m.Contains(addr, n) {
 		panic(fmt.Sprintf("mem: access [%#x,+%d) outside %d-byte memory", addr, n, m.size))
 	}
 }

@@ -37,9 +37,9 @@ type AHCI struct {
 	redirCI   uint32 // guest slots being served by redirection
 	queuedCmd []command
 
+	dev       hwio.Handler // the HBA's registers, bypassing the tap
 	vmmRegion mem.Region
 	dummyLBA  int64
-	devLock   *sim.Resource
 
 	// VirtualIRQ selects the rejected design alternative for the
 	// ablation benchmark (see IDE.VirtualIRQ). The mediator must then
@@ -61,11 +61,11 @@ func NewAHCI(m *machine.Machine, backend Backend, vmmRegion mem.Region) *AHCI {
 	}
 	md := &AHCI{
 		hba:       m.AHCI,
+		dev:       m.IO.Lookup(m.AHCI.Name + ".abar").Device(),
 		vmmRegion: vmmRegion,
 		dummyLBA:  m.Disk.Sectors - 1,
-		devLock:   sim.NewResource(m.K, m.Name+".med.dev", 1),
 	}
-	md.pipeline = newPipeline(m, backend, md, m.AHCI.Name)
+	md.pipeline = newPipeline(m, backend, md)
 	return md
 }
 
@@ -90,21 +90,17 @@ func (md *AHCI) Quiesced() bool {
 		len(md.queuedCmd) == 0 && md.devLock.InUse() == 0
 }
 
-func (md *AHCI) device() hwio.Handler {
-	return md.m.IO.Lookup(md.hba.Name + ".abar").Device()
-}
-
 // TapRead implements io.Tap: PxCI emulation hides the VMM slot and keeps
 // held/redirected guest slots visibly "in flight".
 func (md *AHCI) TapRead(p *sim.Proc, _ *hwio.Region, off int64, size int) (uint64, bool) {
 	md.m.World.Exit(p, cpuvirt.ExitMMIO)
 	switch off {
 	case ahci.PortBase + ahci.PxCI:
-		real := uint32(md.device().IORead(p, off, size))
+		real := uint32(md.dev.IORead(p, off, size))
 		return uint64(real&^(1<<vmmSlot) | md.heldCI | md.redirCI), true
 	case ahci.PortBase + ahci.PxIS:
 		if md.virtIS != 0 {
-			real := uint32(md.device().IORead(p, off, size))
+			real := uint32(md.dev.IORead(p, off, size))
 			return uint64(real | md.virtIS), true
 		}
 	}
@@ -157,19 +153,26 @@ func (md *AHCI) onGuestIssue(p *sim.Proc, ci uint32) bool {
 		passMask |= 1 << slot
 	}
 	if passMask != 0 {
-		md.device().IOWrite(nil, ahci.PortBase+ahci.PxCI, 4, uint64(passMask))
+		md.dev.IOWrite(nil, ahci.PortBase+ahci.PxCI, 4, uint64(passMask))
 	}
 	return true
 }
 
 // interpret parses the guest's command structures out of guest memory —
-// the I/O interpretation step.
+// the I/O interpretation step. A header, table or data buffer the guest
+// placed outside memory makes it not a data command: the device faults it.
 func (md *AHCI) interpret(slot int) command {
-	hd := ahci.ReadCmdHeader(md.m.Mem, md.shCLB, slot)
-	cmd := command{slot: slot, ctba: hd.CTBA, prdtl: hd.PRDTL}
+	cmd := command{slot: slot}
+	hd, err := ahci.ReadCmdHeader(md.m.Mem, md.shCLB, slot)
+	if err != nil {
+		return cmd
+	}
+	cmd.ctba, cmd.prdtl = hd.CTBA, hd.PRDTL
+	if md.sg, err = ahci.AppendPRDs(md.sg[:0], md.m.Mem, hd.CTBA, hd.PRDTL); err != nil {
+		return cmd
+	}
 	// Data information: the guest DMA buffer from the first PRDT entry.
-	if hd.PRDTL > 0 {
-		md.sg = ahci.AppendPRDs(md.sg[:0], md.m.Mem, hd.CTBA, 1)
+	if len(md.sg) > 0 {
 		cmd.bufAddr = md.sg[0].Start
 	}
 	fis, err := ahci.ReadFIS(md.m.Mem, hd.CTBA)
@@ -179,31 +182,30 @@ func (md *AHCI) interpret(slot int) command {
 	cmd.opcode = fis.Command
 	cmd.lba, cmd.count = fis.LBA, fis.Count
 	switch fis.Command {
-	case ahci.CmdReadDMAExt:
-		cmd.data = true
-	case ahci.CmdWriteDMAExt:
-		cmd.data = true
-		cmd.write = true
+	case ahci.CmdReadDMAExt, ahci.CmdWriteDMAExt:
+		cmd.data = md.m.Mem.Reachable(md.sg, fis.Count*disk.SectorSize)
+		cmd.write = fis.Command == ahci.CmdWriteDMAExt
 	}
 	return cmd
 }
 
-// take implements controller: serialize against other VMM work, switch to
-// ownership mode, and wait for in-flight guest commands to drain
-// ("1. Find"). Redirects and insertions take the device alike.
-func (md *AHCI) take(p *sim.Proc, _ bool) {
-	md.devLock.Acquire(p)
-	md.vmmDepth++
-	dev := md.device()
-	for {
-		ci := uint32(dev.IORead(p, ahci.PortBase+ahci.PxCI, 4))
-		if ci == 0 && !md.hba.Busy() {
-			break
-		}
+// take implements controller: switch to ownership mode and wait for
+// in-flight guest commands to drain ("1. Find"). Redirects and insertions
+// take the device alike.
+func (md *AHCI) take(o *op, _ bool) bool {
+	if o.sub == 0 {
+		md.vmmDepth++
+		o.sub = 1
+	}
+	ci := uint32(md.dev.IORead(nil, ahci.PortBase+ahci.PxCI, 4))
+	if ci != 0 || md.hba.Busy() {
 		md.stats.Polls.Inc()
 		md.m.World.Exit(nil, cpuvirt.ExitPreemptionTimer)
-		p.Sleep(md.backend.PollInterval())
+		o.sleep(md.backend.PollInterval())
+		return false
 	}
+	o.sub = 0
+	return true
 }
 
 // own implements controller: take already queues guest issues.
@@ -211,7 +213,7 @@ func (md *AHCI) own() {}
 
 // give implements controller: return the device to the guest and replay
 // held commands.
-func (md *AHCI) give(p *sim.Proc, _ bool) {
+func (md *AHCI) give(bool) {
 	md.vmmDepth--
 	if md.vmmDepth == 0 {
 		queued := md.queuedCmd
@@ -224,24 +226,40 @@ func (md *AHCI) give(p *sim.Proc, _ bool) {
 			}
 		}
 		if passMask != 0 {
-			md.device().IOWrite(nil, ahci.PortBase+ahci.PxCI, 4, uint64(passMask))
+			md.dev.IOWrite(nil, ahci.PortBase+ahci.PxCI, 4, uint64(passMask))
 		}
 	}
-	md.devLock.Release()
 }
 
-// transfer implements controller.
-func (md *AHCI) transfer(p *sim.Proc, write bool, payload disk.Payload) {
-	md.vmmSlotOp(p, write, payload, false)
+// transfer implements controller: one VMM command through the reserved
+// slot with port interrupts masked, polling for completion ("2. Request").
+func (md *AHCI) transfer(o *op, write bool, payload disk.Payload) bool {
+	if o.sub == 0 {
+		md.issue(write, payload, false)
+		o.sub = 1
+	}
+	if md.vmmBusy() {
+		md.stats.Polls.Inc()
+		md.m.World.Exit(nil, cpuvirt.ExitPreemptionTimer)
+		md.m.World.RecordVMMWork(2 * sim.Microsecond)
+		o.sleep(md.backend.PollInterval())
+		return false
+	}
+	// Quietly acknowledge the completion the VMM caused, then restore
+	// the guest's interrupt enable.
+	md.dev.IOWrite(nil, ahci.PortBase+ahci.PxIS, 4, uint64(ahci.ISDHRS))
+	md.dev.IOWrite(nil, ahci.PortBase+ahci.PxIE, 4, uint64(md.shPxIE))
+	o.sub = 0
+	return true
 }
 
 // takeOver implements controller: the slot stays visibly in flight.
 func (md *AHCI) takeOver(cmd command) { md.redirCI |= 1 << cmd.slot }
 
-// vmmSlotOp runs one VMM command through the reserved slot with port
-// interrupts masked, polling for completion ("2. Request").
-func (md *AHCI) vmmSlotOp(p *sim.Proc, write bool, payload disk.Payload, keepIRQ bool) {
-	dev := md.device()
+// issue programs one VMM command into the reserved slot and issues it.
+// keepIRQ leaves the guest's port interrupts enabled, so the completion
+// interrupts the guest; otherwise they are masked.
+func (md *AHCI) issue(write bool, payload disk.Payload, keepIRQ bool) {
 	ctba := uint64(md.vmmRegion.Start + vmmCTBAOff)
 	buf := md.vmmRegion.Start + vmmBufOff
 	opcode := uint8(ahci.CmdReadDMAExt)
@@ -259,56 +277,60 @@ func (md *AHCI) vmmSlotOp(p *sim.Proc, write bool, payload disk.Payload, keepIRQ
 		md.m.Disk.SetNextDMA(buf, nil, true)
 	}
 	if keepIRQ {
-		dev.IOWrite(p, ahci.PortBase+ahci.PxIE, 4, uint64(md.shPxIE))
+		md.dev.IOWrite(nil, ahci.PortBase+ahci.PxIE, 4, uint64(md.shPxIE))
 	} else {
-		dev.IOWrite(p, ahci.PortBase+ahci.PxIE, 4, 0)
+		md.dev.IOWrite(nil, ahci.PortBase+ahci.PxIE, 4, 0)
 	}
-	dev.IOWrite(p, ahci.PortBase+ahci.PxCI, 4, 1<<vmmSlot)
-	if keepIRQ {
-		return
-	}
-	for uint32(dev.IORead(p, ahci.PortBase+ahci.PxCI, 4))&(1<<vmmSlot) != 0 {
-		md.stats.Polls.Inc()
-		md.m.World.Exit(nil, cpuvirt.ExitPreemptionTimer)
-		md.m.World.RecordVMMWork(2 * sim.Microsecond)
-		p.Sleep(md.backend.PollInterval())
-	}
-	// Quietly acknowledge the completion the VMM caused, then restore
-	// the guest's interrupt enable.
-	dev.IOWrite(p, ahci.PortBase+ahci.PxIS, 4, uint64(ahci.ISDHRS))
-	dev.IOWrite(p, ahci.PortBase+ahci.PxIE, 4, uint64(md.shPxIE))
+	md.dev.IOWrite(nil, ahci.PortBase+ahci.PxCI, 4, 1<<vmmSlot)
+}
+
+// vmmBusy reports whether the reserved slot's command is in flight.
+func (md *AHCI) vmmBusy() bool {
+	return uint32(md.dev.IORead(nil, ahci.PortBase+ahci.PxCI, 4))&(1<<vmmSlot) != 0
 }
 
 // finish implements controller: clear the emulated CI bit, then have the
 // device read a dummy sector through the VMM slot with interrupts enabled
 // so the completion interrupt is generated by real hardware
 // ("4. Restart").
-func (md *AHCI) finish(p *sim.Proc, cmd command) {
-	md.redirCI &^= 1 << cmd.slot
-	if md.VirtualIRQ {
-		// Ablation path: virtual PxIS bit plus injected interrupt.
-		md.m.World.RecordVMMWork(virtIRQCost)
-		p.Sleep(virtIRQCost)
+func (md *AHCI) finish(o *op) bool {
+	switch o.sub {
+	case 0:
+		md.redirCI &^= 1 << o.cmd.slot
+		if md.VirtualIRQ {
+			// Ablation path: virtual PxIS bit plus injected interrupt.
+			md.m.World.RecordVMMWork(virtIRQCost)
+			o.sub = 2
+			o.sleep(virtIRQCost)
+			return false
+		}
+		md.stats.DummyRestarts.Inc()
+		md.issue(false, disk.Payload{LBA: md.dummyLBA, Count: 1, Source: disk.Zero}, true)
+		o.sub = 1
+		fallthrough
+	case 1:
+		// Hold the device until the dummy drains (drive-cache hit) so the
+		// next VMM request finds it idle.
+		if md.vmmBusy() {
+			md.stats.Polls.Inc()
+			o.sleep(md.backend.PollInterval())
+			return false
+		}
+	case 2:
 		md.virtIS |= ahci.ISDHRS
 		if md.shPxIE&ahci.ISDHRS != 0 && md.shGHC&ahci.GHCInterruptEnable != 0 {
 			md.hba.IRQ.Raise()
 		}
-		return
 	}
-	md.stats.DummyRestarts.Inc()
-	dummy := disk.Payload{LBA: md.dummyLBA, Count: 1, Source: disk.Zero}
-	md.vmmSlotOp(p, false, dummy, true)
-	// Hold the device until the dummy drains (drive-cache hit) so the
-	// next VMM request finds it idle.
-	for uint32(md.device().IORead(p, ahci.PortBase+ahci.PxCI, 4))&(1<<vmmSlot) != 0 {
-		md.stats.Polls.Inc()
-		p.Sleep(md.backend.PollInterval())
-	}
+	o.sub = 0
+	return true
 }
 
-// appendSG implements controller: the PRDT in the guest's command table.
+// appendSG implements controller: the PRDT in the guest's command table,
+// or no buffers if the guest has since moved it outside memory.
 func (md *AHCI) appendSG(dst []mem.Region, cmd command, _ int64) []mem.Region {
-	return ahci.AppendPRDs(dst, md.m.Mem, cmd.ctba, cmd.prdtl)
+	dst, _ = ahci.AppendPRDs(dst, md.m.Mem, cmd.ctba, cmd.prdtl)
+	return dst
 }
 
 var _ Mediator = (*AHCI)(nil)

@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/guest"
+	"repro/internal/hw/ahci"
 	"repro/internal/hw/disk"
+	hwio "repro/internal/hw/io"
+	"repro/internal/hw/mem"
 	"repro/internal/machine"
 	"repro/internal/mediator"
 	"repro/internal/sim"
@@ -30,7 +33,7 @@ func newAHCIRig(t *testing.T) *ahciRig {
 	m := machine.New(k, cfg)
 	img := disk.NewSynthImage("ubuntu", 64<<20, 5)
 	region := m.Firmware.ReserveForVMM(16 << 20)
-	be := newFakeBackend(img)
+	be := newFakeBackend(k, img)
 	md := mediator.NewAHCI(m, be, region)
 	md.Attach()
 	o := guest.NewOS("ubuntu", m)
@@ -241,4 +244,61 @@ func TestAHCIInsertReadRoundTrip(t *testing.T) {
 			t.Error("insert read returned wrong content")
 		}
 	})
+}
+
+// TestAHCICommandOutsideMemory: a guest command whose header, command
+// table or data buffer lies outside memory is not a data command to the
+// mediator. It passes through, the HBA fails it with a host bus fatal
+// error, and the mediator and a later guest read carry on.
+func TestAHCICommandOutsideMemory(t *testing.T) {
+	size := uint64(256 << 20)
+	for _, tc := range []struct {
+		name string
+		hd   func(clb uint64) (uint64, ahci.CmdHeader) // where the slot's header goes, and what it says
+	}{
+		{"header", func(clb uint64) (uint64, ahci.CmdHeader) { return size, ahci.CmdHeader{} }},
+		{"table", func(clb uint64) (uint64, ahci.CmdHeader) {
+			return clb, ahci.CmdHeader{FISLen: 5, PRDTL: 1, CTBA: size - 8}
+		}},
+		{"buffer", func(clb uint64) (uint64, ahci.CmdHeader) {
+			return clb, ahci.CmdHeader{FISLen: 5, PRDTL: 1, CTBA: 0x7000}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newAHCIRig(t)
+			const slot = 9
+			r.run(t, func(p *sim.Proc) {
+				orig := r.m.AHCI.CLB()
+				clb, hd := tc.hd(orig)
+				if clb != orig {
+					// The guest moves its command list past memory.
+					r.m.IO.Write(p, hwio.MMIO, ahci.ABAR+ahci.PortBase+ahci.PxCLB, 4, clb)
+				} else {
+					ahci.WriteFIS(r.m.Mem, 0x7000, ahci.FIS{Command: ahci.CmdReadDMAExt, LBA: 5000, Count: 8})
+					ahci.WritePRDT(r.m.Mem, 0x7000, []mem.Region{{Start: int64(size) - 512, Size: 4096}})
+					ahci.WriteCmdHeader(r.m.Mem, clb, slot, hd)
+				}
+				r.m.IO.Write(p, hwio.MMIO, ahci.ABAR+ahci.PortBase+ahci.PxCI, 4, 1<<slot)
+				for r.m.AHCI.OutstandingCI()&(1<<slot) != 0 {
+					p.Sleep(100 * sim.Microsecond)
+				}
+				if tfd := r.m.AHCI.IORead(nil, ahci.PortBase+ahci.PxTFD, 4); tfd&ahci.TFDErr == 0 {
+					t.Errorf("TFD = %#x, want the error bit", tfd)
+				}
+				if clb != orig {
+					r.m.IO.Write(p, hwio.MMIO, ahci.ABAR+ahci.PortBase+ahci.PxCLB, 4, orig)
+				}
+				if _, err := r.o.ReadSectors(p, 200, 8, false); err != nil {
+					t.Errorf("guest read after the fault: %v", err)
+				}
+			})
+			if st := r.md.Stats(); st.GuestCommands.Value() < 2 || st.Redirects.Value() != 1 {
+				t.Errorf("guest commands %d, redirects %d: want the faulted command passed through, the read redirected",
+					st.GuestCommands.Value(), st.Redirects.Value())
+			}
+			if !r.md.Quiesced() {
+				t.Error("mediator not quiesced after the faulted command")
+			}
+		})
+	}
 }

@@ -46,14 +46,14 @@ type IDE struct {
 
 	queued []command // guest commands held during VMM ownership
 
+	// The controller's command block, control block and bus-master
+	// registers as the device sees them, bypassing the taps.
+	cb, ctl, bm hwio.Handler
+
 	// VMM resources: a reserved-memory scratch area for PRD tables and
 	// dummy buffers, and the dummy sector used to generate interrupts.
 	vmmRegion mem.Region
 	dummyLBA  int64
-
-	// devLock serializes VMM-side device use (redirects and inserted
-	// requests).
-	devLock *sim.Resource
 
 	// VirtualIRQ selects the design alternative the paper rejects
 	// (§3.2): instead of restarting the device on a dummy sector so real
@@ -77,11 +77,13 @@ func NewIDE(m *machine.Machine, backend Backend, vmmRegion mem.Region) *IDE {
 	}
 	md := &IDE{
 		ctrl:      m.IDE,
+		cb:        m.IO.Lookup(m.IDE.Name + ".cmd").Device(),
+		ctl:       m.IO.Lookup(m.IDE.Name + ".ctl").Device(),
+		bm:        m.IO.Lookup(m.IDE.Name + ".bm").Device(),
 		vmmRegion: vmmRegion,
 		dummyLBA:  m.Disk.Sectors - 1, // a sector the guest image never uses
-		devLock:   sim.NewResource(m.K, m.Name+".med.dev", 1),
 	}
-	md.pipeline = newPipeline(m, backend, md, m.IDE.Name)
+	md.pipeline = newPipeline(m, backend, md)
 	return md
 }
 
@@ -241,13 +243,14 @@ func (md *IDE) onGuestCommand(p *sim.Proc, opcode uint8) bool {
 // take implements controller. An insertion also waits for an in-flight
 // guest command to complete ("1. Find" in the paper's Figure 3); a
 // taken-over command has not reached the device.
-func (md *IDE) take(p *sim.Proc, insert bool) {
-	md.devLock.Acquire(p)
-	for insert && md.ctrl.Busy() {
+func (md *IDE) take(o *op, insert bool) bool {
+	if insert && md.ctrl.Busy() {
 		md.stats.Polls.Inc()
 		md.m.World.Exit(nil, cpuvirt.ExitPreemptionTimer)
-		p.Sleep(md.backend.PollInterval())
+		o.sleep(md.backend.PollInterval())
+		return false
 	}
+	return true
 }
 
 // own implements controller: guest commands are queued from here on.
@@ -255,21 +258,39 @@ func (md *IDE) own() { md.mode = ideVMMOwns }
 
 // give implements controller: after an insertion, replay the commands the
 // guest issued while the VMM held the device, restoring the guest's view.
-func (md *IDE) give(p *sim.Proc, owned bool) {
+func (md *IDE) give(owned bool) {
 	if owned {
 		md.mode = idePassthrough
 		for len(md.queued) > 0 {
 			cmd := md.queued[0]
 			md.queued = md.queued[1:]
-			md.replay(p, cmd)
+			md.replay(cmd)
 		}
 	}
-	md.devLock.Release()
 }
 
-// transfer implements controller.
-func (md *IDE) transfer(p *sim.Proc, write bool, payload disk.Payload) {
-	md.deviceOp(p, write, payload, false)
+// transfer implements controller: one VMM request issued directly to the
+// device, with device interrupts disabled and completion detected by
+// polling — the multiplexing primitive.
+func (md *IDE) transfer(o *op, write bool, payload disk.Payload) bool {
+	if o.sub == 0 {
+		md.issue(write, payload, false)
+		o.sub = 1
+	}
+	// Poll for completion at the backend's interval; each poll is a
+	// preemption-timer exit plus a little handler work (paper §4.1).
+	if md.cb.IORead(nil, ide.RegStatusCmd, 1)&ide.StatusBSY != 0 {
+		md.stats.Polls.Inc()
+		md.m.World.Exit(nil, cpuvirt.ExitPreemptionTimer)
+		md.m.World.RecordVMMWork(2 * sim.Microsecond)
+		o.sleep(md.backend.PollInterval())
+		return false
+	}
+	md.bm.IOWrite(nil, ide.BMRegStatus, 1, ide.BMStatusIRQ) // ack quietly
+	md.bm.IOWrite(nil, ide.BMRegCmd, 1, 0)
+	md.ctl.IOWrite(nil, ide.RegDevControl, 1, md.guestDevControl()) // restore the guest's setting
+	o.sub = 0
+	return true
 }
 
 // takeOver implements controller: the guest sees the device busy.
@@ -281,61 +302,38 @@ func (md *IDE) appendSG(dst []mem.Region, cmd command, want int64) []mem.Region 
 	return ide.AppendPRDs(dst, md.m.Mem, int64(cmd.prdt), want)
 }
 
-// deviceOp issues one VMM request directly to the device (through the
-// untapped Device() interface), with device interrupts disabled and
-// completion detected by polling — the multiplexing primitive.
-func (md *IDE) deviceOp(p *sim.Proc, write bool, payload disk.Payload, keepIRQ bool) {
-	cb, ctl, bm := md.registers()
+// issue programs one VMM request into the device and starts it, through
+// the untapped registers. keepIRQ honors the guest's interrupt setting,
+// so the completion interrupts the guest; otherwise interrupts are
+// disabled.
+func (md *IDE) issue(write bool, payload disk.Payload, keepIRQ bool) {
 	if !keepIRQ {
-		ctl.IOWrite(p, ide.RegDevControl, 1, ide.CtlNIEN)
+		md.ctl.IOWrite(nil, ide.RegDevControl, 1, ide.CtlNIEN)
 	} else {
 		// Honor the guest's interrupt setting: the restart must raise
 		// the interrupt exactly when the guest's own command would have.
-		ctl.IOWrite(p, ide.RegDevControl, 1, md.guestDevControl())
+		md.ctl.IOWrite(nil, ide.RegDevControl, 1, md.guestDevControl())
 	}
 	// Build a PRD table in VMM scratch memory pointing at the VMM bounce
 	// buffer; content rides the DMA hint, so the buffer is never copied.
 	prd := md.vmmRegion.Start + vmmPRDOff
 	buf := md.vmmRegion.Start + vmmBufOff
 	ide.WritePRDTable(md.m.Mem, prd, buf, payload.Count*disk.SectorSize)
-	bm.IOWrite(p, ide.BMRegPRDT, 4, uint64(prd))
+	md.bm.IOWrite(nil, ide.BMRegPRDT, 4, uint64(prd))
 	if write {
 		md.m.Disk.SetNextDMA(buf, payload.Source, false)
 	} else {
 		md.m.Disk.SetNextDMA(buf, nil, true) // VMM reads are bookkeeping only
 	}
-	writeTaskFile(p, cb, payload.LBA, payload.Count)
+	writeTaskFile(md.cb, payload.LBA, payload.Count)
 	opcode := uint64(ide.CmdReadDMAExt)
 	dir := uint64(ide.BMCmdRead)
 	if write {
 		opcode = ide.CmdWriteDMAExt
 		dir = 0
 	}
-	cb.IOWrite(p, ide.RegStatusCmd, 1, opcode)
-	bm.IOWrite(p, ide.BMRegCmd, 1, ide.BMCmdStart|dir)
-
-	if keepIRQ {
-		return
-	}
-	// Poll for completion at the backend's interval; each poll is a
-	// preemption-timer exit plus a little handler work (paper §4.1).
-	for cb.IORead(p, ide.RegStatusCmd, 1)&ide.StatusBSY != 0 {
-		md.stats.Polls.Inc()
-		md.m.World.Exit(nil, cpuvirt.ExitPreemptionTimer)
-		md.m.World.RecordVMMWork(2 * sim.Microsecond)
-		p.Sleep(md.backend.PollInterval())
-	}
-	bm.IOWrite(p, ide.BMRegStatus, 1, ide.BMStatusIRQ) // ack quietly
-	bm.IOWrite(p, ide.BMRegCmd, 1, 0)
-	ctl.IOWrite(p, ide.RegDevControl, 1, md.guestDevControl()) // restore the guest's setting
-}
-
-// registers returns the controller's command block, control block and
-// bus-master regions as the device sees them, bypassing the taps.
-func (md *IDE) registers() (cb, ctl, bm hwio.Handler) {
-	return md.m.IO.Lookup(md.ctrl.Name + ".cmd").Device(),
-		md.m.IO.Lookup(md.ctrl.Name + ".ctl").Device(),
-		md.m.IO.Lookup(md.ctrl.Name + ".bm").Device()
+	md.cb.IOWrite(nil, ide.RegStatusCmd, 1, opcode)
+	md.bm.IOWrite(nil, ide.BMRegCmd, 1, ide.BMCmdStart|dir)
 }
 
 // guestDevControl is the device control value the guest programmed.
@@ -348,16 +346,16 @@ func (md *IDE) guestDevControl() uint64 {
 
 // writeTaskFile programs a 48-bit LBA and sector count into the command
 // block, high bytes first, and selects LBA addressing.
-func writeTaskFile(p *sim.Proc, cb hwio.Handler, lba, count int64) {
-	cb.IOWrite(p, ide.RegSectorCount, 1, uint64(count>>8&0xFF))
-	cb.IOWrite(p, ide.RegSectorCount, 1, uint64(count&0xFF))
-	cb.IOWrite(p, ide.RegLBALow, 1, uint64(lba>>24&0xFF))
-	cb.IOWrite(p, ide.RegLBALow, 1, uint64(lba&0xFF))
-	cb.IOWrite(p, ide.RegLBAMid, 1, uint64(lba>>32&0xFF))
-	cb.IOWrite(p, ide.RegLBAMid, 1, uint64(lba>>8&0xFF))
-	cb.IOWrite(p, ide.RegLBAHigh, 1, uint64(lba>>40&0xFF))
-	cb.IOWrite(p, ide.RegLBAHigh, 1, uint64(lba>>16&0xFF))
-	cb.IOWrite(p, ide.RegDevice, 1, ide.DeviceLBA)
+func writeTaskFile(cb hwio.Handler, lba, count int64) {
+	cb.IOWrite(nil, ide.RegSectorCount, 1, uint64(count>>8&0xFF))
+	cb.IOWrite(nil, ide.RegSectorCount, 1, uint64(count&0xFF))
+	cb.IOWrite(nil, ide.RegLBALow, 1, uint64(lba>>24&0xFF))
+	cb.IOWrite(nil, ide.RegLBALow, 1, uint64(lba&0xFF))
+	cb.IOWrite(nil, ide.RegLBAMid, 1, uint64(lba>>32&0xFF))
+	cb.IOWrite(nil, ide.RegLBAMid, 1, uint64(lba>>8&0xFF))
+	cb.IOWrite(nil, ide.RegLBAHigh, 1, uint64(lba>>40&0xFF))
+	cb.IOWrite(nil, ide.RegLBAHigh, 1, uint64(lba>>16&0xFF))
+	cb.IOWrite(nil, ide.RegDevice, 1, ide.DeviceLBA)
 }
 
 // finish implements controller: make the device generate the guest's
@@ -365,44 +363,52 @@ func writeTaskFile(p *sim.Proc, cb hwio.Handler, lba, count int64) {
 // (paper §3.2, "4. Restart"). The mediator returns to passthrough before
 // the device completes, so the guest's interrupt handler observes real
 // hardware state.
-func (md *IDE) finish(p *sim.Proc, _ command) {
-	if md.VirtualIRQ {
-		// Ablation path: inject the interrupt from the VMM.
+func (md *IDE) finish(o *op) bool {
+	switch o.sub {
+	case 0:
 		md.mode = idePassthrough
-		md.m.World.RecordVMMWork(virtIRQCost)
-		p.Sleep(virtIRQCost)
+		if md.VirtualIRQ {
+			// Ablation path: inject the interrupt from the VMM.
+			md.m.World.RecordVMMWork(virtIRQCost)
+			o.sub = 2
+			o.sleep(virtIRQCost)
+			return false
+		}
+		md.stats.DummyRestarts.Inc()
+		md.issue(false, disk.Payload{LBA: md.dummyLBA, Count: 1, Source: disk.Zero}, true)
+		o.sub = 1
+		fallthrough
+	case 1:
+		// Wait for the dummy to finish so the device is idle before the
+		// mediator's lock is released; the read hits the drive cache.
+		if md.ctrl.Busy() {
+			md.stats.Polls.Inc()
+			o.sleep(md.backend.PollInterval())
+			return false
+		}
+	case 2:
 		if !md.shNIEN {
 			md.ctrl.IRQ.Raise()
 		}
-		return
 	}
-	md.stats.DummyRestarts.Inc()
-	dummy := disk.Payload{LBA: md.dummyLBA, Count: 1, Source: disk.Zero}
-	md.mode = idePassthrough
-	md.deviceOp(p, false, dummy, true)
-	// Wait for the dummy to finish so the device is idle before the
-	// mediator's lock is released; the read hits the drive cache.
-	for md.ctrl.Busy() {
-		md.stats.Polls.Inc()
-		p.Sleep(md.backend.PollInterval())
-	}
+	o.sub = 0
+	return true
 }
 
 // replay re-injects a queued guest command: the device registers are
 // restored from the interpreted snapshot and the command re-dispatched (a
 // replayed read may itself need redirection).
-func (md *IDE) replay(p *sim.Proc, cmd command) {
+func (md *IDE) replay(cmd command) {
 	if md.route(cmd) {
 		// The pipeline took the command over (redirect/protect); its
 		// completion path runs asynchronously.
 		return
 	}
 	// Passthrough: program the device with the guest's register values.
-	cb, ctl, bm := md.registers()
-	ctl.IOWrite(p, ide.RegDevControl, 1, md.guestDevControl())
-	bm.IOWrite(p, ide.BMRegPRDT, 4, uint64(cmd.prdt))
-	writeTaskFile(p, cb, cmd.lba, cmd.count)
-	cb.IOWrite(p, ide.RegStatusCmd, 1, uint64(cmd.opcode))
+	md.ctl.IOWrite(nil, ide.RegDevControl, 1, md.guestDevControl())
+	md.bm.IOWrite(nil, ide.BMRegPRDT, 4, uint64(cmd.prdt))
+	writeTaskFile(md.cb, cmd.lba, cmd.count)
+	md.cb.IOWrite(nil, ide.RegStatusCmd, 1, uint64(cmd.opcode))
 	bmv := uint64(cmd.bmCmd)
 	if bmv&ide.BMCmdStart == 0 {
 		bmv |= ide.BMCmdStart
@@ -410,7 +416,7 @@ func (md *IDE) replay(p *sim.Proc, cmd command) {
 			bmv |= ide.BMCmdRead
 		}
 	}
-	bm.IOWrite(p, ide.BMRegCmd, 1, bmv)
+	md.bm.IOWrite(nil, ide.BMRegCmd, 1, bmv)
 }
 
 var _ Mediator = (*IDE)(nil)

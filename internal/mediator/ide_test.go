@@ -9,11 +9,13 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mediator"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // fakeBackend implements mediator.Backend over a plain filled-set, serving
 // fetches straight from an image with a fixed latency.
 type fakeBackend struct {
+	k         *sim.Kernel
 	img       *disk.Image
 	filled    map[int64]bool
 	protected mediator.Run
@@ -22,10 +24,18 @@ type fakeBackend struct {
 	guestW    int
 	fetchLat  sim.Duration
 	fetchErr  error // non-nil: fetches fail after fetchLat (server down)
+
+	// The fetch in flight (a mediator has at most one) and its cached
+	// completion, so that a fetch does not allocate.
+	run       mediator.Run
+	done      func(disk.Payload, error)
+	fetchedFn func()
 }
 
-func newFakeBackend(img *disk.Image) *fakeBackend {
-	return &fakeBackend{img: img, filled: make(map[int64]bool), fetchLat: 300 * sim.Microsecond}
+func newFakeBackend(k *sim.Kernel, img *disk.Image) *fakeBackend {
+	f := &fakeBackend{k: k, img: img, filled: make(map[int64]bool), fetchLat: 300 * sim.Microsecond}
+	f.fetchedFn = f.fetched
+	return f
 }
 
 func (f *fakeBackend) AllFilled(lba, count int64) bool {
@@ -52,13 +62,20 @@ func (f *fakeBackend) AppendUnfilledRuns(runs []mediator.Run, lba, count int64) 
 	return runs
 }
 
-func (f *fakeBackend) Fetch(p *sim.Proc, lba, count int64) (disk.Payload, error) {
+func (f *fakeBackend) Fetch(_ *trace.Span, lba, count int64, done func(disk.Payload, error)) {
 	f.fetches++
-	p.Sleep(f.fetchLat)
+	f.run, f.done = mediator.Run{LBA: lba, Count: count}, done
+	f.k.After(f.fetchLat, f.fetchedFn)
+}
+
+func (f *fakeBackend) fetched() {
+	done := f.done
+	f.done = nil
 	if f.fetchErr != nil {
-		return disk.Payload{}, f.fetchErr
+		done(disk.Payload{}, f.fetchErr)
+		return
 	}
-	return f.img.Payload(lba, count), nil
+	done(f.img.Payload(f.run.LBA, f.run.Count), nil)
 }
 
 func (f *fakeBackend) MarkFilled(lba, count int64) {
@@ -97,7 +114,7 @@ func newIDERig(t *testing.T) *ideRig {
 	m := machine.New(k, cfg)
 	img := disk.NewSynthImage("ubuntu", 64<<20, 5)
 	vmmRegion := m.Firmware.ReserveForVMM(16 << 20)
-	be := newFakeBackend(img)
+	be := newFakeBackend(k, img)
 	md := mediator.NewIDE(m, be, vmmRegion)
 	md.Attach()
 	o := guest.NewOS("ubuntu", m)

@@ -30,6 +30,7 @@ import (
 	"repro/internal/hw/disk"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Run is a contiguous sector range. The VMM's block bitmap uses the same
@@ -52,8 +53,11 @@ type Backend interface {
 	// AppendUnfilledRuns appends the unfilled sub-ranges of the range to
 	// dst in ascending order and returns the extended slice.
 	AppendUnfilledRuns(dst []Run, lba, count int64) []Run
-	// Fetch retrieves a range from the storage server, blocking.
-	Fetch(p *sim.Proc, lba, count int64) (disk.Payload, error)
+	// Fetch retrieves a range from the storage server and calls done with
+	// the result, from the event that completes the fetch or, for one that
+	// fails before it is sent, at once. cause parents the fetch's spans. A
+	// mediator has at most one fetch in flight.
+	Fetch(cause *trace.Span, lba, count int64, done func(disk.Payload, error))
 	// MarkFilled records that the range now holds valid local data.
 	MarkFilled(lba, count int64)
 	// GuestWrote records a guest write (fills blocks with guest data and

@@ -32,26 +32,34 @@ type command struct {
 // controller is the controller-specific half of a mediator: the device
 // primitives the shared pipeline calls. Commands pass by value: a pointer
 // through the interface would move every command to the heap.
+//
+// The primitives that block (take, transfer, finish) run as steps of an
+// operation record: each reports true once it has completed, or false
+// after scheduling the operation's next step, which calls it again. A
+// primitive keeps its own progress in op.sub and leaves it zero when it
+// completes.
 type controller interface {
-	// take acquires the device for VMM use and waits for in-flight guest
-	// commands to drain. insert is true for a multiplexed VMM request,
-	// false for a taken-over guest command.
-	take(p *sim.Proc, insert bool)
+	// take claims the device for VMM use, once the operation holds
+	// devLock, and waits for in-flight guest commands to drain. insert is
+	// true for a multiplexed VMM request, false for a taken-over guest
+	// command.
+	take(o *op, insert bool) bool
 	// own hides an inserted request from the guest: guest commands
 	// issued until give are queued.
 	own()
 	// give returns the device to the guest, replaying queued guest
-	// commands; owned reports whether own was called.
-	give(p *sim.Proc, owned bool)
+	// commands, before devLock is released; owned reports whether own was
+	// called.
+	give(owned bool)
 	// transfer runs one VMM read or write of the local disk through the
 	// device, interrupts masked, polling for completion.
-	transfer(p *sim.Proc, write bool, payload disk.Payload)
+	transfer(o *op, write bool, payload disk.Payload) bool
 	// takeOver marks cmd as served by the mediator: the guest keeps
 	// seeing it in flight.
 	takeOver(cmd command)
-	// finish completes a taken-over command toward the guest, with the
+	// finish completes o's taken-over command toward the guest, with the
 	// completion interrupt the guest expects.
-	finish(p *sim.Proc, cmd command)
+	finish(o *op) bool
 	// appendSG appends to dst the guest buffers cmd's DMA table names;
 	// want, the transfer length in bytes, lets the walk stop early.
 	appendSG(dst []mem.Region, cmd command, want int64) []mem.Region
@@ -68,25 +76,25 @@ type pipeline struct {
 	stats   Stats
 	dev     controller
 
-	// Pre-built spawn names and reusable scratch for the redirect path,
-	// which runs once per intercepted guest read and must not allocate
-	// per command. The scratch is guarded by the device: one redirect
-	// holds it at a time.
-	redirName   string
-	protectName string
-	runs        []Run
-	parts       []disk.Payload
-	dmaBuf      []byte
-	sg          []mem.Region // decoded DMA table; never held across a yield, so interpretation shares it
+	// devLock serializes VMM-side device use: redirects, protects and
+	// inserted requests.
+	devLock *sim.Resource
+
+	// free recycles operation records. The scratch below is guarded by
+	// the device: only the operation holding devLock touches it.
+	free   []*op
+	runs   []Run
+	parts  []disk.Payload
+	dmaBuf []byte
+	sg     []mem.Region // decoded DMA table; never held across a step, so interpretation shares it
 }
 
-func newPipeline(m *machine.Machine, backend Backend, dev controller, ctrlName string) pipeline {
+func newPipeline(m *machine.Machine, backend Backend, dev controller) pipeline {
 	return pipeline{
-		m:           m,
-		backend:     backend,
-		dev:         dev,
-		redirName:   ctrlName + ".med.redirect",
-		protectName: ctrlName + ".med.protect",
+		m:       m,
+		backend: backend,
+		dev:     dev,
+		devLock: sim.NewResource(m.K, m.Name+".med.dev", 1),
 	}
 }
 
@@ -95,8 +103,8 @@ func (pl *pipeline) Stats() *Stats { return &pl.stats }
 
 // intercept counts a newly interpreted guest command and captures what
 // travels with it: the issuing proc's causal span (the redirect and
-// protect bodies run on fresh procs) and the DMA hint armed for its
-// buffer.
+// protect bodies run as kernel callbacks, not on that proc) and the DMA
+// hint armed for its buffer.
 func (pl *pipeline) intercept(p *sim.Proc, cmd *command) {
 	pl.stats.GuestCommands.Inc()
 	cmd.cause = trace.Cause(p)
@@ -116,7 +124,7 @@ func (pl *pipeline) route(cmd command) bool {
 	if pl.backend.Protected(cmd.lba, cmd.count) {
 		pl.stats.ProtectedHits.Inc()
 		pl.dev.takeOver(cmd)
-		pl.m.K.Spawn(pl.protectName, func(p *sim.Proc) { pl.protect(p, cmd) })
+		pl.start(opProtect, cmd)
 		return true
 	}
 	if cmd.write {
@@ -134,7 +142,7 @@ func (pl *pipeline) route(cmd command) bool {
 	// I/O redirection: block the device access and serve from the server.
 	pl.stats.Redirects.Inc()
 	pl.dev.takeOver(cmd)
-	pl.m.K.Spawn(pl.redirName, func(p *sim.Proc) { pl.redirect(p, cmd) })
+	pl.start(opRedirect, cmd)
 	return true
 }
 
@@ -146,90 +154,17 @@ func (pl *pipeline) rearmHint(cmd command) {
 	}
 }
 
-// begin opens a mediator span for one mediated operation.
-func (pl *pipeline) begin(cause *trace.Span, name string, lba, count int64) *trace.Span {
-	if pl.m.Trace == nil { // variadic attrs box; skip entirely when not tracing
-		return nil
-	}
-	return pl.m.Trace.BeginChild(cause, pl.m.Name, "mediator", name,
-		trace.Int("lba", lba), trace.Int("count", count))
-}
-
-// redirect performs copy-on-read for one taken-over guest read: unfilled
-// runs come from the server and are written through to the local disk
-// (§3.1: "also writes the data to the local disk for future use"), the
-// filled gaps between them are read locally, and the assembled data is
-// copied into the guest's buffers before the command completes.
-func (pl *pipeline) redirect(p *sim.Proc, cmd command) {
-	sp := pl.begin(cmd.cause, "redirect", cmd.lba, cmd.count)
-	defer sp.End()
-	// The backend fetch below issues AoE round trips on this proc; parent
-	// them under the redirect span.
-	trace.SwapCause(p, sp)
-	pl.dev.take(p, false)
-	defer pl.dev.give(p, false)
-
-	parts := pl.parts[:0]
-	defer func() { pl.parts = parts[:0] }()
-	cursor := cmd.lba
-	appendLocal := func(upto int64) {
-		for cursor < upto {
-			n := upto - cursor
-			if n > 2048 {
-				n = 2048
-			}
-			pl.dev.transfer(p, false, disk.Payload{LBA: cursor, Count: n})
-			parts = append(parts, pl.m.Disk.Store().ReadPayload(cursor, n))
-			cursor += n
-		}
-	}
-	pl.runs = pl.backend.AppendUnfilledRuns(pl.runs[:0], cmd.lba, cmd.count)
-	for _, run := range pl.runs {
-		appendLocal(run.LBA) // already-filled gap: read from the local disk
-		fetched, err := pl.backend.Fetch(p, run.LBA, run.Count)
-		if err != nil {
-			// Server unreachable: complete the command rather than leave
-			// the guest waiting on it.
-			if pl.m.Trace != nil { // the error text and attrs allocate; skip when not tracing
-				pl.m.Trace.Emit(pl.m.Name, "mediator", "fetch-failed", trace.Int("lba", run.LBA),
-					trace.Int("count", run.Count), trace.Str("err", err.Error()))
-			}
-			pl.dev.finish(p, cmd)
-			return
-		}
-		pl.dev.transfer(p, true, fetched) // write-through to the local disk
-		pl.backend.MarkFilled(run.LBA, run.Count)
-		pl.stats.RedirectBytes.Add(run.Count * disk.SectorSize)
-		parts = append(parts, fetched)
-		cursor = run.End()
-	}
-	appendLocal(cmd.lba + cmd.count)
-
-	// A discard hint means the guest will not look at the data.
-	if !cmd.hintDiscard {
-		pl.copyToGuest(cmd, parts)
-	}
-	pl.dev.finish(p, cmd)
-}
-
-// protect hides the VMM's bitmap save area from the guest (§3.3): the
-// data never moves, reads observe zeros, and the command still completes
-// with an interrupt.
-func (pl *pipeline) protect(p *sim.Proc, cmd command) {
-	sp := pl.begin(cmd.cause, "protect", cmd.lba, cmd.count)
-	defer sp.End()
-	trace.SwapCause(p, sp)
-	pl.dev.take(p, false)
-	defer pl.dev.give(p, false)
-	if !cmd.write && !cmd.hintDiscard {
-		zero := disk.Payload{LBA: cmd.lba, Count: cmd.count, Source: disk.Zero}
-		pl.copyToGuest(cmd, []disk.Payload{zero})
-	}
-	pl.dev.finish(p, cmd)
+// start schedules a redirect or protect of a taken-over command to begin
+// at the current instant, after the events already scheduled for it.
+func (pl *pipeline) start(kind opKind, cmd command) {
+	o := pl.newOp(kind)
+	o.cmd = cmd
+	pl.m.K.After(0, o.stepFn)
 }
 
 // copyToGuest assembles parts and scatters them into the guest buffers
 // cmd's DMA table names: the mediator acting as a virtual DMA controller.
+// Buffers the guest pointed outside its memory receive nothing.
 func (pl *pipeline) copyToGuest(cmd command, parts []disk.Payload) {
 	data := pl.dmaBuf[:0]
 	for _, part := range parts {
@@ -237,34 +172,334 @@ func (pl *pipeline) copyToGuest(cmd command, parts []disk.Payload) {
 	}
 	pl.dmaBuf = data[:0] // keep the grown backing array for the next command
 	pl.sg = pl.dev.appendSG(pl.sg[:0], cmd, int64(len(data)))
-	pl.m.Mem.Scatter(pl.sg, data)
+	if pl.m.Mem.Reachable(pl.sg, int64(len(data))) {
+		pl.m.Mem.Scatter(pl.sg, data)
+	}
 }
 
-// InsertWrite implements Mediator: background-copy multiplexing.
+// InsertWrite implements Mediator: background-copy multiplexing. The
+// insertion runs as the same kind of operation record as a redirect; the
+// calling process parks until its final step resumes it.
 func (pl *pipeline) InsertWrite(p *sim.Proc, payload disk.Payload, guard func() bool) bool {
-	sp := pl.begin(trace.Cause(p), "insert-write", payload.LBA, payload.Count)
-	defer sp.End()
-	pl.dev.take(p, true)
-	if guard != nil && !guard() {
-		pl.dev.give(p, false)
-		return false
-	}
-	pl.dev.own()
-	pl.stats.Inserted.Inc()
-	pl.stats.InsertedBytes.Add(payload.Count * disk.SectorSize)
-	pl.dev.transfer(p, true, payload)
-	pl.dev.give(p, true)
-	return true
+	o := pl.newOp(opInsertWrite)
+	o.cmd.lba, o.cmd.count = payload.LBA, payload.Count
+	o.payload, o.guard = payload, guard
+	pl.await(p, o)
+	ok := o.ok
+	pl.putOp(o)
+	return ok
 }
 
 // InsertRead implements Mediator.
 func (pl *pipeline) InsertRead(p *sim.Proc, lba, count int64) (disk.Payload, bool) {
-	sp := pl.begin(trace.Cause(p), "insert-read", lba, count)
-	defer sp.End()
-	pl.dev.take(p, true)
-	pl.dev.own()
-	pl.dev.transfer(p, false, disk.Payload{LBA: lba, Count: count})
-	got := pl.m.Disk.Store().ReadPayload(lba, count)
-	pl.dev.give(p, true)
-	return got, true
+	o := pl.newOp(opInsertRead)
+	o.cmd.lba, o.cmd.count = lba, count
+	pl.await(p, o)
+	got, ok := o.payload, o.ok
+	pl.putOp(o)
+	return got, ok
+}
+
+// await runs an insertion for the process p, parking p unless the
+// insertion completes at once. Its span parents on p's causal span.
+func (pl *pipeline) await(p *sim.Proc, o *op) {
+	o.cmd.cause = trace.Cause(p)
+	o.proc = p
+	o.step()
+	if o.proc != nil {
+		o.parked = true
+		p.Suspend()
+	}
+}
+
+// opKind is what a mediated operation does.
+type opKind uint8
+
+const (
+	opRedirect    opKind = iota // copy-on-read of a taken-over guest read
+	opProtect                   // a taken-over access to the VMM's save area
+	opInsertWrite               // a multiplexed VMM write
+	opInsertRead                // a multiplexed VMM read
+)
+
+// opNames are the operations' span names.
+var opNames = [...]string{"redirect", "protect", "insert-write", "insert-read"}
+
+// opStep is where an operation's step function resumes.
+type opStep uint8
+
+const (
+	stepBegin   opStep = iota // open the span
+	stepLock                  // acquire devLock
+	stepTake                  // claim the device
+	stepGap                   // redirect: next filled gap, unfilled run, or the copy-out
+	stepLocal                 // redirect: local read of a filled gap
+	stepFetch                 // redirect: fetch the next unfilled run
+	stepFetched               // redirect: the run's fetch completed
+	stepWrite                 // redirect: write-through of the fetched run
+	stepFinish                // complete the guest command
+	stepInsert                // insertion: the VMM request
+)
+
+// op is one mediated operation in flight. It runs as kernel callbacks,
+// not as a process: the record caches its continuations, and every point
+// at which the process-form body used to block (the devLock wait, each
+// poll or interrupt-injection sleep, the backend fetch) schedules
+// exactly one of them, in the (when, seq) slot the blocked process's
+// wakeup would have taken. DESIGN.md §5a ("Event-driven mediator") gives
+// the ordering rules. Records are pooled per mediator.
+type op struct {
+	pl   *pipeline
+	kind opKind
+	pc   opStep
+	sub  uint8 // the running controller primitive's own progress
+	cmd  command
+	sp   *trace.Span
+
+	// Redirect progress: the next unfilled run of pl.runs, the next
+	// sector to assemble, the sectors of the local read in flight, and
+	// the fetch's result. fetching is set while a backend fetch may still
+	// complete inline.
+	run      int
+	cursor   int64
+	n        int64
+	fetched  disk.Payload
+	fetchErr error
+	fetching bool
+
+	// Insertion: the payload (the result, for a read), the guard, the
+	// outcome, and the process blocked in InsertWrite or InsertRead.
+	payload disk.Payload
+	guard   func() bool
+	ok      bool
+	proc    *sim.Proc
+	parked  bool
+
+	// Continuations, built once per record.
+	stepFn    func()
+	fetchedFn func(disk.Payload, error)
+	waiter    *sim.Waiter // devLock waits
+}
+
+// newOp takes an operation record from the pool, or builds one.
+func (pl *pipeline) newOp(kind opKind) *op {
+	var o *op
+	if n := len(pl.free) - 1; n >= 0 {
+		o = pl.free[n]
+		pl.free[n] = nil
+		pl.free = pl.free[:n]
+	} else {
+		o = &op{pl: pl}
+		o.stepFn = o.step
+		o.fetchedFn = o.fetchDone
+		o.waiter = pl.m.K.NewWaiter(o.woken)
+	}
+	o.kind, o.pc = kind, stepBegin
+	return o
+}
+
+// putOp returns a finished record to the pool, dropping its references.
+func (pl *pipeline) putOp(o *op) {
+	o.cmd, o.payload, o.guard, o.ok = command{}, disk.Payload{}, nil, false
+	o.parked = false
+	pl.free = append(pl.free, o)
+}
+
+// sleep schedules the operation's next step d from now.
+func (o *op) sleep(d sim.Duration) { o.pl.m.K.After(d, o.stepFn) }
+
+// woken continues the operation after a devLock wait.
+func (o *op) woken(bool) { o.step() }
+
+// fetchDone receives the backend fetch's result. A fetch that completes
+// inline leaves the running step to continue; a later one resumes it.
+func (o *op) fetchDone(pl disk.Payload, err error) {
+	o.fetched, o.fetchErr = pl, err
+	if o.fetching {
+		o.fetching = false
+		return
+	}
+	o.step()
+}
+
+// step runs the operation until it blocks or ends.
+func (o *op) step() {
+	pl := o.pl
+	for {
+		switch o.pc {
+		case stepBegin:
+			o.sp = pl.begin(o.cmd.cause, opNames[o.kind], o.cmd.lba, o.cmd.count)
+			o.pc = stepLock
+		case stepLock:
+			if !pl.devLock.AcquireWait(o.waiter) {
+				return
+			}
+			o.pc = stepTake
+		case stepTake:
+			if !pl.dev.take(o, o.kind >= opInsertWrite) {
+				return
+			}
+			if !o.taken() {
+				return
+			}
+		case stepGap:
+			o.gap()
+		case stepFetch:
+			run := pl.runs[o.run]
+			o.pc = stepFetched
+			o.fetching = true
+			pl.backend.Fetch(o.sp, run.LBA, run.Count, o.fetchedFn)
+			if o.fetching {
+				o.fetching = false // the fetch completes later and resumes the step
+				return
+			}
+		case stepLocal:
+			if !pl.dev.transfer(o, false, disk.Payload{LBA: o.cursor, Count: o.n}) {
+				return
+			}
+			pl.parts = append(pl.parts, pl.m.Disk.Store().ReadPayload(o.cursor, o.n))
+			o.cursor += o.n
+			o.pc = stepGap
+		case stepFetched:
+			if err := o.fetchErr; err != nil {
+				// Server unreachable: complete the command rather than
+				// leave the guest waiting on it.
+				run := pl.runs[o.run]
+				if pl.m.Trace != nil { // the error text allocates; skip it when not tracing
+					pl.m.Trace.Emit(pl.m.Name, "mediator", "fetch-failed", trace.Int("lba", run.LBA),
+						trace.Int("count", run.Count), trace.Str("err", err.Error()))
+				}
+				o.fetchErr = nil
+				o.pc = stepFinish
+				continue
+			}
+			o.pc = stepWrite
+		case stepWrite:
+			if !pl.dev.transfer(o, true, o.fetched) { // write-through to the local disk
+				return
+			}
+			run := pl.runs[o.run]
+			pl.backend.MarkFilled(run.LBA, run.Count)
+			pl.stats.RedirectBytes.Add(run.Count * disk.SectorSize)
+			pl.parts = append(pl.parts, o.fetched)
+			o.fetched = disk.Payload{}
+			o.cursor = run.End()
+			o.run++
+			o.pc = stepGap
+		case stepFinish:
+			if !pl.dev.finish(o) {
+				return
+			}
+			pl.parts = pl.parts[:0]
+			pl.give(false)
+			o.end()
+			return
+		case stepInsert:
+			write := o.kind == opInsertWrite
+			if !pl.dev.transfer(o, write, o.payload) {
+				return
+			}
+			if !write {
+				o.payload = pl.m.Disk.Store().ReadPayload(o.cmd.lba, o.cmd.count)
+			}
+			pl.give(true)
+			o.ok = true
+			o.end()
+			return
+		}
+	}
+}
+
+// taken runs once the operation holds the device and picks its next
+// step; it reports false if the operation ended.
+func (o *op) taken() bool {
+	pl := o.pl
+	switch o.kind {
+	case opRedirect:
+		pl.runs = pl.backend.AppendUnfilledRuns(pl.runs[:0], o.cmd.lba, o.cmd.count)
+		pl.parts = pl.parts[:0]
+		o.run, o.cursor = 0, o.cmd.lba
+		o.pc = stepGap
+	case opProtect:
+		// The VMM's bitmap save area (§3.3): the data never moves, reads
+		// observe zeros, and the command still completes with an
+		// interrupt.
+		if !o.cmd.write && !o.cmd.hintDiscard {
+			zero := disk.Payload{LBA: o.cmd.lba, Count: o.cmd.count, Source: disk.Zero}
+			pl.parts = append(pl.parts[:0], zero)
+			pl.copyToGuest(o.cmd, pl.parts)
+			pl.parts = pl.parts[:0]
+		}
+		o.pc = stepFinish
+	case opInsertWrite:
+		if o.guard != nil && !o.guard() {
+			pl.give(false)
+			o.end()
+			return false
+		}
+		pl.dev.own()
+		pl.stats.Inserted.Inc()
+		pl.stats.InsertedBytes.Add(o.payload.Count * disk.SectorSize)
+		o.pc = stepInsert
+	case opInsertRead:
+		pl.dev.own()
+		o.payload = disk.Payload{LBA: o.cmd.lba, Count: o.cmd.count}
+		o.pc = stepInsert
+	}
+	return true
+}
+
+// gap advances a redirect's copy-on-read: unfilled runs come from the
+// server and are written through to the local disk (§3.1: "also writes
+// the data to the local disk for future use"), the filled gaps between
+// them are read locally in chunks of at most 2048 sectors, and once the
+// range is assembled it is copied into the guest's buffers (unless a
+// discard hint says the guest will not look) before the command
+// completes.
+func (o *op) gap() {
+	pl := o.pl
+	upto := o.cmd.lba + o.cmd.count
+	if o.run < len(pl.runs) {
+		upto = pl.runs[o.run].LBA
+	}
+	switch {
+	case o.cursor < upto: // already-filled gap: read from the local disk
+		o.n = min(upto-o.cursor, 2048)
+		o.pc = stepLocal
+	case o.run < len(pl.runs):
+		o.pc = stepFetch
+	default:
+		if !o.cmd.hintDiscard {
+			pl.copyToGuest(o.cmd, pl.parts)
+		}
+		o.pc = stepFinish
+	}
+}
+
+// end closes the operation's span and retires it: an insertion's result
+// goes to its process, which is resumed inline if it parked; a redirect
+// or protect record returns to the pool.
+func (o *op) end() {
+	o.sp.End()
+	o.sp = nil
+	if p := o.proc; p != nil {
+		o.proc = nil
+		if o.parked {
+			p.Resume()
+		}
+		return
+	}
+	o.pl.putOp(o)
+}
+
+// give returns the device to the guest and releases devLock.
+func (pl *pipeline) give(owned bool) {
+	pl.dev.give(owned)
+	pl.devLock.Release()
+}
+
+// begin opens a mediator span for one mediated operation.
+func (pl *pipeline) begin(cause *trace.Span, name string, lba, count int64) *trace.Span {
+	return pl.m.Trace.BeginChild(cause, pl.m.Name, "mediator", name,
+		trace.Int("lba", lba), trace.Int("count", count))
 }

@@ -153,9 +153,9 @@ func argID(args map[string]any, key string) (int64, bool) {
 }
 
 // restAttrs converts the args object back to attributes, dropping the
-// exporter's bookkeeping keys and restoring integral floats to int64 so
-// a loaded trace analyzes identically to a live one. Keys are sorted for
-// deterministic attribute order.
+// exporter's bookkeeping keys and restoring integral floats to integer
+// attributes so a loaded trace analyzes identically to a live one. Keys
+// are sorted for deterministic attribute order.
 func restAttrs(args map[string]any) []trace.Attr {
 	if len(args) == 0 {
 		return nil
@@ -177,7 +177,8 @@ func restAttrs(args map[string]any) []trace.Attr {
 		v := args[k]
 		if f, ok := v.(float64); ok {
 			if i, exact := exactInt64(f); exact {
-				v = i
+				out = append(out, trace.Int(k, i))
+				continue
 			}
 		}
 		out = append(out, trace.Attr{Key: k, Value: v})

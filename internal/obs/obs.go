@@ -671,19 +671,18 @@ func maxInt64(a, b int64) int64 {
 	return b
 }
 
-// attrInt fetches an integer attribute by key, accepting the int64 the
-// live recorder stores and the float64 a JSON re-import produces.
+// attrInt fetches an integer attribute by key, accepting the typed
+// integer the live recorder stores and the float64 a JSON re-import
+// produces.
 func attrInt(attrs []trace.Attr, key string, def int64) int64 {
 	for _, a := range attrs {
 		if a.Key != key {
 			continue
 		}
-		switch v := a.Value.(type) {
-		case int64:
-			return v
-		case int:
-			return int64(v)
-		case float64:
+		if a.Kind == trace.IntAttr {
+			return a.Num
+		}
+		if v, ok := a.Value.(float64); ok {
 			return int64(v)
 		}
 	}

@@ -35,8 +35,10 @@ type Proc struct {
 	// process waits on exactly one signal at a time, so one record (reset
 	// before each enqueue) serves every Wait this process ever performs.
 	pw *waiter
-	// tw is the reusable timed-wait state for WaitTimeout, lazily built.
-	tw *timedWaiter
+	// tw is the reusable timed-wait state for WaitTimeout, lazily built;
+	// fired carries the outcome of its last round back to the process.
+	tw    *Waiter
+	fired bool
 
 	// annotation is an opaque per-process slot for layers above the kernel
 	// (the tracer stores the current causal span here). Storing a pointer
@@ -215,59 +217,89 @@ func (p *Proc) WaitCond(s *Signal, cond func() bool) {
 	}
 }
 
-// timedWaiter is a process's reusable WaitTimeout state: the waiter record,
-// the signal and timer of the current round, and the cached timeout
-// callback. A round's timer is still live when the process resumes only
-// if the signal won; the process then cancels it, so no dead timer is
-// left in the heap. When the timer wins, the kernel has already recycled
-// its record.
-type timedWaiter struct {
-	w       *waiter
-	s       *Signal
-	timer   Handle
-	timeout func()
-}
-
 // WaitTimeout parks the process until s fires or d elapses. It reports true
 // if the signal fired, false on timeout.
 func (p *Proc) WaitTimeout(s *Signal, d Duration) bool {
-	if d < 0 {
-		d = 0
-	}
 	if p.tw == nil {
-		t := &timedWaiter{w: newWaiter(p.transferFn)}
-		t.timeout = func() {
-			t.w.done = true
-			t.s.remove(t.w)
-			p.transfer()
-		}
-		p.tw = t
-	}
-	t := p.tw
-	w := t.w
-	if w.inflight > 0 {
-		// A broadcast wakeup for the previous wait is still scheduled (the
-		// timer won that race at the same instant). The record cannot be
-		// reused until it drains, so this rare round pays for a one-shot.
-		ow := newWaiter(p.transferFn)
-		s.addWaiter(ow)
-		timer := p.k.After(d, func() {
-			ow.done = true
-			s.remove(ow)
+		p.tw = p.k.NewWaiter(func(fired bool) {
+			p.fired = fired
 			p.transfer()
 		})
-		p.park()
-		fired := timer.live()
-		timer.Cancel()
-		return fired
 	}
-	t.s, w.done = s, false
-	s.addWaiter(w)
-	t.timer = p.k.After(d, t.timeout)
+	p.tw.WaitTimeout(s, d)
 	p.park()
-	fired := t.timer.live()
-	t.timer.Cancel()
-	return fired
+	return p.fired
+}
+
+// Suspend parks the process until a callback calls Resume. It is the
+// blocking half of an operation that runs as scheduled callbacks: the
+// process starts the operation, suspends if it did not complete at once,
+// and the operation's final step resumes it.
+func (p *Proc) Suspend() { p.park() }
+
+// Resume continues a process parked in Suspend inline, inside the event
+// that calls it: the process runs until it next blocks or returns, as it
+// would have had it been woken by that event. Only a scheduled callback
+// may call it, never a process body.
+func (p *Proc) Resume() { p.transfer() }
+
+// Waiter is the callback form of Proc.Wait and Proc.WaitTimeout: a
+// reusable record whose callback runs when the signal it waits on is
+// broadcast or its timeout elapses, in the event slot a parked process's
+// wakeup would take. It waits on one signal at a time. When the signal
+// wins, the timer is still live, and the callback's event cancels it,
+// so no dead timer is left in the heap; when the timer wins, the kernel
+// has already recycled its record.
+type Waiter struct {
+	k       *Kernel
+	fn      func(fired bool)
+	w       *waiter
+	s       *Signal
+	timer   Handle
+	wake    func() // cached w.wake target
+	timeout func() // cached timer callback
+}
+
+// NewWaiter returns a waiter whose callback is fn; fired reports whether
+// the signal, not the timeout, ended the wait.
+func (k *Kernel) NewWaiter(fn func(fired bool)) *Waiter {
+	t := &Waiter{k: k, fn: fn}
+	t.wake = t.signaled
+	t.timeout = t.timedOut
+	t.w = newWaiter(t.wake)
+	return t
+}
+
+// Wait enqueues the waiter on s; the next Broadcast runs the callback.
+func (t *Waiter) Wait(s *Signal) {
+	if t.w.inflight > 0 {
+		// A broadcast wakeup for the previous wait is still scheduled (the
+		// timer won that race at the same instant). That record drains
+		// dead; a fresh one serves this and later waits.
+		t.w = newWaiter(t.wake)
+	}
+	t.s, t.w.done = s, false
+	s.addWaiter(t.w)
+}
+
+// WaitTimeout enqueues the waiter on s and starts a timer of d: the
+// callback runs once, when s is broadcast or d elapses, whichever is first.
+func (t *Waiter) WaitTimeout(s *Signal, d Duration) {
+	t.Wait(s)
+	t.timer = t.k.After(max(d, 0), t.timeout)
+}
+
+func (t *Waiter) signaled() {
+	t.timer.Cancel() // a no-op for an untimed wait
+	t.timer = Handle{}
+	t.fn(true)
+}
+
+func (t *Waiter) timedOut() {
+	t.timer = Handle{}
+	t.w.done = true
+	t.s.remove(t.w)
+	t.fn(false)
 }
 
 // Signal is a broadcast condition variable for processes. Broadcast wakes

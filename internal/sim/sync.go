@@ -96,6 +96,19 @@ func (r *Resource) Acquire(p *Proc) {
 	r.inUse++
 }
 
+// AcquireWait is Acquire for a callback: it takes a unit if one is free
+// and reports true. Otherwise it enqueues w on the resource's release and
+// reports false; w's callback then runs at a Release's wakeup, in the
+// slot a parked Acquire's would take, and should call AcquireWait again.
+func (r *Resource) AcquireWait(w *Waiter) bool {
+	if r.inUse >= r.capacity {
+		w.Wait(r.released)
+		return false
+	}
+	r.inUse++
+	return true
+}
+
 // TryAcquire takes a unit without blocking, reporting whether it succeeded.
 func (r *Resource) TryAcquire() bool {
 	if r.inUse >= r.capacity {

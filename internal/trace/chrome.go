@@ -50,7 +50,7 @@ func attrMap(attrs []Attr) map[string]any {
 	}
 	m := make(map[string]any, len(attrs))
 	for _, a := range attrs {
-		m[a.Key] = a.Value
+		m[a.Key] = a.Val()
 	}
 	return m
 }

@@ -15,6 +15,8 @@
 package trace
 
 import (
+	"fmt"
+
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -25,17 +27,41 @@ type Clock interface {
 }
 
 // Attr is one key/value attribute attached to a span or event. Values
-// are exported into the Chrome trace "args" object as-is.
+// are exported into the Chrome trace "args" object as-is. An integer
+// attribute keeps its value in the typed Num field, so building one does
+// not box it; every other value lives in Value.
 type Attr struct {
 	Key   string
-	Value any
+	Kind  AttrKind
+	Num   int64 // the value when Kind is IntAttr
+	Value any   // the value when Kind is AnyAttr
 }
+
+// AttrKind says which field of an Attr holds its value.
+type AttrKind uint8
+
+// Attribute kinds.
+const (
+	AnyAttr AttrKind = iota // Value holds the value
+	IntAttr                 // Num holds the value
+)
 
 // Str returns a string attribute.
 func Str(key, value string) Attr { return Attr{Key: key, Value: value} }
 
 // Int returns an integer attribute.
-func Int(key string, value int64) Attr { return Attr{Key: key, Value: value} }
+func Int(key string, value int64) Attr { return Attr{Key: key, Kind: IntAttr, Num: value} }
+
+// Val returns the attribute's value, an int64 for an integer attribute.
+func (a Attr) Val() any {
+	if a.Kind == IntAttr {
+		return a.Num
+	}
+	return a.Value
+}
+
+// String formats the attribute as {key value}.
+func (a Attr) String() string { return fmt.Sprintf("{%s %v}", a.Key, a.Val()) }
 
 // Span is one named interval on a node's timeline. A span is created
 // open by Recorder.Begin and closed by End; an open span has Stop equal
@@ -142,13 +168,16 @@ func NewRecorder(clock Clock) *Recorder {
 func (r *Recorder) Enabled() bool { return r != nil }
 
 // Begin opens a span on node's timeline and returns it. On a nil
-// recorder it returns nil, which every Span method accepts.
+// recorder it returns nil, which every Span method accepts. The span
+// keeps a copy of attrs, so a caller's argument list never escapes and
+// building attributes costs nothing when no recorder is installed.
 func (r *Recorder) Begin(node, cat, name string, attrs ...Attr) *Span {
 	if r == nil {
 		return nil
 	}
 	r.nextID++
-	s := &Span{r: r, ID: r.nextID, Node: node, Cat: cat, Name: name, Start: r.clock.Now(), Open: true, Args: attrs}
+	s := &Span{r: r, ID: r.nextID, Node: node, Cat: cat, Name: name, Start: r.clock.Now(), Open: true,
+		Args: append([]Attr(nil), attrs...)}
 	s.Stop = s.Start
 	r.spans = append(r.spans, s)
 	return s
@@ -165,11 +194,13 @@ func (r *Recorder) BeginChild(parent *Span, node, cat, name string, attrs ...Att
 }
 
 // Emit records an instantaneous event at the current simulation time.
+// Like Begin, it keeps a copy of attrs.
 func (r *Recorder) Emit(node, cat, name string, attrs ...Attr) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, Event{Time: r.clock.Now(), Node: node, Cat: cat, Name: name, Args: attrs})
+	r.events = append(r.events, Event{Time: r.clock.Now(), Node: node, Cat: cat, Name: name,
+		Args: append([]Attr(nil), attrs...)})
 }
 
 // Now reports the recorder's clock, or 0 on a nil recorder.

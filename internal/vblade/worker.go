@@ -168,9 +168,8 @@ func (w *worker) begin(f *ethernet.Frame) bool {
 	f.Release()
 	w.lba, w.count = int64(w.hdr.LBA), int64(w.hdr.Count)
 
-	// Building span attributes boxes values even when no recorder is
-	// installed, so the uninstrumented hot path skips Begin entirely
-	// (End is nil-safe).
+	// The flow link needs a span, so the uninstrumented hot path skips
+	// Begin entirely (End is nil-safe).
 	if s.tr != nil {
 		w.sp = s.tr.Begin(s.node, "aoe", "serve",
 			trace.Int("lba", w.lba), trace.Int("count", w.count),

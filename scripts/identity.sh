@@ -8,7 +8,8 @@
 # network), builds bmcast-sim, bmcast-experiments, bmcast-obs and
 # bmcast-bench from both trees, runs the artifact matrix below on each
 # build in turn, and prints one line per artifact: "identical" with its
-# hash, or the first differing line of each side. On each side the chaos
+# hash, or "DIFFERS" followed by every series that moved (bench counts
+# and metrics snapshots) or the first differing line of each side. On each side the chaos
 # run at -shards 8 must also match the one at -shards 1 (a worker count
 # picks no schedule, DESIGN.md §13). It exits 1 when anything differs or
 # any program exits non-zero, on either side.
@@ -154,8 +155,59 @@ firstdiff() {
 	}'
 }
 
+# seriesdiff A B KIND prints the name of every series whose lines differ
+# between two gzipped artifacts, or that only one of them has, in order of
+# first appearance. KIND counts: bmcast-bench counts, one series per
+# "workload metric" pair. KIND metrics: a metrics snapshot, one series per
+# sample, named name{label=value,...}.
+seriesdiff() {
+	awk -v a=<(gzip -dc "$1") -v b=<(gzip -dc "$2") -v kind="$3" '
+	function str(line) { sub(/^[^:]*: "/, "", line); sub(/",?$/, "", line); return line }
+	function keep(side, key, text) {
+		if (!(key in seen)) { seen[key] = 1; order[++n] = key }
+		rec[side, key] = rec[side, key] text
+	}
+	function load(side, file,   line, f, key, name, labels, lk, sample) {
+		key = "(preamble)"
+		while ((getline line <file) > 0) {
+			if (kind == "counts") {
+				split(line, f, " ")
+				keep(side, f[1] " " f[2], line "\n")
+				continue
+			}
+			if (line ~ /^ *"Name": "/) {
+				name = str(line); labels = ""; sample = ""
+			}
+			if (name == "") {
+				keep(side, key, line "\n")
+				continue
+			}
+			sample = sample line "\n"
+			if (line ~ /^ *"Key": "/) {
+				lk = str(line)
+			} else if (line ~ /^ *"Value": "/) {
+				labels = labels (labels == "" ? "" : ",") lk "=" str(line)
+			} else if (line ~ /^ *"Kind": "/) {
+				key = name "{" labels "}"
+				keep(side, key, sample)
+				name = ""
+			}
+		}
+		if (name != "") keep(side, key, sample)
+	}
+	BEGIN {
+		load("a", a)
+		load("b", b)
+		for (i = 1; i <= n; i++) {
+			k = order[i]
+			if (rec["a", k] != rec["b", k]) printf "    series %s\n", k
+		}
+	}'
+}
+
 # compare LABEL A B LA LB prints one verdict line for artifacts A and B
-# (paths without the .sha/.gz suffix) and the first differing line.
+# (paths without the .sha/.gz suffix), then every differing series for
+# bench counts and metrics snapshots, or else the first differing line.
 status=0
 compare() {
 	local ha hb
@@ -163,11 +215,15 @@ compare() {
 	hb=$(cat "$3.sha")
 	if [ "$ha" = "$hb" ]; then
 		printf '%-52s identical %s\n' "$1" "$ha"
-	else
-		printf '%-52s DIFFERS\n' "$1"
-		firstdiff "$2.gz" "$3.gz" "$4" "$5"
-		status=1
+		return
 	fi
+	printf '%-52s DIFFERS\n' "$1"
+	status=1
+	case $1 in
+	*.counts) seriesdiff "$2.gz" "$3.gz" counts ;;
+	*.metrics.json) seriesdiff "$2.gz" "$3.gz" metrics ;;
+	*) firstdiff "$2.gz" "$3.gz" "$4" "$5" ;;
+	esac
 }
 
 while read -r name; do
