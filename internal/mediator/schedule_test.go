@@ -43,7 +43,7 @@ func ahciSchedRig(t *testing.T) schedRig {
 }
 
 // mediatedScheduleRun drives a fixed scenario through one mediator and
-// returns its schedule: every guest and device process hook event, every
+// returns its schedule: every guest process hook event, every
 // VMM process's spawn and exit, every guest outcome with a checksum of
 // the data read, every mediator span with its open and close times, and
 // the final counters. The scenario covers a partly
@@ -56,11 +56,13 @@ func mediatedScheduleRun(t *testing.T, r schedRig) string {
 	var log bytes.Buffer
 	r.m.Trace = trace.NewRecorder(r.k)
 	r.k.SetProcHook(func(at sim.Time, ev sim.ProcEvent, name string) {
-		// How the mediator runs its own work is not part of the schedule:
-		// the processes it may start for a redirect or protect, and the
+		// How the mediator and the controller run their own work is not
+		// part of the schedule: the processes the mediator may start for
+		// a redirect or protect, a controller's command engine, and the
 		// parks of a VMM process blocked inside an insertion, are left
-		// out. Every guest and device process event is pinned.
-		if strings.HasSuffix(name, ".med.redirect") || strings.HasSuffix(name, ".med.protect") {
+		// out. Every guest process event is pinned.
+		if strings.HasSuffix(name, ".med.redirect") || strings.HasSuffix(name, ".med.protect") ||
+			strings.HasSuffix(name, ".engine") {
 			return
 		}
 		if name == "vmm" && (ev == sim.ProcPark || ev == sim.ProcWake) {
@@ -172,7 +174,7 @@ func mediatedScheduleRun(t *testing.T, r schedRig) string {
 }
 
 // TestMediatedScheduleGolden pins the event schedule of both mediators:
-// every guest and device process hook event, guest outcome, mediator
+// every guest process hook event, guest outcome, mediator
 // span and counter must match the recorded golden byte for byte. Regenerate with -update
 // only for an intended change of the modelled behaviour.
 func TestMediatedScheduleGolden(t *testing.T) {
