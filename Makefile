@@ -108,9 +108,9 @@ bench-smoke:
 # 1 and 8 (stdout, trace, metrics; -shards 8 must also match -shards 1 on
 # each side), bmcast-experiments -quick, the sharded fleet and elasticity
 # cells, the traced fleet cell and its bmcast-obs text and -json reports,
-# the tenant storm, and traced bmcast-bench at seeds 1-3. Any program
-# exiting non-zero also fails it. CI runs it with BASE=HEAD. See
-# scripts/identity.sh.
+# the tenant storm, an IDE deployment (stdout, trace, metrics), and traced
+# bmcast-bench at seeds 1-3. Any program exiting non-zero also fails it.
+# CI runs it with BASE=HEAD. See scripts/identity.sh.
 identity:
 	@test -n "$(BASE)" || { echo "usage: make identity BASE=<rev>"; exit 2; }
 	scripts/identity.sh $(BASE)

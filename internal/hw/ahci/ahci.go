@@ -128,10 +128,19 @@ type HBA struct {
 	ci   uint32
 	sact uint32
 
+	// The command engine is a state machine run by kernel callbacks:
+	// running is set from the step scheduled at issue until the engine
+	// finds issueOrder empty; slot, op and hd describe the executing
+	// command while its completion step is pending.
 	issueOrder []int // FIFO of issued slots awaiting the engine
-	execReady  *sim.Signal
+	running    bool
+	slot       int
+	op         uint8
+	hd         CmdHeader
 	dmaLabel   string       // provenance name of gathered write data
 	sg         []mem.Region // reusable decoded PRDT
+
+	stepFn, doneFn func() // steps bound once at New
 
 	// CmdLog counts executed ATA commands by opcode.
 	CmdLog map[uint8]int64
@@ -142,17 +151,16 @@ type HBA struct {
 // New creates an HBA in front of drive. Register it with RegisterRegion.
 func New(k *sim.Kernel, name string, drive *disk.Device, memory *mem.Memory, irq *hwio.IRQ) *HBA {
 	h := &HBA{
-		Name:      name,
-		k:         k,
-		memory:    memory,
-		drive:     drive,
-		IRQ:       irq,
-		tfd:       0x50, // DRDY, not busy
-		execReady: k.NewSignal(name + ".exec"),
-		CmdLog:    make(map[uint8]int64),
-		dmaLabel:  name + ".dma",
+		Name:     name,
+		k:        k,
+		memory:   memory,
+		drive:    drive,
+		IRQ:      irq,
+		tfd:      0x50, // DRDY, not busy
+		CmdLog:   make(map[uint8]int64),
+		dmaLabel: name + ".dma",
 	}
-	k.Spawn(name+".engine", h.engine)
+	h.stepFn, h.doneFn = h.step, h.done
 	return h
 }
 
@@ -274,8 +282,9 @@ func (h *HBA) issueSlots(v uint32) {
 			h.SlotsIssued++
 		}
 	}
-	if newBits != 0 {
-		h.execReady.Broadcast()
+	if newBits != 0 && !h.running {
+		h.running = true
+		h.k.After(0, h.stepFn)
 	}
 }
 
@@ -392,72 +401,93 @@ func WritePRDT(m *mem.Memory, ctba uint64, prds []mem.Region) {
 	}
 }
 
-// engine processes issued slots in FIFO order.
-func (h *HBA) engine(p *sim.Proc) {
-	for {
-		p.WaitCond(h.execReady, func() bool { return len(h.issueOrder) > 0 })
+// step runs issued slots in FIFO order until one has to wait for the
+// drive or a command's service time; that command's last step calls
+// step again, so the next slot runs inline, in the same event. With no
+// slot left, the engine goes idle until the next issue schedules a step.
+func (h *HBA) step() {
+	for len(h.issueOrder) > 0 {
 		slot := h.issueOrder[0]
 		n := copy(h.issueOrder, h.issueOrder[1:])
 		h.issueOrder = h.issueOrder[:n] // shift in place; keep the backing array
-		h.execute(p, slot)
+		if h.execute(slot) {
+			return
+		}
 	}
+	h.running = false
 }
 
-// execute runs one issued slot. A command structure or data buffer the
-// guest placed outside memory fails the slot with a host bus fatal error.
-func (h *HBA) execute(p *sim.Proc, slot int) {
+// execute starts one issued slot. It reports whether the command is still
+// in progress, with its completion step scheduled; otherwise the slot has
+// completed. A command structure or data buffer the guest placed outside
+// memory fails the slot with a host bus fatal error.
+func (h *HBA) execute(slot int) bool {
 	hd, err := ReadCmdHeader(h.memory, h.clb, slot)
 	if err != nil {
 		h.fault(slot, ISHBFS)
-		return
+		return false
 	}
 	fis, err := ReadFIS(h.memory, hd.CTBA)
 	switch {
 	case errors.Is(err, ErrOutsideMemory):
 		h.fault(slot, ISHBFS)
-		return
+		return false
 	case err != nil:
 		h.fault(slot, ISDHRS)
-		return
+		return false
 	}
 	h.CmdLog[fis.Command]++
 	h.tfd |= TFDBusy
 	if h.sg, err = AppendPRDs(h.sg[:0], h.memory, hd.CTBA, hd.PRDTL); err != nil {
 		h.fault(slot, ISHBFS)
-		return
+		return false
 	}
 
+	h.slot, h.op = slot, fis.Command
 	switch fis.Command {
 	case CmdFlushCache:
-		p.Sleep(500 * sim.Microsecond)
+		h.k.After(500*sim.Microsecond, h.doneFn)
 	case CmdIdentify:
-		p.Sleep(100 * sim.Microsecond)
+		h.k.After(100*sim.Microsecond, h.doneFn)
+	case CmdReadDMAExt, CmdWriteDMAExt:
+		if hd.Write != (fis.Command == CmdWriteDMAExt) {
+			h.fault(slot, ISDHRS)
+			return false
+		}
+		if !h.memory.Reachable(h.sg, fis.Count*disk.SectorSize) {
+			h.fault(slot, ISHBFS)
+			return false
+		}
+		if !h.drive.DMA(h.memory, h.sg, fis.LBA, fis.Count, hd.Write, h.dmaLabel, h.doneFn) {
+			h.fault(slot, ISDHRS)
+			return false
+		}
+		hd.PRDBC = uint32(fis.Count * disk.SectorSize)
+		h.hd = hd
+	default:
+		h.fault(slot, ISDHRS)
+		return false
+	}
+	return true
+}
+
+// done completes the executing slot once its service time has passed,
+// then runs the next issued slot.
+func (h *HBA) done() {
+	switch h.op {
+	case CmdIdentify:
 		data := h.identifyData()
 		if !h.memory.Reachable(h.sg, int64(len(data))) {
-			h.fault(slot, ISHBFS)
+			h.fault(h.slot, ISHBFS)
+			h.step()
 			return
 		}
 		h.memory.Scatter(h.sg, data) // identify data is DMA'd like a read
 	case CmdReadDMAExt, CmdWriteDMAExt:
-		if hd.Write != (fis.Command == CmdWriteDMAExt) {
-			h.fault(slot, ISDHRS)
-			return
-		}
-		if !h.memory.Reachable(h.sg, fis.Count*disk.SectorSize) {
-			h.fault(slot, ISHBFS)
-			return
-		}
-		if !h.drive.DMA(p, h.memory, h.sg, fis.LBA, fis.Count, hd.Write, h.dmaLabel) {
-			h.fault(slot, ISDHRS)
-			return
-		}
-		hd.PRDBC = uint32(fis.Count * disk.SectorSize)
-		WriteCmdHeader(h.memory, h.clb, slot, hd)
-	default:
-		h.fault(slot, ISDHRS)
-		return
+		WriteCmdHeader(h.memory, h.clb, h.slot, h.hd)
 	}
-	h.completeSlot(slot, ISDHRS)
+	h.completeSlot(h.slot, ISDHRS)
+	h.step()
 }
 
 // fault fails slot with a task-file error; cause is ISDHRS for an error

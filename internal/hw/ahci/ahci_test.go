@@ -31,8 +31,9 @@ const (
 	port0Base = abarMMIO + PortBase
 )
 
-func newRig() *rig {
-	k := sim.New(1)
+func newRig() *rig { return newRigOn(sim.New(1)) }
+
+func newRigOn(k *sim.Kernel) *rig {
 	m := mem.New(64 << 20)
 	params := disk.Constellation2()
 	params.Sectors = 1 << 20
@@ -358,4 +359,61 @@ func TestDirectionMismatchFaults(t *testing.T) {
 		}
 	})
 	r.k.Run()
+}
+
+// TestEngineRunsWithoutProcess: the HBA runs its command engine as kernel
+// callbacks. Building it and running commands through it and its drive
+// starts no process, and once warm a discard-hinted read allocates
+// nothing: the engine's steps and the drive's access records are bound
+// once, not per command.
+func TestEngineRunsWithoutProcess(t *testing.T) {
+	k := sim.New(1)
+	var events []string
+	k.SetProcHook(func(_ sim.Time, ev sim.ProcEvent, name string) {
+		events = append(events, ev.String()+" "+name)
+	})
+	r := newRigOn(k)
+	r.initPort(nil)
+	read := func() {
+		r.d.SetNextDMA(bufAddr, nil, true)
+		r.issue(nil, 3, CmdReadDMAExt, 4096, 8, false)
+		k.Run()
+	}
+	for i := 0; i < 64; i++ {
+		read()
+	}
+	const runs = 256
+	avg := testing.AllocsPerRun(runs, read)
+	if len(events) != 0 {
+		t.Fatalf("process events %q, want none", events)
+	}
+	if r.irqs != 64+runs+1 || r.d.Reads.Value() != int64(r.irqs) {
+		t.Fatalf("%d interrupts, %d drive reads, want %d each", r.irqs, r.d.Reads.Value(), 64+runs+1)
+	}
+	if avg != 0 {
+		t.Fatalf("one warm read command allocates %.1f objects, want 0", avg)
+	}
+}
+
+// TestIssueSchedulesOneStep: an issue that finds the engine idle
+// schedules one step, as it woke a parked engine process once; an issue
+// while that step is pending or while a command runs schedules nothing,
+// and the engine picks the slot up when the running command completes.
+func TestIssueSchedulesOneStep(t *testing.T) {
+	r := newRig()
+	r.initPort(nil)
+	r.issue(nil, 0, CmdReadDMAExt, 100, 8, false)
+	r.issue(nil, 1, CmdReadDMAExt, 200, 8, false)
+	if n := r.k.Pending(); n != 1 {
+		t.Fatalf("%d events pending after two issues, want 1", n)
+	}
+	r.k.RunUntil(r.k.Now()) // the step starts slot 0's service time
+	r.issue(nil, 2, CmdReadDMAExt, 300, 8, false)
+	if n := r.k.Pending(); n != 1 {
+		t.Fatalf("%d events pending after an issue behind a running command, want 1", n)
+	}
+	r.k.Run()
+	if r.irqs != 3 || r.h.OutstandingCI() != 0 || r.h.Busy() {
+		t.Fatalf("%d interrupts, CI %#x, busy %v: want all three slots completed", r.irqs, r.h.OutstandingCI(), r.h.Busy())
+	}
 }

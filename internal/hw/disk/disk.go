@@ -59,6 +59,7 @@ type Device struct {
 
 	hints  map[int64]hint // DMA content hints keyed by buffer address (see SetNextDMA)
 	dmaBuf []byte         // reusable read buffer for DMA's scatter
+	free   *access        // pooled access records
 
 	// Statistics.
 	BytesRead    metrics.Counter
@@ -67,7 +68,6 @@ type Device struct {
 	Writes       metrics.Counter
 	Seeks        metrics.Counter
 	CacheHits    metrics.Counter
-	busyUntil    sim.Time
 }
 
 type cachedRange struct{ start, end int64 }
@@ -133,52 +133,128 @@ func (d *Device) remember(lba, count int64) {
 	if d.CacheSlots == 0 {
 		return
 	}
-	d.cache = append(d.cache, cachedRange{start: lba, end: lba + count})
-	if len(d.cache) > d.CacheSlots {
-		d.cache = d.cache[1:]
+	if len(d.cache) == d.CacheSlots {
+		n := copy(d.cache, d.cache[1:]) // drop the oldest in place; keep the backing array
+		d.cache = d.cache[:n]
 	}
+	d.cache = append(d.cache, cachedRange{start: lba, end: lba + count})
 }
 
-// access acquires the arm, spends the service time, applies fn, and updates
-// head position and stats.
-func (d *Device) access(p *sim.Proc, lba, count int64, write bool, fn func()) {
-	d.arm.Acquire(p)
-	t := d.ServiceTime(lba, count, write)
-	cached := (!write && d.inCache(lba, count)) || (write && d.cachedWrite(count))
-	if lba != d.head && !cached {
+// access is one arm access in flight: a blocking Read or Write, whose
+// caller is parked until it completes, or a controller's DMA, which
+// continues with done. Every access runs the same steps as kernel
+// callbacks: take the arm (start), spend the service time, then move the
+// data and release the arm (serviced). Records are pooled per drive and
+// their steps bound once, when a record is built, so an access allocates
+// nothing.
+type access struct {
+	d          *Device
+	lba, count int64
+	write      bool
+	src        SectorSource // write content
+	pl         Payload      // read content, once serviced
+	m          *mem.Memory  // DMA read: memory to scatter into, nil to discard
+	sg         []mem.Region // DMA read: the buffers to scatter into
+	p          *sim.Proc    // blocking caller, resumed once serviced
+	done       func()       // DMA caller's continuation
+	arm        *sim.Waiter  // waits for the arm when it is taken
+	servicedFn func()       // cached serviced step
+	next       *access      // free list link
+}
+
+// newAccess takes a record from the drive's pool.
+func (d *Device) newAccess(lba, count int64, write bool) *access {
+	a := d.free
+	if a == nil {
+		a = &access{d: d}
+		a.arm = d.k.NewWaiter(func(bool) { a.start() })
+		a.servicedFn = a.serviced
+	} else {
+		d.free = a.next
+	}
+	a.lba, a.count, a.write = lba, count, write
+	return a
+}
+
+// release returns a record to the pool, dropping what it referenced.
+func (a *access) release() {
+	d := a.d
+	a.src, a.pl, a.m, a.sg, a.p, a.done = nil, Payload{}, nil, nil, nil, nil
+	a.next, d.free = d.free, a
+}
+
+// start takes the arm, or waits for its release and retries in the slot
+// a parked process's wakeup would take, then schedules the end of the
+// service time in the slot a sleeping process's wakeup would take.
+func (a *access) start() {
+	d := a.d
+	if !d.arm.AcquireWait(a.arm) {
+		return
+	}
+	t := d.ServiceTime(a.lba, a.count, a.write)
+	cached := (!a.write && d.inCache(a.lba, a.count)) || (a.write && d.cachedWrite(a.count))
+	if a.lba != d.head && !cached {
 		d.Seeks.Inc()
 	}
 	if cached {
 		d.CacheHits.Inc()
 	} else {
-		d.head = lba + count
+		d.head = a.lba + a.count
 	}
-	p.Sleep(t)
-	fn()
-	if write {
+	d.k.After(t, a.servicedFn)
+}
+
+// serviced ends the service time: it moves the data, updates the
+// statistics, releases the arm and continues the caller inline.
+func (a *access) serviced() {
+	d := a.d
+	if a.write {
+		d.store.Write(a.lba, a.count, a.src)
 		d.Writes.Inc()
-		d.BytesWritten.Add(count * SectorSize)
+		d.BytesWritten.Add(a.count * SectorSize)
 	} else {
+		a.pl = d.store.ReadPayload(a.lba, a.count)
 		d.Reads.Inc()
-		d.BytesRead.Add(count * SectorSize)
-		d.remember(lba, count)
+		d.BytesRead.Add(a.count * SectorSize)
+		d.remember(a.lba, a.count)
 	}
-	d.busyUntil = p.Now()
 	d.arm.Release()
+	if a.p != nil {
+		a.p.Resume() // the blocking caller takes the result and the record
+		return
+	}
+	if a.m != nil {
+		d.dmaBuf = a.pl.AppendTo(d.dmaBuf[:0])
+		a.m.Scatter(a.sg, d.dmaBuf)
+	}
+	done := a.done
+	a.release()
+	done()
+}
+
+// await runs a on the calling process: it parks the process until the
+// access's last step resumes it.
+func (a *access) await(p *sim.Proc) Payload {
+	a.p = p
+	a.start()
+	p.Suspend()
+	pl := a.pl
+	a.release()
+	return pl
 }
 
 // Read performs a blocking read of count sectors at lba, returning the
 // content as a (possibly symbolic) payload.
 func (d *Device) Read(p *sim.Proc, lba, count int64) Payload {
-	var pl Payload
-	d.access(p, lba, count, false, func() { pl = d.store.ReadPayload(lba, count) })
-	return pl
+	return d.newAccess(lba, count, false).await(p)
 }
 
 // Write performs a blocking write of count sectors at lba with content from
 // src.
 func (d *Device) Write(p *sim.Proc, lba, count int64, src SectorSource) {
-	d.access(p, lba, count, true, func() { d.store.Write(lba, count, src) })
+	a := d.newAccess(lba, count, true)
+	a.src = src
+	a.await(p)
 }
 
 // Busy reports whether a command is being serviced right now.
@@ -218,14 +294,16 @@ func (d *Device) TakeDMAHint(bufAddr int64) (src SectorSource, discard, armed bo
 	return h.src, h.discard, true
 }
 
-// DMA runs the data phase of one controller command: count sectors at lba
-// move between the drive and the guest buffers that sg lists in m. It
-// takes the hint armed at sg[0] first, so a command the drive refuses
-// still consumes it, and reports false, moving nothing, when the range is
-// not on the drive. A write takes its content from the hint, or gathers
-// it from sg as a literal source named label; a read is scattered into sg
-// unless the hint says discard.
-func (d *Device) DMA(p *sim.Proc, m *mem.Memory, sg []mem.Region, lba, count int64, write bool, label string) bool {
+// DMA starts the data phase of one controller command: count sectors at
+// lba move between the drive and the guest buffers that sg lists in m,
+// and done runs in the event that ends the access. It takes the hint
+// armed at sg[0] first, so a command the drive refuses still consumes it,
+// and reports false, moving nothing and never calling done, when the
+// range is not on the drive. A write takes its content from the hint, or
+// gathers it from sg as a literal source named label; a read is scattered
+// into sg unless the hint says discard. sg must stay unchanged until done
+// runs.
+func (d *Device) DMA(m *mem.Memory, sg []mem.Region, lba, count int64, write bool, label string, done func()) bool {
 	var src SectorSource
 	var discard bool
 	if len(sg) > 0 {
@@ -234,18 +312,17 @@ func (d *Device) DMA(p *sim.Proc, m *mem.Memory, sg []mem.Region, lba, count int
 	if lba < 0 || count <= 0 || lba+count > d.Sectors {
 		return false
 	}
-	if write {
-		if src == nil {
-			want := count * SectorSize
-			src = OwnedBuffer(lba, m.Gather(make([]byte, 0, want), sg, want), label)
-		}
-		d.Write(p, lba, count, src)
-		return true
+	a := d.newAccess(lba, count, write)
+	a.done = done
+	switch {
+	case write && src == nil:
+		want := count * SectorSize
+		a.src = OwnedBuffer(lba, m.Gather(make([]byte, 0, want), sg, want), label)
+	case write:
+		a.src = src
+	case !discard:
+		a.m, a.sg = m, sg
 	}
-	pl := d.Read(p, lba, count)
-	if !discard {
-		d.dmaBuf = pl.AppendTo(d.dmaBuf[:0])
-		m.Scatter(sg, d.dmaBuf)
-	}
+	a.start()
 	return true
 }

@@ -143,7 +143,7 @@ func TestDMAHints(t *testing.T) {
 // TestDMA drives the controller data phase through a two-region
 // scatter-gather list: a literal write gathers from guest memory, a read
 // scatters back, a discard hint leaves memory alone, and a refused range
-// still consumes its hint.
+// still consumes its hint and never completes.
 func TestDMA(t *testing.T) {
 	k := sim.New(1)
 	d := NewDevice(k, "sda", testParams())
@@ -154,33 +154,46 @@ func TestDMA(t *testing.T) {
 		data[i] = byte(i / 7)
 	}
 	m.Scatter(sg, data)
-	k.Spawn("p", func(p *sim.Proc) {
-		if !d.DMA(p, m, sg, 40, 3, true, "ctl.dma") {
-			t.Fatal("in-range write refused")
+	completed := 0
+	done := func() { completed++ }
+	// dma runs one command to its completion.
+	dma := func(lba, count int64, write bool) bool {
+		before := completed
+		ok := d.DMA(m, sg, lba, count, write, "ctl.dma", done)
+		k.Run()
+		want := before
+		if ok {
+			want++
 		}
-		if name := d.Store().SourceAt(41).Name(); name != "ctl.dma" {
-			t.Errorf("gathered write source = %q, want ctl.dma", name)
+		if completed != want {
+			t.Fatalf("DMA(%d, %d, %v) = %v ran done %d times", lba, count, write, ok, completed-before)
 		}
-		m.Scatter(sg, make([]byte, len(data)))
-		d.DMA(p, m, sg, 40, 3, false, "ctl.dma")
-		if got := m.Gather(nil, sg, int64(len(data))); !bytes.Equal(got, data) {
-			t.Error("read did not scatter the written bytes back")
-		}
-		m.Scatter(sg, make([]byte, len(data)))
-		d.SetNextDMA(sg[0].Start, nil, true)
-		d.DMA(p, m, sg, 40, 3, false, "ctl.dma")
-		if got := m.Gather(nil, sg, int64(len(data))); !bytes.Equal(got, make([]byte, len(data))) {
-			t.Error("discarded read wrote guest memory")
-		}
-		d.SetNextDMA(sg[0].Start, Zero, false)
-		if d.DMA(p, m, sg, d.Sectors-1, 2, true, "ctl.dma") {
-			t.Error("write past the end of the drive accepted")
-		}
-		if _, _, armed := d.TakeDMAHint(sg[0].Start); armed {
-			t.Error("refused command left its hint armed")
-		}
-	})
-	k.Run()
+		return ok
+	}
+	if !dma(40, 3, true) {
+		t.Fatal("in-range write refused")
+	}
+	if name := d.Store().SourceAt(41).Name(); name != "ctl.dma" {
+		t.Errorf("gathered write source = %q, want ctl.dma", name)
+	}
+	m.Scatter(sg, make([]byte, len(data)))
+	dma(40, 3, false)
+	if got := m.Gather(nil, sg, int64(len(data))); !bytes.Equal(got, data) {
+		t.Error("read did not scatter the written bytes back")
+	}
+	m.Scatter(sg, make([]byte, len(data)))
+	d.SetNextDMA(sg[0].Start, nil, true)
+	dma(40, 3, false)
+	if got := m.Gather(nil, sg, int64(len(data))); !bytes.Equal(got, make([]byte, len(data))) {
+		t.Error("discarded read wrote guest memory")
+	}
+	d.SetNextDMA(sg[0].Start, Zero, false)
+	if dma(d.Sectors-1, 2, true) {
+		t.Error("write past the end of the drive accepted")
+	}
+	if _, _, armed := d.TakeDMAHint(sg[0].Start); armed {
+		t.Error("refused command left its hint armed")
+	}
 }
 
 func TestAlternatingRegionsIncurSeeks(t *testing.T) {

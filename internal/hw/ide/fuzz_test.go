@@ -9,21 +9,39 @@ import (
 	"repro/internal/hw/mem"
 )
 
-// Fuzz memory layout: every address a PRD entry can name is reduced into
-// [0, fuzzMem-64 KiB), so any region fits.
+// Fuzz memory layout: every address a PRD entry inside memory can name
+// is reduced into [0, fuzzMem-64 KiB), so any region fits.
 const (
-	fuzzMem   = 1<<19 + 1<<16
-	fuzzTable = 0x4_0000
-	fuzzWant  = 1 << 18
+	fuzzMem  = 1<<19 + 1<<16
+	fuzzWant = 1 << 18
 )
 
+// placeTable maps a fuzzed value to a PRD table address the bus-master
+// register can hold: anywhere in memory (a long walk may still run past
+// its end), in the last 64 KiB, or past the end.
+func placeTable(at uint32) int64 {
+	switch at >> 30 {
+	case 0, 1:
+		return int64(at) % fuzzMem
+	case 2:
+		return fuzzMem - 1 - int64(at&(1<<16-1))
+	default:
+		return fuzzMem + int64(at&(1<<30-1))
+	}
+}
+
 // refPRDs is the naive reference decoder: one entry at a time, straight
-// from the byte layout of the bus-master spec.
-func refPRDs(m *mem.Memory, table, want int64) []mem.Region {
+// from the byte layout of the bus-master spec. It reports false if the
+// walk reaches an entry not wholly inside memory.
+func refPRDs(m *mem.Memory, table, want int64) ([]mem.Region, bool) {
 	var out []mem.Region
 	var covered int64
 	for i := int64(0); i < maxPRDs; i++ {
-		e := m.Read(table+i*PRDEntrySize, PRDEntrySize)
+		at := table + i*PRDEntrySize
+		if at+PRDEntrySize > m.Size() {
+			return nil, false
+		}
+		e := m.Read(at, PRDEntrySize)
 		addr := int64(e[0]) | int64(e[1])<<8 | int64(e[2])<<16 | int64(e[3])<<24
 		count := int64(e[4]) | int64(e[5])<<8
 		if count == 0 {
@@ -35,18 +53,21 @@ func refPRDs(m *mem.Memory, table, want int64) []mem.Region {
 			break
 		}
 	}
-	return out
+	return out, true
 }
 
-// FuzzPRDTable decodes an arbitrary guest-written PRD table and moves a
-// payload through it: AppendPRDs must match the reference decoder,
-// Scatter must write exactly what a flat byte model of memory predicts
-// (so bytes outside the regions stay untouched), and Gather must read the
-// payload back, zero-padded past the regions, whenever they do not
-// overlap.
+// FuzzPRDTable decodes an arbitrary guest-written PRD table, placed
+// anywhere: inside memory, across its end, or past it. AppendPRDs must
+// not panic, must refuse exactly the tables whose walk reaches an entry
+// outside memory and leave dst alone, and must otherwise match the
+// reference decoder. The decoded list then carries a payload: Scatter
+// must write exactly what a flat byte model of memory predicts (so bytes
+// outside the regions stay untouched), and Gather must read the payload
+// back, zero-padded past the regions, whenever they do not overlap.
 func FuzzPRDTable(f *testing.F) {
-	f.Fuzz(func(t *testing.T, table []byte, w uint32) {
+	f.Fuzz(func(t *testing.T, table []byte, w uint32, at uint32) {
 		want := int64(w % fuzzWant)
+		tableAddr := placeTable(at)
 		// Lay out every entry slot the walk can reach: the input, then
 		// zeros, each address reduced into the memory.
 		raw := make([]byte, maxPRDs*PRDEntrySize)
@@ -60,16 +81,28 @@ func FuzzPRDTable(f *testing.F) {
 		for i := range model {
 			model[i] = byte(i*13>>3) | 1
 		}
-		copy(model[fuzzTable:], raw)
+		if tableAddr < fuzzMem {
+			copy(model[tableAddr:], raw) // the part of the table inside memory
+		}
 		m.Write(0, model)
 
 		prefix := []mem.Region{{Start: 1, Size: 1}}
-		sg := AppendPRDs(prefix, m, fuzzTable, want)
+		sg, err := AppendPRDs(prefix, m, tableAddr, want)
 		if !slices.Equal(sg[:1], prefix) {
 			t.Fatalf("AppendPRDs overwrote dst: %v", sg[:1])
 		}
+		ref, inside := refPRDs(m, tableAddr, want)
+		if inside != (err == nil) {
+			t.Fatalf("AppendPRDs of a table at %#x in %d bytes: err = %v", tableAddr, fuzzMem, err)
+		}
+		if err != nil {
+			if len(sg) != 1 {
+				t.Fatalf("failed AppendPRDs extended dst to %d entries", len(sg))
+			}
+			return
+		}
 		sg = sg[1:]
-		if ref := refPRDs(m, fuzzTable, want); !slices.Equal(sg, ref) {
+		if !slices.Equal(sg, ref) {
 			t.Fatalf("AppendPRDs = %v, reference decoder = %v", sg, ref)
 		}
 

@@ -13,6 +13,7 @@ package ide
 
 import (
 	"encoding/binary"
+	"errors"
 
 	"repro/internal/hw/disk"
 	hwio "repro/internal/hw/io"
@@ -126,12 +127,14 @@ type Controller struct {
 
 	// Pending command, set by a command-register write, consumed by the
 	// engine once the bus master starts (or immediately for non-data
-	// commands).
+	// commands). The engine is a state machine run by kernel callbacks:
+	// running is set from the step scheduled at issue or bus-master start
+	// until the engine finds no command ready to run.
 	pendingCmd  uint8
 	pendingLBA  int64
 	pendingN    int64
 	pendingData bool
-	execReady   *sim.Signal
+	running     bool
 
 	// PIO data buffer for IDENTIFY.
 	pioBuf []byte
@@ -139,6 +142,8 @@ type Controller struct {
 
 	dmaLabel string       // provenance name of gathered write data
 	sg       []mem.Region // reusable decoded PRD table
+
+	stepFn, doneFn func() // steps bound once at New
 
 	// CmdLog counts executed commands by opcode, for tests and reports.
 	CmdLog map[uint8]int64
@@ -148,17 +153,16 @@ type Controller struct {
 // signalling through irq. Register it in an I/O space with Regions.
 func New(k *sim.Kernel, name string, drive *disk.Device, memory *mem.Memory, irq *hwio.IRQ) *Controller {
 	c := &Controller{
-		Name:      name,
-		k:         k,
-		memory:    memory,
-		drive:     drive,
-		IRQ:       irq,
-		status:    StatusDRDY,
-		execReady: k.NewSignal(name + ".exec"),
-		CmdLog:    make(map[uint8]int64),
-		dmaLabel:  name + ".dma",
+		Name:     name,
+		k:        k,
+		memory:   memory,
+		drive:    drive,
+		IRQ:      irq,
+		status:   StatusDRDY,
+		CmdLog:   make(map[uint8]int64),
+		dmaLabel: name + ".dma",
 	}
-	k.Spawn(name+".engine", c.engine)
+	c.stepFn, c.doneFn = c.step, c.done
 	return c
 }
 
@@ -277,7 +281,7 @@ func (b busMaster) IOWrite(_ *sim.Proc, off int64, _ int, v uint64) {
 		c.bmCmd = uint8(v)
 		if was&BMCmdStart == 0 && c.bmCmd&BMCmdStart != 0 {
 			c.bmStatus |= BMStatusActive
-			c.execReady.Broadcast()
+			c.kick()
 		}
 		if c.bmCmd&BMCmdStart == 0 {
 			c.bmStatus &^= BMStatusActive
@@ -316,7 +320,7 @@ func (c *Controller) issue(cmd uint8) {
 		c.pendingCmd = cmd
 		c.pendingData = true
 		c.status = StatusBSY
-		c.execReady.Broadcast()
+		c.kick()
 	case CmdReadDMAExt, CmdWriteDMAExt:
 		c.pendingLBA = int64(c.lbaLow.cur) | int64(c.lbaMid.cur)<<8 | int64(c.lbaHigh.cur)<<16 |
 			int64(c.lbaLow.prev)<<24 | int64(c.lbaMid.prev)<<32 | int64(c.lbaHigh.prev)<<40
@@ -327,12 +331,12 @@ func (c *Controller) issue(cmd uint8) {
 		c.pendingCmd = cmd
 		c.pendingData = true
 		c.status = StatusBSY
-		c.execReady.Broadcast()
+		c.kick()
 	case CmdFlushCache:
 		c.pendingCmd = cmd
 		c.pendingData = false
 		c.status = StatusBSY
-		c.execReady.Broadcast()
+		c.kick()
 	case CmdIdentify:
 		c.pioBuf = c.identifyData()
 		c.pioPos = 0
@@ -366,34 +370,67 @@ func (c *Controller) identifyData() []byte {
 	return b
 }
 
-// engine executes accepted commands against the drive.
-func (c *Controller) engine(p *sim.Proc) {
-	for {
-		p.WaitCond(c.execReady, func() bool {
-			if c.pendingCmd == 0 {
-				return false
-			}
-			if c.pendingData {
-				return c.bmCmd&BMCmdStart != 0
-			}
-			return true
-		})
-		cmd := c.pendingCmd
-		c.pendingCmd = 0
-		c.CmdLog[cmd]++
-		if cmd == CmdFlushCache {
-			p.Sleep(500 * sim.Microsecond)
-			c.complete(false)
-			continue
-		}
-		write := cmd == CmdWriteDMA || cmd == CmdWriteDMAExt
-		c.sg = AppendPRDs(c.sg[:0], c.memory, int64(c.prdtAddr), c.pendingN*disk.SectorSize)
-		ok := c.drive.DMA(p, c.memory, c.sg, c.pendingLBA, c.pendingN, write, c.dmaLabel)
-		if !ok {
-			c.errReg = 0x10 // IDNF
-		}
-		c.complete(!ok)
+// kick schedules an engine step at the current instant unless one is
+// pending or a command is executing: the engine re-checks for a ready
+// command whenever a command write or bus-master start may have made one.
+func (c *Controller) kick() {
+	if !c.running {
+		c.running = true
+		c.k.After(0, c.stepFn)
 	}
+}
+
+// ready reports whether the pending command can run: a data command waits
+// for the bus master to start.
+func (c *Controller) ready() bool {
+	return c.pendingCmd != 0 && (!c.pendingData || c.bmCmd&BMCmdStart != 0)
+}
+
+// step runs ready commands until one has to wait for the drive or its
+// service time; that command's completion step calls step again, so a
+// command made ready meanwhile runs inline. With none ready, the engine
+// goes idle until the next kick.
+func (c *Controller) step() {
+	for c.ready() {
+		if c.execute() {
+			return
+		}
+	}
+	c.running = false
+}
+
+// execute starts the pending command. It reports whether the command is
+// still in progress, with its completion step scheduled; otherwise it has
+// completed. A PRD table or data buffer the guest placed outside memory
+// fails the command with a bus-master error.
+func (c *Controller) execute() bool {
+	cmd := c.pendingCmd
+	c.pendingCmd = 0
+	c.CmdLog[cmd]++
+	if cmd == CmdFlushCache {
+		c.k.After(500*sim.Microsecond, c.doneFn)
+		return true
+	}
+	write := cmd == CmdWriteDMA || cmd == CmdWriteDMAExt
+	want := c.pendingN * disk.SectorSize
+	var err error
+	if c.sg, err = AppendPRDs(c.sg[:0], c.memory, int64(c.prdtAddr), want); err != nil || !c.memory.Reachable(c.sg, want) {
+		c.errReg = 0x04 // ABRT
+		c.complete(true)
+		return false
+	}
+	if !c.drive.DMA(c.memory, c.sg, c.pendingLBA, c.pendingN, write, c.dmaLabel, c.doneFn) {
+		c.errReg = 0x10 // IDNF
+		c.complete(true)
+		return false
+	}
+	return true
+}
+
+// done completes the executing command once its service time has passed.
+func (c *Controller) done() {
+	c.complete(false)
+	c.step()
 }
 
 func (c *Controller) complete(isErr bool) {
@@ -417,13 +454,24 @@ func (c *Controller) raiseIRQ() {
 // here.
 const maxPRDs = 4098
 
+// ErrOutsideMemory reports a PRD table entry at a guest-set address
+// outside memory. The controller fails such a command with a bus-master
+// error.
+var ErrOutsideMemory = errors.New("ide: PRD table outside memory")
+
 // AppendPRDs decodes the PRD table at table in m onto dst, one region per
 // entry (a zero byte count means 64 KiB), and returns the extended slice.
 // The walk stops at the entry marked EOT, once the regions cover want
-// bytes, or after maxPRDs entries; it always decodes the first entry.
-func AppendPRDs(dst []mem.Region, m *mem.Memory, table, want int64) []mem.Region {
+// bytes, or after maxPRDs entries; it always decodes the first entry. It
+// fails with ErrOutsideMemory, leaving dst as it was, if an entry the
+// walk reaches lies outside memory; the regions they name are not checked.
+func AppendPRDs(dst []mem.Region, m *mem.Memory, table, want int64) ([]mem.Region, error) {
+	orig := dst
 	var e [PRDEntrySize]byte
 	for i := 1; ; i++ {
+		if !m.Contains(table, PRDEntrySize) {
+			return orig, ErrOutsideMemory
+		}
 		m.ReadInto(table, e[:])
 		size := int64(binary.LittleEndian.Uint16(e[4:]))
 		if size == 0 {
@@ -432,7 +480,7 @@ func AppendPRDs(dst []mem.Region, m *mem.Memory, table, want int64) []mem.Region
 		dst = append(dst, mem.Region{Start: int64(binary.LittleEndian.Uint32(e[0:])), Size: size})
 		want -= size
 		if binary.LittleEndian.Uint16(e[6:])&PRDEOT != 0 || want <= 0 || i == maxPRDs {
-			return dst
+			return dst, nil
 		}
 		table += PRDEntrySize
 	}

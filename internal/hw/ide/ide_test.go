@@ -24,8 +24,9 @@ type rig struct {
 	cmdBase, ctlBase, bmBase int64
 }
 
-func newRig() *rig {
-	k := sim.New(1)
+func newRig() *rig { return newRigOn(sim.New(1)) }
+
+func newRigOn(k *sim.Kernel) *rig {
 	m := mem.New(64 << 20)
 	p := disk.Constellation2()
 	p.Sectors = 1 << 20
@@ -326,7 +327,85 @@ func TestAppendPRDsEntryCap(t *testing.T) {
 	for i := int64(0); i < 2*maxPRDs; i++ {
 		m.Write(prdTableAddr+i*PRDEntrySize, []byte{0, 0, 2, 0, 1, 0, 0, 0}) // 1 byte at 0x20000
 	}
-	if got := AppendPRDs(nil, m, prdTableAddr, 1<<30); len(got) != maxPRDs {
-		t.Fatalf("decoded %d entries, want the cap of %d", len(got), maxPRDs)
+	if got, err := AppendPRDs(nil, m, prdTableAddr, 1<<30); err != nil || len(got) != maxPRDs {
+		t.Fatalf("decoded %d entries (err %v), want the cap of %d", len(got), err, maxPRDs)
+	}
+}
+
+// TestEngineRunsWithoutProcess: the controller runs its command engine as
+// kernel callbacks. Building it and running commands through it and its
+// drive starts no process, and once warm a discard-hinted read allocates
+// nothing: the engine's steps and the drive's access records are bound
+// once, not per command.
+func TestEngineRunsWithoutProcess(t *testing.T) {
+	k := sim.New(1)
+	var events []string
+	k.SetProcHook(func(_ sim.Time, ev sim.ProcEvent, name string) {
+		events = append(events, ev.String()+" "+name)
+	})
+	r := newRigOn(k)
+	WritePRDTable(r.m, prdTableAddr, dmaBufAddr, 8*disk.SectorSize)
+	r.ios.Write(nil, hwio.PIO, r.bmBase+BMRegPRDT, 4, prdTableAddr)
+	read := func() {
+		r.d.SetNextDMA(dmaBufAddr, nil, true)
+		r.out(nil, r.cmdBase+RegSectorCount, 8)
+		r.out(nil, r.cmdBase+RegLBALow, 0)
+		r.out(nil, r.cmdBase+RegLBAMid, 0x10)
+		r.out(nil, r.cmdBase+RegLBAHigh, 0)
+		r.out(nil, r.cmdBase+RegDevice, DeviceLBA)
+		r.out(nil, r.cmdBase+RegStatusCmd, CmdReadDMA)
+		r.out(nil, r.bmBase+BMRegCmd, BMCmdStart|BMCmdRead)
+		k.Run()
+		r.out(nil, r.bmBase+BMRegCmd, 0)
+	}
+	for i := 0; i < 64; i++ {
+		read()
+	}
+	const runs = 256
+	avg := testing.AllocsPerRun(runs, read)
+	if len(events) != 0 {
+		t.Fatalf("process events %q, want none", events)
+	}
+	if r.irqs != 64+runs+1 || r.d.Reads.Value() != int64(r.irqs) {
+		t.Fatalf("%d interrupts, %d drive reads, want %d each", r.irqs, r.d.Reads.Value(), 64+runs+1)
+	}
+	if avg != 0 {
+		t.Fatalf("one warm read command allocates %.1f objects, want 0", avg)
+	}
+}
+
+// TestIssueSchedulesOneStep: a command write that finds the engine idle
+// schedules one step, as it woke a parked engine process once; the
+// bus-master start in the same event schedules nothing more. A step that
+// finds the data command still waiting for the bus master goes idle, and
+// the later start schedules the next step.
+func TestIssueSchedulesOneStep(t *testing.T) {
+	r := newRig()
+	WritePRDTable(r.m, prdTableAddr, dmaBufAddr, 8*disk.SectorSize)
+	r.ios.Write(nil, hwio.PIO, r.bmBase+BMRegPRDT, 4, prdTableAddr)
+	command := func() {
+		r.out(nil, r.cmdBase+RegSectorCount, 8)
+		r.out(nil, r.cmdBase+RegDevice, DeviceLBA)
+		r.out(nil, r.cmdBase+RegStatusCmd, CmdReadDMA)
+	}
+	command()
+	r.out(nil, r.bmBase+BMRegCmd, BMCmdStart|BMCmdRead)
+	if n := r.k.Pending(); n != 1 {
+		t.Fatalf("%d events pending after a command and its start, want 1", n)
+	}
+	r.k.Run()
+	r.out(nil, r.bmBase+BMRegCmd, 0)
+	command()
+	r.k.Run() // the step finds the bus master stopped and goes idle
+	if r.irqs != 1 || !r.c.Busy() {
+		t.Fatalf("%d interrupts, busy %v: want the second command waiting", r.irqs, r.c.Busy())
+	}
+	r.out(nil, r.bmBase+BMRegCmd, BMCmdStart|BMCmdRead)
+	if n := r.k.Pending(); n != 1 {
+		t.Fatalf("%d events pending after the start, want 1", n)
+	}
+	r.k.Run()
+	if r.irqs != 2 || r.c.Busy() {
+		t.Fatalf("%d interrupts, busy %v: want both commands completed", r.irqs, r.c.Busy())
 	}
 }

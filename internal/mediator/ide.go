@@ -196,12 +196,10 @@ func (md *IDE) TapWrite(p *sim.Proc, r *hwio.Region, off int64, size int, v uint
 }
 
 // decode reconstructs the command from the shadow task file — the I/O
-// interpretation step.
+// interpretation step. A PRD table or data buffer the guest placed
+// outside memory makes it not a data command: the device faults it.
 func (md *IDE) decode(opcode uint8) command {
 	c := command{opcode: opcode, prdt: md.shPRDT, bmCmd: md.shBMCmd}
-	// Data information: the guest DMA buffer from the first PRD entry.
-	md.sg = ide.AppendPRDs(md.sg[:0], md.m.Mem, int64(md.shPRDT), 1)
-	c.bufAddr = md.sg[0].Start
 	switch opcode {
 	case ide.CmdReadDMA, ide.CmdWriteDMA:
 		c.data = true
@@ -222,6 +220,16 @@ func (md *IDE) decode(opcode uint8) command {
 			c.count = 65536
 		}
 	}
+	// Data information: the guest DMA buffers, walked as the device will
+	// walk the table (a command without data reads its first entry).
+	want := max(c.count, 1) * disk.SectorSize
+	var err error
+	if md.sg, err = ide.AppendPRDs(md.sg[:0], md.m.Mem, int64(md.shPRDT), want); err != nil {
+		c.data = false
+		return c
+	}
+	c.bufAddr = md.sg[0].Start
+	c.data = c.data && md.m.Mem.Reachable(md.sg, want)
 	return c
 }
 
@@ -297,9 +305,11 @@ func (md *IDE) transfer(o *op, write bool, payload disk.Payload) bool {
 func (md *IDE) takeOver(command) { md.mode = ideRedirecting }
 
 // appendSG implements controller: the guest's PRD table captured by
-// interpretation.
+// interpretation, or no buffers if the guest has since made it reach
+// outside memory.
 func (md *IDE) appendSG(dst []mem.Region, cmd command, want int64) []mem.Region {
-	return ide.AppendPRDs(dst, md.m.Mem, int64(cmd.prdt), want)
+	dst, _ = ide.AppendPRDs(dst, md.m.Mem, int64(cmd.prdt), want)
+	return dst
 }
 
 // issue programs one VMM request into the device and starts it, through

@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/guest"
 	"repro/internal/hw/disk"
+	"repro/internal/hw/ide"
+	hwio "repro/internal/hw/io"
 	"repro/internal/machine"
 	"repro/internal/mediator"
 	"repro/internal/sim"
@@ -365,5 +367,58 @@ func TestExitsChargedDuringMediation(t *testing.T) {
 	})
 	if r.m.World.TotalExits() == 0 {
 		t.Fatal("no VM exits charged for tapped I/O")
+	}
+}
+
+// TestIDECommandOutsideMemory: a guest READ DMA whose PRD table or data
+// buffer lies outside memory is not a data command to the mediator. It
+// passes through, the controller fails it with a bus-master error, and
+// the mediator and a later guest read carry on.
+func TestIDECommandOutsideMemory(t *testing.T) {
+	const size = 256 << 20
+	for _, tc := range []struct {
+		name string
+		prdt uint64 // the bus-master PRD table address the guest sets
+	}{
+		{"table", 0xF000_0000},
+		{"buffer", 0x7000}, // one entry naming 4 KiB at the last 512 bytes
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newIDERig(t)
+			r.run(t, func(p *sim.Proc) {
+				ide.WritePRDTable(r.m.Mem, 0x7000, size-512, 4096)
+				out := func(addr int64, v uint64) { r.m.IO.Write(p, hwio.PIO, addr, 1, v) }
+				in := func(addr int64) uint64 { return r.m.IO.Read(p, hwio.PIO, addr, 1) }
+				r.m.IO.Write(p, hwio.PIO, 0xC000+ide.BMRegPRDT, 4, tc.prdt)
+				out(0x1F0+ide.RegSectorCount, 8)
+				out(0x1F0+ide.RegLBALow, 0x88)
+				out(0x1F0+ide.RegLBAMid, 0x13)
+				out(0x1F0+ide.RegLBAHigh, 0)
+				out(0x1F0+ide.RegDevice, ide.DeviceLBA)
+				out(0x1F0+ide.RegStatusCmd, ide.CmdReadDMA)
+				out(0xC000+ide.BMRegCmd, ide.BMCmdStart|ide.BMCmdRead)
+				for in(0x1F0+ide.RegStatusCmd)&ide.StatusBSY != 0 {
+					p.Sleep(100 * sim.Microsecond)
+				}
+				if st := in(0x1F0 + ide.RegStatusCmd); st&ide.StatusERR == 0 {
+					t.Errorf("status = %#x, want the error bit", st)
+				}
+				if bs := in(0xC000 + ide.BMRegStatus); bs&ide.BMStatusError == 0 {
+					t.Errorf("bus-master status = %#x, want the error bit", bs)
+				}
+				out(0xC000+ide.BMRegCmd, 0)
+				out(0xC000+ide.BMRegStatus, ide.BMStatusIRQ|ide.BMStatusError)
+				if _, err := r.o.ReadSectors(p, 200, 8, false); err != nil {
+					t.Errorf("guest read after the fault: %v", err)
+				}
+			})
+			if st := r.md.Stats(); st.GuestCommands.Value() < 2 || st.Redirects.Value() != 1 {
+				t.Errorf("guest commands %d, redirects %d: want the faulted command passed through, the read redirected",
+					st.GuestCommands.Value(), st.Redirects.Value())
+			}
+			if !r.md.Quiesced() {
+				t.Error("mediator not quiesced after the faulted command")
+			}
+		})
 	}
 }

@@ -132,6 +132,12 @@ for side in base head; do
 	capture fleet-traced.report.json "$bin/bmcast-obs" -trace "$out/fleet.trace" -metrics "$out/fleet.metrics" -json
 	rm "$out/fleet.trace" "$out/fleet.metrics"
 	capture sim-tenants-storm.stdout "$bin/bmcast-sim" -tenants default -storm default
+	# One deployment through the IDE controller and its mediator; every
+	# other run above deploys through AHCI.
+	sink sim-ide.trace.json
+	sink sim-ide.metrics.json
+	capture sim-ide.stdout "$bin/bmcast-sim" -storage ide -image-gb 0.25 -loss 0.02 \
+		-trace-out "$out/sim-ide.trace.json" -metrics-out "$out/sim-ide.metrics.json"
 	for seed in 1 2 3; do
 		mkdir "$out/bench$seed"
 		capture "bench-traced-seed$seed.counts" benchcounts "$bin/bmcast-bench" "$out/bench$seed" "$seed"
