@@ -548,12 +548,12 @@ func BenchmarkMediatedReadRedirect(b *testing.B) {
 	}
 }
 
-// BenchmarkHistogramPercentile pins the sorted-cache contract: repeated
-// percentile queries against an unchanged histogram reuse one cached sort
-// instead of re-sorting per call, so the steady-state query is O(1) and
-// allocation-free. The fleet summary tables query p50/p99/max back to back
-// on thousand-sample histograms; without the cache that path is the
-// analyzer's hot spot.
+// BenchmarkHistogramPercentile pins the sort-once contract: repeated
+// percentile queries against an unchanged histogram reuse its sorted runs
+// instead of re-sorting per call, so the steady-state query is O(1) for
+// distinct samples and allocation-free. The fleet summary tables query
+// p50/p99/max back to back on thousand-sample histograms; re-sorting per
+// query would make that path the analyzer's hot spot.
 func BenchmarkHistogramPercentile(b *testing.B) {
 	h := &metrics.Histogram{}
 	r := sim.New(7).Rand()

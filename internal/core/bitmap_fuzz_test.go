@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
+	"math/bits"
 	"slices"
 	"testing"
 )
@@ -45,17 +47,19 @@ func modelNext(model []bool, lba, maxCount int64) (Run, bool) {
 }
 
 // FuzzBitmap checks Bitmap against a flat per-sector model. The input is
-// a little-endian uint16 sizing the bitmap (up to 12,000 sectors, so
-// scans cross summary words) followed by 5-byte operations: an opcode, a
-// uint16 sector, a count byte (short below 0x80, a fraction of the bitmap
+// a little-endian uint16 sizing the bitmap (1 to 65,536 sectors, so up
+// to 16 chunks and a partial tail chunk) followed by 5-byte operations:
+// an opcode, a uint16 sector, a count byte (short below 0x40, whole
+// chunks from a chunk boundary below 0x80, a fraction of the bitmap
 // above) and a parameter byte. Every operation also checks AllFilled,
-// NoneFilled, UnfilledRuns and AppendUnfilledRuns on its range.
+// NoneFilled, UnfilledRuns, AppendUnfilledRuns and the chunk states on
+// its range; at the end Marshal must equal the model's serialization.
 func FuzzBitmap(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
-		sectors := 1 + int64(binary.LittleEndian.Uint16(data))%12000
+		sectors := 1 + int64(binary.LittleEndian.Uint16(data))
 		data = data[2:]
 		b := NewBitmap(sectors)
 		model := make([]bool, sectors)
@@ -66,9 +70,13 @@ func FuzzBitmap(f *testing.F) {
 		for ; len(data) >= 5; data = data[5:] {
 			raw := binary.LittleEndian.Uint16(data[1:])
 			lba := int64(raw) % sectors
-			count := 1 + int64(data[3]%64)
-			if data[3] >= 0x80 {
+			count := 1 + int64(data[3])
+			switch {
+			case data[3] >= 0x80:
 				count = 1 + int64(data[3]&0x7f)*sectors/128
+			case data[3] >= 0x40:
+				lba = lba / chunkSectors * chunkSectors
+				count = (1 + int64(data[3]&3)) * chunkSectors
 			}
 			count = min(count, sectors-lba)
 			maxCount := 1 + int64(data[4])
@@ -124,18 +132,115 @@ func FuzzBitmap(f *testing.F) {
 			if b.FilledCount() != filled || b.Complete() != (filled == sectors) {
 				t.Fatalf("FilledCount = %d, Complete = %v; model %d of %d", b.FilledCount(), b.Complete(), filled, sectors)
 			}
+			checkChunks(t, b)
 		}
 		for i, f := range model {
 			if b.Filled(int64(i)) != f {
 				t.Fatalf("Filled(%d) = %v, model %v", i, !f, f)
 			}
 		}
-		back, err := UnmarshalBitmap(b.Marshal())
+		blob := b.Marshal()
+		if want := modelMarshal(model); !bytes.Equal(blob, want) || b.PersistSize() != int64(len(want)) {
+			t.Fatalf("Marshal = %x (PersistSize %d), model %x", blob, b.PersistSize(), want)
+		}
+		back, err := UnmarshalBitmap(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkChunks(t, back)
 		if got, want := back.UnfilledRuns(0, sectors), modelRuns(model, 0, sectors); !slices.Equal(got, want) {
 			t.Fatalf("round-tripped bitmap runs %v, model %v", got, want)
+		}
+	})
+}
+
+// modelMarshal is the flat model of Marshal: the sector and filled
+// counts, then one bit per sector in little-endian words.
+func modelMarshal(model []bool) []byte {
+	out := make([]byte, 16+(len(model)+63)/64*8)
+	binary.LittleEndian.PutUint64(out, uint64(len(model)))
+	var filled uint64
+	for i, f := range model {
+		if f {
+			filled++
+			out[16+i/8] |= 1 << (i % 8)
+		}
+	}
+	binary.LittleEndian.PutUint64(out[8:], filled)
+	return out
+}
+
+// checkChunks checks the chunk states of b: the shared chunks are
+// untouched, every owned chunk is mixed with its count matching its bits
+// (tail padding included), and carved storage is either in a mixed
+// chunk, on the spare list or not yet handed out.
+func checkChunks(t *testing.T, b *Bitmap) {
+	t.Helper()
+	if *emptyChunk != (chunk{}) || fullChunk.n != chunkSectors || fullChunk.next != nil {
+		t.Fatal("a shared chunk was written")
+	}
+	for _, w := range fullChunk.w {
+		if w != ^uint64(0) {
+			t.Fatal("fullChunk was written")
+		}
+	}
+	var owned, spare int
+	for ci, c := range b.chunks {
+		if c == emptyChunk || c == fullChunk {
+			continue
+		}
+		owned++
+		var n int64
+		for _, w := range c.w {
+			n += int64(bits.OnesCount64(w))
+		}
+		pad := max(0, int64(ci+1)*chunkSectors-b.sectors)
+		if !c.uniform(chunkSectors-pad, chunkSectors, true) {
+			t.Fatalf("chunk %d: tail padding not set", ci)
+		}
+		if n != c.n || n <= pad || n >= chunkSectors {
+			t.Fatalf("chunk %d owns storage with %d bits set (count %d, padding %d)", ci, n, c.n, pad)
+		}
+	}
+	for c := b.spare; c != nil; c = c.next {
+		spare++
+	}
+	if owned+spare+len(b.batch) != b.carved || b.carved > len(b.chunks) {
+		t.Fatalf("%d mixed + %d spare + %d uncarved chunks, %d carved of %d",
+			owned, spare, len(b.batch), b.carved, len(b.chunks))
+	}
+}
+
+// FuzzUnmarshalBitmap loads arbitrary bytes as a saved bitmap. A blob is
+// rejected or loads a bitmap that re-marshals to the blob's first
+// PersistSize bytes, whose FilledCount is the number of set bits, and
+// which is Complete exactly when every sector is filled, with its scans
+// agreeing.
+func FuzzUnmarshalBitmap(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := UnmarshalBitmap(data)
+		if err != nil {
+			return
+		}
+		if got, want := b.Marshal(), data[:b.PersistSize()]; !bytes.Equal(got, want) {
+			t.Fatalf("re-marshaled %x, loaded %x", got, want)
+		}
+		checkChunks(t, b)
+		var set int64
+		for i := 16; i < int(b.PersistSize()); i += 8 {
+			set += int64(bits.OnesCount64(binary.LittleEndian.Uint64(data[i:])))
+		}
+		if b.FilledCount() != set {
+			t.Fatalf("FilledCount = %d, %d bits set", b.FilledCount(), set)
+		}
+		every := set == b.Sectors()
+		for lba := int64(0); lba < b.Sectors() && every; lba++ {
+			every = data[16+lba/8]&(1<<(lba%8)) != 0
+		}
+		_, open := b.NextUnfilled(0, b.Sectors())
+		if b.Complete() != every || open == every || b.AllFilled(0, b.Sectors()) != every {
+			t.Fatalf("Complete = %v, NextUnfilled ok = %v, AllFilled = %v; every sector filled: %v",
+				b.Complete(), open, b.AllFilled(0, b.Sectors()), every)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -266,6 +267,23 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 	}
 	if _, err := UnmarshalBitmap(make([]byte, 100)); err == nil {
 		t.Fatal("zero sector count accepted")
+	}
+}
+
+// TestUnmarshalRejectsTailBits pins the loader against a blob that sets
+// bits past the last sector: a 100-sector bitmap with sectors 0–71
+// filled and the tail bits 100–127 set, its header claiming all 100
+// filled. Accepted, it would read as complete with 28 sectors unfilled,
+// and a resumed VMM would stop copying.
+func TestUnmarshalRejectsTailBits(t *testing.T) {
+	b := NewBitmap(100)
+	b.MarkFilled(0, 72)
+	blob := b.Marshal()
+	binary.LittleEndian.PutUint64(blob[8:], 100)
+	tail := binary.LittleEndian.Uint64(blob[24:])
+	binary.LittleEndian.PutUint64(blob[24:], tail|0xFFFFFFF<<36)
+	if got, err := UnmarshalBitmap(blob); err == nil {
+		t.Fatalf("blob with tail bits accepted: Complete() = %v, FilledCount() = %d", got.Complete(), got.FilledCount())
 	}
 }
 

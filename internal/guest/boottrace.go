@@ -47,46 +47,71 @@ func DefaultBootProfile() BootProfile {
 	}
 }
 
-// Trace generates the deterministic boot operation list from the
-// profile's own Seed. All randomness in the trace flows from that seed —
-// never from the global math/rand source (enforced by bmcastlint's
-// seededrand analyzer) — so a profile value fully determines its trace.
-func (bp BootProfile) Trace() []BootOp {
-	return bp.TraceRand(rand.New(rand.NewSource(bp.Seed)))
+// Trace returns the deterministic boot operation list: every op of the
+// stream Ops draws.
+func (bp BootProfile) Trace() []BootOp { return bp.Ops().collect() }
+
+// TraceRand returns the boot operation list drawn from an injected rng:
+// every op of the stream OpsRand draws.
+func (bp BootProfile) TraceRand(rng *rand.Rand) []BootOp { return bp.OpsRand(rng).collect() }
+
+// Ops returns the profile's boot op stream, seeded from the profile's
+// own Seed. All randomness in the stream flows from that seed — never
+// from the global math/rand source (enforced by bmcastlint's seededrand
+// analyzer) — so a profile value fully determines its ops.
+func (bp BootProfile) Ops() *BootOps { return bp.OpsRand(rand.New(rand.NewSource(bp.Seed))) }
+
+// OpsRand returns the boot op stream drawing from an injected rng, for
+// callers that derive the stream from the experiment seed (e.g.
+// sim.Kernel.Rand or experiments.DeriveSeed) instead of the profile's
+// embedded Seed. The op sequence is a pure function of the profile
+// fields and the rng's draw sequence.
+func (bp BootProfile) OpsRand(rng *rand.Rand) *BootOps {
+	reads := max(int(bp.TotalBytes/(bp.ReadSectors*disk.SectorSize)), 1)
+	return &BootOps{bp: bp, rng: rng, reads: reads, think: sim.Duration(int64(bp.CPUTime) / int64(reads))}
 }
 
-// TraceRand generates the boot operation list drawing from an injected
-// rng, for callers that derive the stream from the experiment seed
-// (e.g. sim.Kernel.Rand or experiments.DeriveSeed) instead of the
-// profile's embedded Seed. The op sequence is a pure function of the
-// profile fields and the rng's draw sequence.
-func (bp BootProfile) TraceRand(rng *rand.Rand) []BootOp {
-	nReads := int(bp.TotalBytes / (bp.ReadSectors * disk.SectorSize))
-	if nReads < 1 {
-		nReads = 1
+// BootOps draws a boot's operations one at a time, in order: reads in
+// clusters of ClusterLen contiguous reads at seeded cluster bases, and a
+// small write after every WriteEvery-th read. Boot walks the stream as
+// it goes, so a boot holds one op rather than its whole trace.
+type BootOps struct {
+	bp          BootProfile
+	rng         *rand.Rand
+	reads, i    int // reads in all, reads drawn
+	think       sim.Duration
+	clusterBase int64
+	write       bool // a write follows read i-1
+}
+
+// Next returns the next op, or false once the stream is exhausted.
+func (g *BootOps) Next() (BootOp, bool) {
+	bp := &g.bp
+	if g.write {
+		g.write = false
+		// Boot-time log/state writes land just past the read span.
+		lba := bp.SpanSectors + g.rng.Int63n(1<<10)*bp.ReadSectors
+		return BootOp{LBA: lba, Count: bp.ReadSectors, Write: true}, true
 	}
-	think := sim.Duration(int64(bp.CPUTime) / int64(nReads))
-	ops := make([]BootOp, 0, nReads+nReads/max(bp.WriteEvery, 1))
-	var clusterBase int64
-	for i := 0; i < nReads; i++ {
-		if i%bp.ClusterLen == 0 {
-			limit := bp.SpanSectors - int64(bp.ClusterLen)*bp.ReadSectors
-			clusterBase = rng.Int63n(limit/bp.ReadSectors) * bp.ReadSectors
-		}
-		lba := clusterBase + int64(i%bp.ClusterLen)*bp.ReadSectors
-		ops = append(ops, BootOp{LBA: lba, Count: bp.ReadSectors, Think: think})
-		if bp.WriteEvery > 0 && i%bp.WriteEvery == bp.WriteEvery-1 {
-			// Boot-time log/state writes land just past the read span.
-			wlba := bp.SpanSectors + rng.Int63n(1<<10)*bp.ReadSectors
-			ops = append(ops, BootOp{LBA: wlba, Count: bp.ReadSectors, Write: true})
-		}
+	if g.i == g.reads {
+		return BootOp{}, false
+	}
+	i := g.i
+	g.i++
+	if i%bp.ClusterLen == 0 {
+		limit := bp.SpanSectors - int64(bp.ClusterLen)*bp.ReadSectors
+		g.clusterBase = g.rng.Int63n(limit/bp.ReadSectors) * bp.ReadSectors
+	}
+	g.write = bp.WriteEvery > 0 && i%bp.WriteEvery == bp.WriteEvery-1
+	lba := g.clusterBase + int64(i%bp.ClusterLen)*bp.ReadSectors
+	return BootOp{LBA: lba, Count: bp.ReadSectors, Think: g.think}, true
+}
+
+// collect drains the stream into a slice.
+func (g *BootOps) collect() []BootOp {
+	ops := make([]BootOp, 0, g.reads+g.reads/max(g.bp.WriteEvery, 1))
+	for op, ok := g.Next(); ok; op, ok = g.Next() {
+		ops = append(ops, op)
 	}
 	return ops
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

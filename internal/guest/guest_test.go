@@ -2,6 +2,8 @@ package guest
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/hw/disk"
@@ -200,6 +202,45 @@ func TestBootTraceDeterministic(t *testing.T) {
 	}
 	if bytes != 72<<20 {
 		t.Fatalf("trace reads %d bytes, want 72 MB", bytes)
+	}
+}
+
+// TestBootOpsMatchEagerTrace pins the op stream to a reference that
+// builds the whole list in one loop, the rng drawn in the same order: a
+// cluster base before a cluster's first read, a write's offset right
+// after the read it follows.
+func TestBootOpsMatchEagerTrace(t *testing.T) {
+	eager := func(bp BootProfile, rng *rand.Rand) []BootOp {
+		nReads := max(int(bp.TotalBytes/(bp.ReadSectors*disk.SectorSize)), 1)
+		think := sim.Duration(int64(bp.CPUTime) / int64(nReads))
+		var ops []BootOp
+		var base int64
+		for i := 0; i < nReads; i++ {
+			if i%bp.ClusterLen == 0 {
+				limit := bp.SpanSectors - int64(bp.ClusterLen)*bp.ReadSectors
+				base = rng.Int63n(limit/bp.ReadSectors) * bp.ReadSectors
+			}
+			ops = append(ops, BootOp{LBA: base + int64(i%bp.ClusterLen)*bp.ReadSectors, Count: bp.ReadSectors, Think: think})
+			if bp.WriteEvery > 0 && i%bp.WriteEvery == bp.WriteEvery-1 {
+				wlba := bp.SpanSectors + rng.Int63n(1<<10)*bp.ReadSectors
+				ops = append(ops, BootOp{LBA: wlba, Count: bp.ReadSectors, Write: true})
+			}
+		}
+		return ops
+	}
+	for _, edit := range []func(*BootProfile){
+		func(*BootProfile) {},
+		func(bp *BootProfile) { bp.WriteEvery = 0 },
+		func(bp *BootProfile) { bp.WriteEvery, bp.ClusterLen = 1, 1 },
+		func(bp *BootProfile) { bp.TotalBytes, bp.Seed = 1, 9 }, // one read
+		func(bp *BootProfile) { bp.TotalBytes, bp.WriteEvery = 6*disk.SectorSize*800, 400 },
+	} {
+		bp := DefaultBootProfile()
+		edit(&bp)
+		want := eager(bp, rand.New(rand.NewSource(bp.Seed)))
+		if got := bp.Trace(); !slices.Equal(got, want) {
+			t.Fatalf("profile %+v: stream of %d ops differs from the eager trace of %d", bp, len(got), len(want))
+		}
 	}
 }
 

@@ -45,7 +45,7 @@ func NewOS(name string, m *machine.Machine) *OS {
 func (o *OS) SetDriver(d BlockDriver) { o.Drv = d }
 
 // Boot runs the OS boot sequence: driver initialization followed by the
-// profile's read trace with interleaved compute.
+// profile's op stream, reads and writes with interleaved compute.
 func (o *OS) Boot(p *sim.Proc, bp BootProfile) error {
 	start := p.Now()
 	// The boot span is the guest's side of the causal DAG: mediated
@@ -75,7 +75,8 @@ func (o *OS) Boot(p *sim.Proc, bp BootProfile) error {
 	if err := o.Drv.Init(p); err != nil {
 		return fmt.Errorf("guest: driver init: %w", err)
 	}
-	for _, op := range bp.Trace() {
+	ops := bp.Ops()
+	for op, ok := ops.Next(); ok; op, ok = ops.Next() {
 		if op.Think > 0 {
 			o.Compute(p, op.Think, 0.2)
 		}

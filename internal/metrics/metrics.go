@@ -4,9 +4,10 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -28,109 +29,112 @@ func (c *Counter) Value() int64 { return c.n }
 // Reset zeroes the counter.
 func (c *Counter) Reset() { c.n = 0 }
 
-// histChunk is the sample-block size: big enough that per-block overhead
-// vanishes, small enough that an idle histogram wastes little.
-const histChunk = 1 << 15
-
 // Histogram records duration samples and answers mean/percentile queries.
-// Samples are kept exactly; the experiment scales involved (thousands to a
-// few million samples) make this affordable and precise.
+// Samples are kept exactly, as runs of equal values: a (value, count)
+// pair per run, and Observe of a sample equal to the last run's value
+// only bumps its count. The hot observers are run-shaped — the per-exit
+// cpuvirt histogram records each exit reason's constant cost, every VM
+// exit of a fleet run — so their memory follows the number of distinct
+// stretches, not the run length; a histogram of all-distinct samples
+// holds 16 bytes per sample.
 //
-// Storage is chunked: the first block grows geometrically (small
-// histograms stay small), and once it reaches histChunk samples each
-// further block is allocated at full size and never reallocated. The
-// hot observers — the per-exit cpuvirt histogram logs every VM exit of a
-// fleet run — would otherwise spend more time in growslice copies of a
-// multi-megabyte slice than in the simulation around them.
-//
-// Percentile queries sort into a separate cached slice, invalidated by
-// Observe/Reset: samples keep insertion order, and a burst of queries
-// (the fleet tables ask for p50/p99/max per column) sorts once.
+// The first query after an Observe sorts the runs in place, merges runs
+// of equal value and turns each count into a running total, so a burst
+// of queries (the fleet tables ask for p50/p99/max per column) sorts
+// once. Percentile then indexes the runs directly when no value repeats
+// and binary-searches the running totals otherwise. The zero value is an
+// empty histogram.
 type Histogram struct {
-	full     [][]sim.Duration // completed blocks, each len histChunk
-	head     []sim.Duration   // current block, appended in place
-	sorted   []sim.Duration   // cached sort of samples; valid when sortedOK
-	sortedOK bool
-	sum      int64
+	runs   []histRun
+	n      int64 // samples
+	sum    int64
+	sorted bool // runs ascend with distinct values, each run's n a running total
+}
+
+// histRun is a run of n samples of value v; once the histogram is
+// sorted, n is the number of samples at or below v.
+type histRun struct {
+	v sim.Duration
+	n int64
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(d sim.Duration) {
-	if len(h.head) == histChunk {
-		h.full = append(h.full, h.head)
-		h.head = make([]sim.Duration, 0, histChunk)
+	if h.sorted {
+		// Back from running totals to counts; the runs stay sorted, so
+		// the next query's sort is cheap.
+		for i := len(h.runs) - 1; i > 0; i-- {
+			h.runs[i].n -= h.runs[i-1].n
+		}
+		h.sorted = false
 	}
-	h.head = append(h.head, d)
+	if k := len(h.runs); k > 0 && h.runs[k-1].v == d {
+		h.runs[k-1].n++
+	} else {
+		h.runs = append(h.runs, histRun{v: d, n: 1})
+	}
+	h.n++
 	h.sum += int64(d)
-	h.sortedOK = false
 }
 
 // Count reports the number of samples.
-func (h *Histogram) Count() int { return len(h.full)*histChunk + len(h.head) }
+func (h *Histogram) Count() int { return int(h.n) }
 
 // Mean reports the arithmetic mean of the samples, or 0 with no samples.
 func (h *Histogram) Mean() sim.Duration {
-	if h.Count() == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	return sim.Duration(h.sum / int64(h.Count()))
+	return sim.Duration(h.sum / h.n)
 }
 
-// sortedView returns the cached ascending sort of the samples,
-// rebuilding it only when samples changed since the last query.
-func (h *Histogram) sortedView() []sim.Duration {
-	if !h.sortedOK {
-		h.sorted = h.sorted[:0]
-		for _, blk := range h.full {
-			h.sorted = append(h.sorted, blk...)
-		}
-		h.sorted = append(h.sorted, h.head...)
-		sort.Slice(h.sorted, func(i, j int) bool { return h.sorted[i] < h.sorted[j] })
-		h.sortedOK = true
+// sort puts the runs in ascending order of value, merges runs of equal
+// value and turns the counts into running totals, unless they are so
+// already.
+func (h *Histogram) sort() {
+	if h.sorted {
+		return
 	}
-	return h.sorted
+	slices.SortFunc(h.runs, func(a, b histRun) int { return cmp.Compare(a.v, b.v) })
+	k := 0
+	for _, r := range h.runs {
+		if k > 0 && h.runs[k-1].v == r.v {
+			h.runs[k-1].n += r.n
+			continue
+		}
+		h.runs[k] = r
+		k++
+	}
+	h.runs = h.runs[:k]
+	for i := 1; i < k; i++ {
+		h.runs[i].n += h.runs[i-1].n
+	}
+	h.sorted = true
 }
 
 // Percentile reports the p-th percentile (0 < p <= 100) using
 // nearest-rank. It returns 0 with no samples.
 func (h *Histogram) Percentile(p float64) sim.Duration {
-	n := h.Count()
-	if n == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	s := h.sortedView()
-	rank := int(math.Ceil(p / 100 * float64(n)))
-	if rank < 1 {
-		rank = 1
+	h.sort()
+	rank := int64(math.Ceil(p / 100 * float64(h.n)))
+	rank = min(max(rank, 1), h.n)
+	if int64(len(h.runs)) == h.n {
+		return h.runs[rank-1].v // every run holds one sample
 	}
-	if rank > len(s) {
-		rank = len(s)
-	}
-	return s[rank-1]
+	i, _ := slices.BinarySearchFunc(h.runs, rank, func(r histRun, rank int64) int { return cmp.Compare(r.n, rank) })
+	return h.runs[i].v
 }
 
 // Min reports the smallest sample, or 0 with no samples.
 func (h *Histogram) Min() sim.Duration {
-	if h.Count() == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	if h.sortedOK {
-		return h.sorted[0]
-	}
-	min := sim.Duration(math.MaxInt64)
-	for _, blk := range h.full {
-		for _, s := range blk {
-			if s < min {
-				min = s
-			}
-		}
-	}
-	for _, s := range h.head {
-		if s < min {
-			min = s
-		}
-	}
-	return min
+	h.sort()
+	return h.runs[0].v
 }
 
 // Max reports the largest sample, or 0 with no samples.
@@ -138,10 +142,10 @@ func (h *Histogram) Max() sim.Duration { return h.Percentile(100) }
 
 // Reset discards all samples.
 func (h *Histogram) Reset() {
-	h.full = nil
-	h.head = h.head[:0]
+	h.runs = h.runs[:0]
+	h.n = 0
 	h.sum = 0
-	h.sortedOK = false
+	h.sorted = false
 }
 
 // Point is one sample of a time series.

@@ -211,7 +211,7 @@ func TestHistogramMinUnsortedDirect(t *testing.T) {
 	h.Observe(5 * sim.Millisecond)
 	h.Observe(3 * sim.Millisecond)
 	h.Observe(9 * sim.Millisecond)
-	// Min before any Percentile call exercises the unsorted scan path.
+	// Min before any Percentile call sorts the runs itself.
 	if got := h.Min(); got != 3*sim.Millisecond {
 		t.Fatalf("unsorted Min = %v, want 3ms", got)
 	}

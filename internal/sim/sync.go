@@ -70,8 +70,14 @@ func (q *Queue[T]) Len() int { return len(q.items) - q.head }
 // Closed reports whether Close has been called.
 func (q *Queue[T]) Closed() bool { return q.closed }
 
-// Resource is a counting semaphore with FIFO admission. It models an
-// exclusive or limited-capacity facility (a disk arm, a server thread pool).
+// Resource is a counting semaphore. It models an exclusive or
+// limited-capacity facility (a disk arm, a server thread pool).
+//
+// Admission is not FIFO. Release frees the unit at once and only
+// schedules the blocked waiters' retries, which then race for it in
+// wakeup order. A holder that releases and acquires again in the same
+// event, or any caller that acquires before the retries run, takes the
+// unit ahead of every waiter.
 type Resource struct {
 	k        *Kernel
 	capacity int
