@@ -110,6 +110,7 @@ func DeployImageCopy(p *sim.Proc, m *machine.Machine, o *guest.OS, cfg ImageCopy
 // overhead (§2).
 type NetbootDriver struct {
 	remote *RemoteStore
+	free   []*netbootReq // pooled request records
 }
 
 // NewNetbootDriver returns a driver serving all I/O from remote.
@@ -126,27 +127,50 @@ func (d *NetbootDriver) Init(p *sim.Proc) error {
 	return nil
 }
 
-// ReadSectors implements guest.BlockDriver.
-func (d *NetbootDriver) ReadSectors(p *sim.Proc, lba, count int64, discard bool) ([]byte, error) {
-	pl, err := d.remote.Read(p, lba, count)
-	if err != nil {
-		return nil, err
-	}
-	if discard {
-		return nil, nil
-	}
-	return pl.Bytes(), nil
+// netbootReq is one request in flight on the remote store. Records are
+// pooled per driver and their continuations bound once.
+type netbootReq struct {
+	d       *NetbootDriver
+	req     *guest.Request
+	doneFn  func(disk.Payload, error)
+	flushFn func()
 }
 
-// WriteSectors implements guest.BlockDriver.
-func (d *NetbootDriver) WriteSectors(p *sim.Proc, payload disk.Payload) error {
-	return d.remote.Write(p, payload)
+// Submit implements guest.BlockDriver: reads and writes are remote
+// requests; a flush costs one request latency.
+func (d *NetbootDriver) Submit(r *guest.Request) {
+	var n *netbootReq
+	if i := len(d.free) - 1; i >= 0 {
+		n = d.free[i]
+		d.free = d.free[:i]
+	} else {
+		n = &netbootReq{d: d}
+		n.doneFn = n.done
+		n.flushFn = n.flushed
+	}
+	n.req = r
+	switch r.Op {
+	case guest.OpFlush:
+		d.remote.k.After(d.remote.ReqLatency, n.flushFn)
+	case guest.OpWrite:
+		d.remote.start(true, disk.Payload{LBA: r.LBA, Count: r.Count, Source: r.Source}, n.doneFn)
+	default:
+		d.remote.start(false, disk.Payload{LBA: r.LBA, Count: r.Count}, n.doneFn)
+	}
 }
 
-// Flush implements guest.BlockDriver.
-func (d *NetbootDriver) Flush(p *sim.Proc) error {
-	p.Sleep(d.remote.ReqLatency)
-	return nil
+func (n *netbootReq) flushed() { n.done(disk.Payload{}, nil) }
+
+// done hands the request the remote store's outcome.
+func (n *netbootReq) done(pl disk.Payload, err error) {
+	r := n.req
+	var data []byte
+	if err == nil && r.Op == guest.OpRead && !r.Discard {
+		data = pl.Bytes()
+	}
+	n.req = nil
+	n.d.free = append(n.d.free, n)
+	r.Complete(data, err)
 }
 
 // BootNetboot boots the OS with an NFS root: firmware network boot, then

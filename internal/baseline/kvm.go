@@ -140,7 +140,8 @@ func (kvm *KVM) BootGuest(p *sim.Proc, bp guest.BootProfile) error {
 // controller registers; the host serves them from the local disk or the
 // remote store.
 type VirtioDriver struct {
-	kvm *KVM
+	kvm  *KVM
+	free []*virtioReq // pooled request records
 }
 
 // Name implements guest.BlockDriver.
@@ -152,69 +153,119 @@ func (d *VirtioDriver) Init(p *sim.Proc) error {
 	return nil
 }
 
-// request charges the paravirtual path cost: the kick hypercall exit plus
-// host-side processing, then the backend access stretched by the virtio
-// bandwidth factor.
-func (d *VirtioDriver) request(p *sim.Proc, write bool, lba, count int64, src disk.SectorSource) (disk.Payload, error) {
-	kvm := d.kvm
-	kvm.M.World.Exit(p, cpuvirt.ExitHypercall)
-	p.Sleep(kvm.Cfg.VirtioPerReq)
-
-	if kvm.Storage != KVMLocal {
-		if write {
-			return disk.Payload{}, kvm.remote.Write(p, disk.Payload{LBA: lba, Count: count, Source: src})
+// Submit implements guest.BlockDriver: the paravirtual path cost (the
+// kick hypercall exit plus host-side processing), then the backend
+// access stretched by the virtio bandwidth factor. A flush costs the
+// kick and the host's flush.
+func (d *VirtioDriver) Submit(r *guest.Request) {
+	if r.Op != guest.OpFlush && (r.LBA < 0 || r.Count <= 0 || r.Count > guest.MaxTransferSectors) {
+		kind := "read"
+		if r.Op == guest.OpWrite {
+			kind = "write"
 		}
-		return kvm.remote.Read(p, lba, count)
+		r.Complete(nil, fmt.Errorf("baseline: invalid virtio %s [%d,+%d)", kind, r.LBA, r.Count))
+		return
 	}
+	var v *virtioReq
+	if n := len(d.free) - 1; n >= 0 {
+		v = d.free[n]
+		d.free = d.free[:n]
+	} else {
+		v = &virtioReq{d: d}
+		v.stepFn = v.step
+		v.diskFn = v.diskDone
+		v.remoteFn = v.remoteDone
+	}
+	v.req, v.pc = r, virtioKick
+	v.step()
+}
 
-	dsk := kvm.M.Disk
+// virtioStep is where a virtio request's step function resumes.
+type virtioStep uint8
+
+const (
+	virtioKick    virtioStep = iota // charge the kick's exit
+	virtioHost                      // the exit is over: host processing
+	virtioBackend                   // host processing is over: the backend access
+	virtioDone                      // complete the request
+)
+
+// virtioReq is one virtio request in flight. It runs as kernel
+// callbacks: the exit, the host processing, the backend access and the
+// bandwidth stretch each take the (when, seq) slot the blocked process's
+// wakeup used to take. Records are pooled per driver and their steps
+// bound once.
+type virtioReq struct {
+	d        *VirtioDriver
+	req      *guest.Request
+	pc       virtioStep
+	start    sim.Time
+	pl       disk.Payload
+	stepFn   func()
+	diskFn   func(disk.Payload)
+	remoteFn func(disk.Payload, error)
+}
+
+// step moves the request on until it waits or completes.
+func (v *virtioReq) step() {
+	kvm, r := v.d.kvm, v.req
+	k := kvm.M.K
+	switch v.pc {
+	case virtioKick:
+		v.pc = virtioHost
+		k.After(kvm.M.World.Charge(cpuvirt.ExitHypercall), v.stepFn)
+	case virtioHost:
+		v.pc = virtioBackend
+		if r.Op == guest.OpFlush {
+			v.pc = virtioDone
+			k.After(500*sim.Microsecond, v.stepFn)
+			return
+		}
+		k.After(kvm.Cfg.VirtioPerReq, v.stepFn)
+	case virtioBackend:
+		write := r.Op == guest.OpWrite
+		if kvm.Storage != KVMLocal {
+			kvm.remote.start(write, disk.Payload{LBA: r.LBA, Count: r.Count, Source: r.Source}, v.remoteFn)
+			return
+		}
+		// The host block layer serves the request; the virtio path
+		// stretches effective service time.
+		v.start = k.Now()
+		kvm.M.Disk.Start(r.LBA, r.Count, write, r.Source, v.diskFn)
+	case virtioDone:
+		v.complete(nil)
+	}
+}
+
+// diskDone stretches the local disk's service time by the virtio
+// bandwidth factor.
+func (v *virtioReq) diskDone(pl disk.Payload) {
+	kvm := v.d.kvm
 	factor := kvm.Cfg.VirtioReadFactor
-	if write {
+	if v.req.Op == guest.OpWrite {
 		factor = kvm.Cfg.VirtioWriteFactor
 	}
-	// The host block layer serves the request; the virtio path stretches
-	// effective service time.
-	start := p.Now()
-	var pl disk.Payload
-	if write {
-		dsk.Write(p, lba, count, src)
-	} else {
-		pl = dsk.Read(p, lba, count)
-	}
-	service := p.Now().Sub(start)
-	p.Sleep(sim.Duration(float64(service) * (1/factor - 1)))
-	return pl, nil
+	service := kvm.M.K.Now().Sub(v.start)
+	v.pl, v.pc = pl, virtioDone
+	kvm.M.K.After(sim.Duration(float64(service)*(1/factor-1)), v.stepFn)
 }
 
-// ReadSectors implements guest.BlockDriver.
-func (d *VirtioDriver) ReadSectors(p *sim.Proc, lba, count int64, discard bool) ([]byte, error) {
-	if lba < 0 || count <= 0 || count > guest.MaxTransferSectors {
-		return nil, fmt.Errorf("baseline: invalid virtio read [%d,+%d)", lba, count)
-	}
-	pl, err := d.request(p, false, lba, count, nil)
-	if err != nil {
-		return nil, err
-	}
-	if discard {
-		return nil, nil
-	}
-	return pl.Bytes(), nil
+// remoteDone takes the remote store's outcome.
+func (v *virtioReq) remoteDone(pl disk.Payload, err error) {
+	v.pl = pl
+	v.complete(err)
 }
 
-// WriteSectors implements guest.BlockDriver.
-func (d *VirtioDriver) WriteSectors(p *sim.Proc, payload disk.Payload) error {
-	if payload.LBA < 0 || payload.Count <= 0 || payload.Count > guest.MaxTransferSectors {
-		return fmt.Errorf("baseline: invalid virtio write [%d,+%d)", payload.LBA, payload.Count)
+// complete hands the request its outcome and continues its issuer.
+func (v *virtioReq) complete(err error) {
+	r := v.req
+	var data []byte
+	if err == nil && r.Op == guest.OpRead && !r.Discard {
+		data = v.pl.Bytes()
 	}
-	_, err := d.request(p, true, payload.LBA, payload.Count, payload.Source)
-	return err
-}
-
-// Flush implements guest.BlockDriver.
-func (d *VirtioDriver) Flush(p *sim.Proc) error {
-	d.kvm.M.World.Exit(p, cpuvirt.ExitHypercall)
-	p.Sleep(500 * sim.Microsecond)
-	return nil
+	v.req, v.pl = nil, disk.Payload{}
+	v.d.free = append(v.d.free, v)
+	r.Complete(data, err)
 }
 
 var _ guest.BlockDriver = (*VirtioDriver)(nil)

@@ -204,9 +204,20 @@ func (w *World) Instrument(reg *metrics.Registry, tr *trace.Recorder, node strin
 }
 
 // Exit charges one VM exit of the given reason to the calling guest
-// context. When p is nil only accounting happens (for exits modeled in
-// aggregate).
+// context and stalls it for the exit's cost. When p is nil only
+// accounting happens (for exits modeled in aggregate).
 func (w *World) Exit(p *sim.Proc, r ExitReason) {
+	c := w.Charge(r)
+	if p != nil {
+		p.Sleep(c)
+	}
+}
+
+// Charge accounts one VM exit of the given reason and returns its cost:
+// how long the guest context that caused it stalls. A caller running as
+// kernel callbacks continues after one After of that cost, in the slot a
+// stalled process's wakeup would take.
+func (w *World) Charge(r ExitReason) sim.Duration {
 	w.exitCounts[r]++
 	c := w.costs[r]
 	w.exitTime += c
@@ -218,9 +229,7 @@ func (w *World) Exit(p *sim.Proc, r ExitReason) {
 	if w.tr != nil {
 		w.tr.Emit(w.node, "cpuvirt", "vm-exit", trace.Str("reason", r.String()))
 	}
-	if p != nil {
-		p.Sleep(c)
-	}
+	return c
 }
 
 // ExitCount reports how many exits of reason r occurred.

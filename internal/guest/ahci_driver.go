@@ -9,6 +9,7 @@ import (
 	"repro/internal/hw/mem"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Guest-physical addresses the AHCI driver allocates for its structures.
@@ -31,6 +32,8 @@ type AHCIDriver struct {
 	slotErr  [ahciSlotCount]bool
 	freeSig  *sim.Signal
 	doneSig  *sim.Signal
+
+	free []*ahciCmd // pooled command records
 }
 
 // NewAHCIDriver returns the guest's AHCI driver for machine m.
@@ -52,10 +55,6 @@ func (d *AHCIDriver) Name() string { return "ahci" }
 
 func (d *AHCIDriver) mmw(p *sim.Proc, off int64, v uint64) {
 	d.m.IO.Write(p, hwio.MMIO, ahci.ABAR+off, 4, v)
-}
-
-func (d *AHCIDriver) mmr(p *sim.Proc, off int64) uint64 {
-	return d.m.IO.Read(p, hwio.MMIO, ahci.ABAR+off, 4)
 }
 
 // irqHandler acknowledges completions and wakes slot waiters. It runs in
@@ -88,87 +87,151 @@ func (d *AHCIDriver) Init(p *sim.Proc) error {
 	d.mmw(p, ahci.PortBase+ahci.PxFBU, 0)
 	d.mmw(p, ahci.PortBase+ahci.PxIE, ahci.ISDHRS|ahci.ISTFES)
 	d.mmw(p, ahci.PortBase+ahci.PxCMD, ahci.CmdST|ahci.CmdFRE)
-	if _, err := d.command(p, ahci.CmdIdentify, 0, 1, false, nil, false, nil); err != nil {
-		return fmt.Errorf("guest/ahci: identify failed: %w", err)
+	w := &parker{p: p}
+	r := &Request{Cause: trace.Cause(p), Done: w.wake}
+	d.start(r, ahci.CmdIdentify, 0, 1, false, nil, false, nil)
+	w.wait()
+	if r.Err != nil {
+		return fmt.Errorf("guest/ahci: identify failed: %w", r.Err)
 	}
 	return nil
 }
 
-func (d *AHCIDriver) allocSlot(p *sim.Proc) int {
-	for {
-		for s := 0; s < ahciSlotCount; s++ {
-			if d.slotFree[s] {
-				d.slotFree[s] = false
-				d.slotDone[s] = false
-				d.slotErr[s] = false
-				return s
-			}
-		}
-		p.Wait(d.freeSig)
+// Submit implements BlockDriver.
+func (d *AHCIDriver) Submit(r *Request) {
+	if r.Op == OpFlush {
+		d.start(r, ahci.CmdFlushCache, 0, 1, false, nil, false, nil)
+		return
 	}
+	if err := validateRange(r.LBA, r.Count); err != nil {
+		r.Complete(nil, err)
+		return
+	}
+	if r.Op == OpRead {
+		d.start(r, ahci.CmdReadDMAExt, r.LBA, r.Count, false, nil, r.Discard, nil)
+		return
+	}
+	src, literal := r.Source, []byte(nil)
+	if _, ok := src.(*disk.Buffer); ok {
+		pl := disk.Payload{LBA: r.LBA, Count: r.Count, Source: src}
+		src, literal = nil, pl.Bytes()
+	}
+	d.start(r, ahci.CmdWriteDMAExt, r.LBA, r.Count, true, src, false, literal)
+}
+
+// ahciCmd is one driver command in flight. It runs as kernel callbacks:
+// it waits for a free slot, builds the command in guest memory, issues it
+// with a PxCI write (a trap, stalling the guest for the exit, when a
+// mediator is attached) and waits for its completion interrupt. Each wait
+// is one scheduled step, in the (when, seq) slot the blocked process's
+// wakeup used to take. Records are pooled per driver and their steps
+// bound once.
+type ahciCmd struct {
+	d          *AHCIDriver
+	req        *Request
+	opcode     uint8
+	lba, count int64
+	write      bool
+	hintSrc    disk.SectorSource
+	discard    bool
+	literal    []byte
+	slot       int // -1 until a slot is allocated
+	prd        [1]mem.Region
+	stepFn     func()
+	waiter     *sim.Waiter // slot and completion waits
+}
+
+// start runs one command in a free slot for r. A read that is not
+// discarded completes with its data, copied out of the slot's buffer
+// before the slot is released.
+func (d *AHCIDriver) start(r *Request, opcode uint8, lba, count int64, write bool, hintSrc disk.SectorSource, discard bool, literal []byte) {
+	var c *ahciCmd
+	if n := len(d.free) - 1; n >= 0 {
+		c = d.free[n]
+		d.free = d.free[:n]
+	} else {
+		c = &ahciCmd{d: d}
+		c.stepFn = c.step
+		c.waiter = d.m.K.NewWaiter(c.woken)
+	}
+	c.req, c.opcode, c.lba, c.count, c.write = r, opcode, lba, count, write
+	c.hintSrc, c.discard, c.literal, c.slot = hintSrc, discard, literal, -1
+	c.step()
+}
+
+// woken continues the command after a slot or completion wait.
+func (c *ahciCmd) woken(bool) { c.step() }
+
+// step runs the command until it waits or completes.
+func (c *ahciCmd) step() {
+	d := c.d
+	if c.slot < 0 {
+		if c.slot = d.allocSlot(); c.slot < 0 {
+			c.waiter.Wait(d.freeSig)
+			return
+		}
+		if !d.issue(c) {
+			return // the PxCI write trapped: the stall's end continues here
+		}
+	}
+	if !d.slotDone[c.slot] {
+		c.waiter.Wait(d.doneSig)
+		return
+	}
+	var data []byte
+	var err error
+	if d.slotErr[c.slot] {
+		err = fmt.Errorf("guest/ahci: command %#x at lba %d failed", c.opcode, c.lba)
+	} else if c.opcode == ahci.CmdReadDMAExt && !c.discard {
+		data = d.m.Mem.Read(d.slotBuf(c.slot), c.count*disk.SectorSize)
+	}
+	d.releaseSlot(c.slot)
+	r := c.req
+	c.req, c.hintSrc, c.literal = nil, nil, nil
+	d.free = append(d.free, c)
+	r.Complete(data, err)
+}
+
+// slotBuf is slot s's DMA buffer.
+func (d *AHCIDriver) slotBuf(s int) int64 {
+	return int64(ahciBufBase + s*(MaxTransferSectors*disk.SectorSize))
+}
+
+// issue builds c's command in its slot and writes PxCI. It reports
+// whether the write took effect at once.
+func (d *AHCIDriver) issue(c *ahciCmd) bool {
+	slot := c.slot
+	ctba := uint64(ahciCTBABase + slot*0x200)
+	buf := d.slotBuf(slot)
+	if c.literal != nil {
+		d.m.Mem.Write(buf, c.literal)
+	}
+	ahci.WriteFIS(d.m.Mem, ctba, ahci.FIS{Command: c.opcode, LBA: c.lba, Count: c.count})
+	c.prd[0] = mem.Region{Start: buf, Size: c.count * disk.SectorSize}
+	ahci.WritePRDT(d.m.Mem, ctba, c.prd[:])
+	ahci.WriteCmdHeader(d.m.Mem, ahciCLB, slot, ahci.CmdHeader{
+		FISLen: 5, Write: c.write, PRDTL: 1, CTBA: ctba,
+	})
+	if c.hintSrc != nil || c.discard {
+		d.m.Disk.SetNextDMA(buf, c.hintSrc, c.discard)
+	}
+	return d.m.IO.WriteAsync(hwio.MMIO, ahci.ABAR+ahci.PortBase+ahci.PxCI, 4, 1<<slot, c.req.Cause, c.stepFn)
+}
+
+// allocSlot takes a free slot, or returns -1 if none is free.
+func (d *AHCIDriver) allocSlot() int {
+	for s := 0; s < ahciSlotCount; s++ {
+		if d.slotFree[s] {
+			d.slotFree[s] = false
+			d.slotDone[s] = false
+			d.slotErr[s] = false
+			return s
+		}
+	}
+	return -1
 }
 
 func (d *AHCIDriver) releaseSlot(s int) {
 	d.slotFree[s] = true
 	d.freeSig.Broadcast()
-}
-
-// command issues one command in a free slot and waits for its completion.
-// A read that is not discarded returns its data, copied out of the slot's
-// buffer before the slot is released.
-func (d *AHCIDriver) command(p *sim.Proc, cmd uint8, lba, count int64, write bool, hintSrc disk.SectorSource, hintDiscard bool, literal []byte) ([]byte, error) {
-	slot := d.allocSlot(p)
-	defer d.releaseSlot(slot)
-
-	ctba := uint64(ahciCTBABase + slot*0x200)
-	buf := int64(ahciBufBase + slot*(MaxTransferSectors*disk.SectorSize))
-	if literal != nil {
-		d.m.Mem.Write(buf, literal)
-	}
-	ahci.WriteFIS(d.m.Mem, ctba, ahci.FIS{Command: cmd, LBA: lba, Count: count})
-	ahci.WritePRDT(d.m.Mem, ctba, []mem.Region{{Start: buf, Size: count * disk.SectorSize}})
-	ahci.WriteCmdHeader(d.m.Mem, ahciCLB, slot, ahci.CmdHeader{
-		FISLen: 5, Write: write, PRDTL: 1, CTBA: ctba,
-	})
-
-	if hintSrc != nil || hintDiscard {
-		d.m.Disk.SetNextDMA(buf, hintSrc, hintDiscard)
-	}
-	d.mmw(p, ahci.PortBase+ahci.PxCI, 1<<slot)
-
-	p.WaitCond(d.doneSig, func() bool { return d.slotDone[slot] })
-	if d.slotErr[slot] {
-		return nil, fmt.Errorf("guest/ahci: command %#x at lba %d failed", cmd, lba)
-	}
-	if cmd != ahci.CmdReadDMAExt || hintDiscard {
-		return nil, nil
-	}
-	return d.m.Mem.Read(buf, count*disk.SectorSize), nil
-}
-
-// ReadSectors implements BlockDriver.
-func (d *AHCIDriver) ReadSectors(p *sim.Proc, lba, count int64, discard bool) ([]byte, error) {
-	if err := validateRange(lba, count); err != nil {
-		return nil, err
-	}
-	return d.command(p, ahci.CmdReadDMAExt, lba, count, false, nil, discard, nil)
-}
-
-// WriteSectors implements BlockDriver.
-func (d *AHCIDriver) WriteSectors(p *sim.Proc, payload disk.Payload) error {
-	if err := validateRange(payload.LBA, payload.Count); err != nil {
-		return err
-	}
-	src, literal := payload.Source, []byte(nil)
-	if _, ok := src.(*disk.Buffer); ok {
-		src, literal = nil, payload.Bytes()
-	}
-	_, err := d.command(p, ahci.CmdWriteDMAExt, payload.LBA, payload.Count, true, src, false, literal)
-	return err
-}
-
-// Flush implements BlockDriver.
-func (d *AHCIDriver) Flush(p *sim.Proc) error {
-	_, err := d.command(p, ahci.CmdFlushCache, 0, 1, false, nil, false, nil)
-	return err
 }

@@ -7,6 +7,13 @@
 // OS transparency is the point: the same driver code runs on bare metal,
 // under BMcast (where its register traffic is mediated), and under KVM
 // pass-through, without knowing which.
+//
+// Guest I/O runs as kernel callbacks, not processes (DESIGN.md §5a,
+// "Event-driven guest"): a driver request, an OS transfer and a boot's op
+// stream are records whose steps each complete or schedule exactly one
+// callback, in the (when, seq) slot a blocked process's wakeup used to
+// take. The blocking calls park their process once and are resumed by
+// the final step.
 package guest
 
 import (
@@ -14,6 +21,7 @@ import (
 
 	"repro/internal/hw/disk"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // MaxTransferSectors is the largest single driver command (1 MB), matching
@@ -25,16 +33,50 @@ type BlockDriver interface {
 	// Init probes and initializes the device; it must be called once
 	// before I/O.
 	Init(p *sim.Proc) error
-	// ReadSectors reads count sectors at lba. With discard=true the data
-	// is not materialized into guest memory (the caller will not look at
-	// it) and nil is returned on success.
-	ReadSectors(p *sim.Proc, lba, count int64, discard bool) ([]byte, error)
-	// WriteSectors writes the payload's sectors.
-	WriteSectors(p *sim.Proc, payload disk.Payload) error
-	// Flush issues a cache flush.
-	Flush(p *sim.Proc) error
+	// Submit starts r. The driver runs it as kernel callbacks and calls
+	// r.Done once r completes, with the outcome in r.Data and r.Err. A
+	// request the driver rejects outright completes before Submit returns.
+	Submit(r *Request)
 	// Name identifies the driver.
 	Name() string
+}
+
+// Op is what a block request does.
+type Op uint8
+
+// Block request operations.
+const (
+	OpRead Op = iota
+	OpWrite
+	OpFlush
+)
+
+// Request is one block request of at most MaxTransferSectors, in
+// callback form. Its issuer binds Done once and reuses the record.
+type Request struct {
+	Op         Op
+	LBA, Count int64
+	// Discard marks a read whose data the issuer will not look at: it is
+	// not materialized into guest memory, and Data stays nil.
+	Discard bool
+	// Source is a write's content.
+	Source disk.SectorSource
+	// Cause is the issuing guest context's causal span; mediated
+	// commands parent on it.
+	Cause *trace.Span
+	// Done continues the issuer once the request completes.
+	Done func()
+
+	// Data is a read's content unless Discard; Err is the outcome.
+	Data []byte
+	Err  error
+}
+
+// Complete records a request's outcome and continues its issuer. A
+// driver calls it once per request.
+func (r *Request) Complete(data []byte, err error) {
+	r.Data, r.Err = data, err
+	r.Done()
 }
 
 // validateRange rejects transfers the drivers cannot express.
@@ -46,4 +88,32 @@ func validateRange(lba, count int64) error {
 		return fmt.Errorf("guest: transfer of %d sectors exceeds driver max %d", count, MaxTransferSectors)
 	}
 	return nil
+}
+
+// parker parks a process until a callback-form operation it started
+// completes. The operation may complete before the process parks, in
+// which case the process does not park at all.
+type parker struct {
+	p      *sim.Proc
+	parked bool
+	done   bool
+}
+
+// wait parks the process unless the operation already completed.
+func (w *parker) wait() {
+	if !w.done {
+		w.parked = true
+		w.p.Suspend()
+	}
+	w.done = false
+}
+
+// wake marks the operation complete and resumes the process inline if it
+// parked. Only a scheduled callback may call it after the process parked.
+func (w *parker) wake() {
+	w.done = true
+	if w.parked {
+		w.parked = false
+		w.p.Resume()
+	}
 }

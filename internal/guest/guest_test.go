@@ -279,3 +279,38 @@ func TestValidateRange(t *testing.T) {
 		t.Fatal("zero count accepted")
 	}
 }
+
+func TestFlush(t *testing.T) {
+	driversUnderTest(t, func(t *testing.T, k *sim.Kernel, m *machine.Machine, o *OS) {
+		var took sim.Duration
+		k.Spawn("os", func(p *sim.Proc) {
+			if err := o.Drv.Init(p); err != nil {
+				t.Error(err)
+				return
+			}
+			start := p.Now()
+			if err := o.Flush(p); err != nil {
+				t.Error(err)
+			}
+			took = p.Now().Sub(start)
+		})
+		k.Run()
+		if took <= 0 {
+			t.Fatalf("flush took %v, want the device's flush time", took)
+		}
+	})
+}
+
+// TestSubmitRejectsInline pins the callback contract for a request the
+// driver cannot express: it completes, with an error, before Submit
+// returns.
+func TestSubmitRejectsInline(t *testing.T) {
+	driversUnderTest(t, func(t *testing.T, k *sim.Kernel, m *machine.Machine, o *OS) {
+		done := false
+		r := &Request{Op: OpRead, LBA: 0, Count: MaxTransferSectors + 1, Done: func() { done = true }}
+		o.Drv.Submit(r)
+		if !done || r.Err == nil {
+			t.Fatalf("oversized request: done=%v err=%v, want an inline error", done, r.Err)
+		}
+	})
+}

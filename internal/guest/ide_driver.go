@@ -32,6 +32,8 @@ type IDEDriver struct {
 
 	irqSeen bool
 	errSeen bool
+
+	free []*ideCmd // pooled command records
 }
 
 // NewIDEDriver returns the guest's IDE driver for machine m.
@@ -89,82 +91,184 @@ func (d *IDEDriver) Init(p *sim.Proc) error {
 	return nil
 }
 
-// command runs one DMA command to completion under the driver lock.
-// hintSrc/hintDiscard are applied once the lock is held so concurrent
-// requests cannot clobber each other's DMA hints.
-func (d *IDEDriver) command(p *sim.Proc, cmd uint8, lba, count int64, write bool, hintSrc disk.SectorSource, hintDiscard bool, literal []byte) error {
-	d.lock.Acquire(p)
-	defer d.lock.Release()
-	d.irqSeen = false
-	if literal != nil {
-		d.m.Mem.Write(ideDMABuf, literal)
-	}
-	if hintSrc != nil || hintDiscard {
-		d.m.Disk.SetNextDMA(ideDMABuf, hintSrc, hintDiscard)
-	}
-
-	ide.WritePRDTable(d.m.Mem, idePRDTable, ideDMABuf, count*disk.SectorSize)
-	d.m.IO.Write(p, hwio.PIO, ideBMBase+ide.BMRegPRDT, 4, idePRDTable)
-	d.outb(p, ideCmdBase+ide.RegSectorCount, uint64(count>>8&0xFF))
-	d.outb(p, ideCmdBase+ide.RegSectorCount, uint64(count&0xFF))
-	d.outb(p, ideCmdBase+ide.RegLBALow, uint64(lba>>24&0xFF))
-	d.outb(p, ideCmdBase+ide.RegLBALow, uint64(lba&0xFF))
-	d.outb(p, ideCmdBase+ide.RegLBAMid, uint64(lba>>32&0xFF))
-	d.outb(p, ideCmdBase+ide.RegLBAMid, uint64(lba>>8&0xFF))
-	d.outb(p, ideCmdBase+ide.RegLBAHigh, uint64(lba>>40&0xFF))
-	d.outb(p, ideCmdBase+ide.RegLBAHigh, uint64(lba>>16&0xFF))
-	d.outb(p, ideCmdBase+ide.RegDevice, ide.DeviceLBA)
-	d.outb(p, ideCmdBase+ide.RegStatusCmd, uint64(cmd))
-	dir := uint64(0)
-	if !write {
-		dir = ide.BMCmdRead
-	}
-	d.outb(p, ideBMBase+ide.BMRegCmd, ide.BMCmdStart|dir)
-
-	p.WaitCond(d.done, func() bool { return d.irqSeen })
-	d.outb(p, ideBMBase+ide.BMRegCmd, 0)
-	if d.errSeen {
-		return fmt.Errorf("guest/ide: command %#x at lba %d failed", cmd, lba)
-	}
-	return nil
-}
-
-// ReadSectors implements BlockDriver.
-func (d *IDEDriver) ReadSectors(p *sim.Proc, lba, count int64, discard bool) ([]byte, error) {
-	if err := validateRange(lba, count); err != nil {
-		return nil, err
-	}
-	if err := d.command(p, ide.CmdReadDMAExt, lba, count, false, nil, discard, nil); err != nil {
-		return nil, err
-	}
-	if discard {
-		return nil, nil
-	}
-	return d.m.Mem.Read(ideDMABuf, count*disk.SectorSize), nil
-}
-
-// WriteSectors implements BlockDriver. Literal buffer payloads are copied
+// Submit implements BlockDriver. Literal buffer payloads are copied
 // through guest memory (the architectural path); other sources ride the
 // DMA hint.
-func (d *IDEDriver) WriteSectors(p *sim.Proc, payload disk.Payload) error {
-	if err := validateRange(payload.LBA, payload.Count); err != nil {
-		return err
+func (d *IDEDriver) Submit(r *Request) {
+	if r.Op == OpFlush {
+		c := d.newCmd(r)
+		c.regs[0] = ioWrite{ideCmdBase + ide.RegStatusCmd, 1, ide.CmdFlushCache}
+		c.n = 1
+		c.step()
+		return
 	}
-	if _, ok := payload.Source.(*disk.Buffer); ok {
-		return d.command(p, ide.CmdWriteDMAExt, payload.LBA, payload.Count, true, nil, false, payload.Bytes())
+	if err := validateRange(r.LBA, r.Count); err != nil {
+		r.Complete(nil, err)
+		return
 	}
-	return d.command(p, ide.CmdWriteDMAExt, payload.LBA, payload.Count, true, payload.Source, false, nil)
+	c := d.newCmd(r)
+	if r.Op == OpRead {
+		c.dma(ide.CmdReadDMAExt, nil, r.Discard, nil)
+		return
+	}
+	if _, ok := r.Source.(*disk.Buffer); ok {
+		pl := disk.Payload{LBA: r.LBA, Count: r.Count, Source: r.Source}
+		c.dma(ide.CmdWriteDMAExt, nil, false, pl.Bytes())
+		return
+	}
+	c.dma(ide.CmdWriteDMAExt, r.Source, false, nil)
 }
 
-// Flush implements BlockDriver.
-func (d *IDEDriver) Flush(p *sim.Proc) error {
-	d.lock.Acquire(p)
-	defer d.lock.Release()
-	d.irqSeen = false
-	d.outb(p, ideCmdBase+ide.RegStatusCmd, ide.CmdFlushCache)
-	p.WaitCond(d.done, func() bool { return d.irqSeen })
-	if d.errSeen {
-		return fmt.Errorf("guest/ide: flush failed")
+// ioWrite is one register write of a command's programming sequence.
+type ioWrite struct {
+	addr int64
+	size int
+	v    uint64
+}
+
+// ideStep is where an IDE command's step function resumes.
+type ideStep uint8
+
+const (
+	ideLock ideStep = iota // take the driver lock
+	ideRegs                // program the registers
+	ideWait                // wait for the completion interrupt
+	ideEnd                 // complete the request
+)
+
+// ideCmd is one driver command in flight. It runs as kernel callbacks:
+// it takes the driver lock, programs the task file and bus master one
+// register write at a time (each a trap, stalling the guest for the
+// exit, when a mediator is attached), waits for the completion interrupt
+// and stops the bus master. Each wait is one scheduled step, in the
+// (when, seq) slot the blocked process's wakeup used to take. Records are
+// pooled per driver and their steps bound once.
+type ideCmd struct {
+	d       *IDEDriver
+	req     *Request
+	pc      ideStep
+	opcode  uint8
+	hintSrc disk.SectorSource
+	discard bool
+	literal []byte
+	regs    [12]ioWrite
+	n, next int
+	stepFn  func()
+	waiter  *sim.Waiter // lock and completion waits
+}
+
+func (d *IDEDriver) newCmd(r *Request) *ideCmd {
+	var c *ideCmd
+	if n := len(d.free) - 1; n >= 0 {
+		c = d.free[n]
+		d.free = d.free[:n]
+	} else {
+		c = &ideCmd{d: d}
+		c.stepFn = c.step
+		c.waiter = d.m.K.NewWaiter(c.woken)
 	}
-	return nil
+	c.req, c.pc, c.next, c.opcode = r, ideLock, 0, 0
+	return c
+}
+
+func (d *IDEDriver) putCmd(c *ideCmd) {
+	c.req, c.hintSrc, c.literal = nil, nil, nil
+	d.free = append(d.free, c)
+}
+
+// dma starts a DMA command: the hint is applied once the lock is held, so
+// concurrent requests cannot clobber each other's DMA hints.
+func (c *ideCmd) dma(opcode uint8, hintSrc disk.SectorSource, discard bool, literal []byte) {
+	r := c.req
+	lba, count := r.LBA, r.Count
+	c.opcode, c.hintSrc, c.discard, c.literal = opcode, hintSrc, discard, literal
+	dir := uint64(0)
+	if opcode == ide.CmdReadDMAExt {
+		dir = ide.BMCmdRead
+	}
+	c.regs = [12]ioWrite{
+		{ideBMBase + ide.BMRegPRDT, 4, idePRDTable},
+		{ideCmdBase + ide.RegSectorCount, 1, uint64(count >> 8 & 0xFF)},
+		{ideCmdBase + ide.RegSectorCount, 1, uint64(count & 0xFF)},
+		{ideCmdBase + ide.RegLBALow, 1, uint64(lba >> 24 & 0xFF)},
+		{ideCmdBase + ide.RegLBALow, 1, uint64(lba & 0xFF)},
+		{ideCmdBase + ide.RegLBAMid, 1, uint64(lba >> 32 & 0xFF)},
+		{ideCmdBase + ide.RegLBAMid, 1, uint64(lba >> 8 & 0xFF)},
+		{ideCmdBase + ide.RegLBAHigh, 1, uint64(lba >> 40 & 0xFF)},
+		{ideCmdBase + ide.RegLBAHigh, 1, uint64(lba >> 16 & 0xFF)},
+		{ideCmdBase + ide.RegDevice, 1, ide.DeviceLBA},
+		{ideCmdBase + ide.RegStatusCmd, 1, uint64(opcode)},
+		{ideBMBase + ide.BMRegCmd, 1, ide.BMCmdStart | dir},
+	}
+	c.n = len(c.regs)
+	c.step()
+}
+
+// woken continues the command after a lock or completion wait.
+func (c *ideCmd) woken(bool) { c.step() }
+
+// step runs the command until it waits or completes.
+func (c *ideCmd) step() {
+	d := c.d
+	for {
+		switch c.pc {
+		case ideLock:
+			if !d.lock.AcquireWait(c.waiter) {
+				return
+			}
+			d.irqSeen = false
+			if c.opcode != 0 {
+				if c.literal != nil {
+					d.m.Mem.Write(ideDMABuf, c.literal)
+				}
+				if c.hintSrc != nil || c.discard {
+					d.m.Disk.SetNextDMA(ideDMABuf, c.hintSrc, c.discard)
+				}
+				ide.WritePRDTable(d.m.Mem, idePRDTable, ideDMABuf, c.req.Count*disk.SectorSize)
+			}
+			c.pc = ideRegs
+		case ideRegs:
+			for c.next < c.n {
+				w := &c.regs[c.next]
+				c.next++
+				if !d.m.IO.WriteAsync(hwio.PIO, w.addr, w.size, w.v, c.req.Cause, c.stepFn) {
+					return // the write trapped: the stall's end continues here
+				}
+			}
+			c.pc = ideWait
+		case ideWait:
+			if !d.irqSeen {
+				c.waiter.Wait(d.done)
+				return
+			}
+			c.pc = ideEnd
+			if c.opcode != 0 && !d.m.IO.WriteAsync(hwio.PIO, ideBMBase+ide.BMRegCmd, 1, 0, c.req.Cause, c.stepFn) {
+				return
+			}
+		case ideEnd:
+			c.end()
+			return
+		}
+	}
+}
+
+// end completes the request: the lock is released before a read's data
+// is copied out of the bounce buffer, in the same event.
+func (c *ideCmd) end() {
+	d, r := c.d, c.req
+	var err error
+	if d.errSeen {
+		if c.opcode == 0 {
+			err = fmt.Errorf("guest/ide: flush failed")
+		} else {
+			err = fmt.Errorf("guest/ide: command %#x at lba %d failed", c.opcode, r.LBA)
+		}
+	}
+	d.lock.Release()
+	var data []byte
+	if err == nil && c.opcode == ide.CmdReadDMAExt && !c.discard {
+		data = d.m.Mem.Read(ideDMABuf, r.Count*disk.SectorSize)
+	}
+	d.putCmd(c)
+	r.Complete(data, err)
 }

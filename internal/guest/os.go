@@ -24,6 +24,8 @@ type OS struct {
 	Writes     metrics.Counter
 	BytesRead  metrics.Counter
 	BytesWrote metrics.Counter
+
+	free []*xfer // pooled transfers of the blocking calls
 }
 
 // NewOS creates the OS for machine m, selecting the block driver matching
@@ -44,13 +46,18 @@ func NewOS(name string, m *machine.Machine) *OS {
 // virtio driver here; everything above the driver is unchanged).
 func (o *OS) SetDriver(d BlockDriver) { o.Drv = d }
 
+// bootWrites is the content of the boot's log and state writes.
+var bootWrites disk.SectorSource = disk.Synth{Seed: 0xB007, Label: "boot-writes"}
+
 // Boot runs the OS boot sequence: driver initialization followed by the
-// profile's op stream, reads and writes with interleaved compute.
+// profile's op stream, reads and writes with interleaved compute. The op
+// stream runs as kernel callbacks; the calling process parks once, until
+// the stream ends.
 func (o *OS) Boot(p *sim.Proc, bp BootProfile) error {
 	start := p.Now()
 	// The boot span is the guest's side of the causal DAG: mediated
-	// commands issued by this proc parent under it (via the proc-carried
-	// cause), and it parents under whatever drove the deployment.
+	// commands issued by the boot parent under it, and it parents under
+	// whatever drove the deployment.
 	var sp *trace.Span
 	if o.M.Trace != nil {
 		sp = o.M.Trace.BeginChild(trace.Cause(p), o.M.Name, "guest", "boot",
@@ -75,31 +82,199 @@ func (o *OS) Boot(p *sim.Proc, bp BootProfile) error {
 	if err := o.Drv.Init(p); err != nil {
 		return fmt.Errorf("guest: driver init: %w", err)
 	}
-	ops := bp.Ops()
-	for op, ok := ops.Next(); ok; op, ok = ops.Next() {
-		if op.Think > 0 {
-			o.Compute(p, op.Think, 0.2)
-		}
-		if op.Write {
-			src := disk.Synth{Seed: 0xB007, Label: "boot-writes"}
-			if err := o.WriteSectors(p, disk.Payload{LBA: op.LBA, Count: op.Count, Source: src}); err != nil {
-				return fmt.Errorf("guest: boot write at %d: %w", op.LBA, err)
-			}
-			continue
-		}
-		if _, err := o.ReadSectors(p, op.LBA, op.Count, true); err != nil {
-			return fmt.Errorf("guest: boot read at %d: %w", op.LBA, err)
-		}
+	b := &boot{o: o, ops: bp.Ops(), sp: sp}
+	b.stepFn = b.step
+	b.x.bind(o)
+	b.x.then = b.stepFn
+	b.wait.p = p
+	b.step()
+	b.wait.wait()
+	if b.err != nil {
+		return b.err
 	}
 	o.Booted = true
 	o.BootTook = p.Now().Sub(start)
 	return nil
 }
 
+// bootStep is where a boot's step function resumes.
+type bootStep uint8
+
+const (
+	bootNext bootStep = iota // draw the next op
+	bootIO                   // the op's think time is over: transfer
+	bootDone                 // the op's transfer ended
+)
+
+// boot is a boot's op stream in flight. Each op's think time is one
+// After, in the slot the process's Compute sleep took, and each op's
+// transfer is an xfer that continues the stream when it ends.
+type boot struct {
+	o      *OS
+	ops    *BootOps
+	op     BootOp
+	pc     bootStep
+	x      xfer
+	sp     *trace.Span
+	err    error
+	wait   parker
+	stepFn func()
+}
+
+// step runs the op stream until it blocks or ends.
+func (b *boot) step() {
+	o := b.o
+	for {
+		switch b.pc {
+		case bootNext:
+			op, ok := b.ops.Next()
+			if !ok {
+				b.wait.wake()
+				return
+			}
+			b.op, b.pc = op, bootIO
+			if op.Think > 0 {
+				o.M.K.After(o.computeTime(op.Think, 0.2), b.stepFn)
+				return
+			}
+		case bootIO:
+			b.pc = bootDone
+			if b.op.Write {
+				b.x.start(OpWrite, b.op.LBA, b.op.Count, false, bootWrites, b.sp)
+			} else {
+				b.x.start(OpRead, b.op.LBA, b.op.Count, true, nil, b.sp)
+			}
+			return
+		case bootDone:
+			if err := b.x.err; err != nil {
+				kind := "read"
+				if b.op.Write {
+					kind = "write"
+				}
+				b.err = fmt.Errorf("guest: boot %s at %d: %w", kind, b.op.LBA, err)
+				b.wait.wake()
+				return
+			}
+			b.pc = bootNext
+		}
+	}
+}
+
 // Compute consumes d of CPU time scaled by the platform's current
 // slowdown for work whose memory-bound share is memShare.
 func (o *OS) Compute(p *sim.Proc, d sim.Duration, memShare float64) {
-	p.Sleep(sim.Duration(float64(d) * o.M.World.Slowdown(memShare)))
+	p.Sleep(o.computeTime(d, memShare))
+}
+
+// computeTime scales d of CPU time by the platform's current slowdown.
+func (o *OS) computeTime(d sim.Duration, memShare float64) sim.Duration {
+	return sim.Duration(float64(d) * o.M.World.Slowdown(memShare))
+}
+
+// xfer is one OS-level transfer: a read or write the OS splits into
+// driver requests of at most MaxTransferSectors, issued one after
+// another, or a flush. It runs as kernel callbacks; a boot's op stream
+// and the blocking ReadSectors, WriteSectors and Flush share it.
+type xfer struct {
+	o          *OS
+	req        Request // the driver request in flight; its Done is next
+	lba, count int64   // the range still to transfer
+	out        []byte  // read data gathered, unless discarding
+	err        error
+	then       func() // continues a callback issuer once the transfer ends
+	wait       parker // a blocking issuer
+}
+
+// bind ties a transfer record to its OS and binds its continuation.
+func (x *xfer) bind(o *OS) {
+	x.o = o
+	x.req.Done = x.next
+}
+
+// start begins a transfer of count sectors at lba (a flush ignores the
+// range) for a guest context whose causal span is cause.
+func (x *xfer) start(op Op, lba, count int64, discard bool, src disk.SectorSource, cause *trace.Span) {
+	r := &x.req
+	r.Op, r.Discard, r.Source, r.Cause = op, discard, src, cause
+	x.lba, x.count, x.err = lba, count, nil
+	if op == OpFlush {
+		x.submit(0, 0)
+		return
+	}
+	x.issue()
+}
+
+// issue submits the next driver request, or ends the transfer.
+func (x *xfer) issue() {
+	if x.count <= 0 {
+		x.end()
+		return
+	}
+	x.submit(x.lba, min(x.count, MaxTransferSectors))
+}
+
+func (x *xfer) submit(lba, count int64) {
+	r := &x.req
+	r.LBA, r.Count, r.Data, r.Err = lba, count, nil, nil
+	x.o.Drv.Submit(r)
+}
+
+// next takes a driver request's outcome and issues the next request.
+func (x *xfer) next() {
+	r, o := &x.req, x.o
+	if r.Err != nil {
+		x.err = r.Err
+		x.end()
+		return
+	}
+	n := r.Count
+	switch r.Op {
+	case OpRead:
+		if !r.Discard {
+			x.out = append(x.out, r.Data...)
+		}
+		o.Reads.Inc()
+		o.BytesRead.Add(n * disk.SectorSize)
+	case OpWrite:
+		o.Writes.Inc()
+		o.BytesWrote.Add(n * disk.SectorSize)
+	case OpFlush:
+		x.end()
+		return
+	}
+	x.lba += n
+	x.count -= n
+	x.issue()
+}
+
+// end continues the transfer's issuer.
+func (x *xfer) end() {
+	x.req.Data, x.req.Source = nil, nil
+	if x.then != nil {
+		x.then()
+		return
+	}
+	x.wait.wake()
+}
+
+// blocking runs a transfer for the process p and parks p until it ends.
+// It returns the gathered data and the outcome.
+func (o *OS) blocking(p *sim.Proc, op Op, lba, count int64, discard bool, src disk.SectorSource, out []byte) ([]byte, error) {
+	var x *xfer
+	if n := len(o.free) - 1; n >= 0 {
+		x = o.free[n]
+		o.free = o.free[:n]
+	} else {
+		x = &xfer{}
+		x.bind(o)
+	}
+	x.wait.p, x.out = p, out
+	x.start(op, lba, count, discard, src, trace.Cause(p))
+	x.wait.wait()
+	out, err := x.out, x.err
+	x.wait.p, x.out, x.err = nil, nil, nil
+	o.free = append(o.free, x)
+	return out, err
 }
 
 // ReadSectors reads count sectors at lba, splitting transfers larger than
@@ -109,22 +284,9 @@ func (o *OS) ReadSectors(p *sim.Proc, lba, count int64, discard bool) ([]byte, e
 	if !discard {
 		out = make([]byte, 0, count*disk.SectorSize)
 	}
-	for count > 0 {
-		n := count
-		if n > MaxTransferSectors {
-			n = MaxTransferSectors
-		}
-		b, err := o.Drv.ReadSectors(p, lba, n, discard)
-		if err != nil {
-			return nil, err
-		}
-		if !discard {
-			out = append(out, b...)
-		}
-		o.Reads.Inc()
-		o.BytesRead.Add(n * disk.SectorSize)
-		lba += n
-		count -= n
+	out, err := o.blocking(p, OpRead, lba, count, discard, nil, out)
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -132,20 +294,12 @@ func (o *OS) ReadSectors(p *sim.Proc, lba, count int64, discard bool) ([]byte, e
 // WriteSectors writes the payload, splitting transfers larger than the
 // driver maximum.
 func (o *OS) WriteSectors(p *sim.Proc, payload disk.Payload) error {
-	lba, count := payload.LBA, payload.Count
-	for count > 0 {
-		n := count
-		if n > MaxTransferSectors {
-			n = MaxTransferSectors
-		}
-		err := o.Drv.WriteSectors(p, disk.Payload{LBA: lba, Count: n, Source: payload.Source})
-		if err != nil {
-			return err
-		}
-		o.Writes.Inc()
-		o.BytesWrote.Add(n * disk.SectorSize)
-		lba += n
-		count -= n
-	}
-	return nil
+	_, err := o.blocking(p, OpWrite, payload.LBA, payload.Count, false, payload.Source, nil)
+	return err
+}
+
+// Flush issues a cache flush.
+func (o *OS) Flush(p *sim.Proc) error {
+	_, err := o.blocking(p, OpFlush, 0, 0, false, nil, nil)
+	return err
 }

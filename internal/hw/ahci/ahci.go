@@ -179,7 +179,7 @@ func (h *HBA) RegisterRegion(ios *hwio.Space) string {
 }
 
 // IORead implements io.Handler.
-func (h *HBA) IORead(_ *sim.Proc, off int64, _ int) uint64 {
+func (h *HBA) IORead(off int64, _ int) uint64 {
 	switch off {
 	case RegCAP:
 		return uint64(NumSlots-1)<<8 | 1<<30 // slots, 64-bit addressing
@@ -225,7 +225,7 @@ func (h *HBA) IORead(_ *sim.Proc, off int64, _ int) uint64 {
 }
 
 // IOWrite implements io.Handler.
-func (h *HBA) IOWrite(_ *sim.Proc, off int64, _ int, v uint64) {
+func (h *HBA) IOWrite(off int64, _ int, v uint64) {
 	switch off {
 	case RegGHC:
 		h.ghc = uint32(v)

@@ -40,7 +40,7 @@ func newRigOn(k *sim.Kernel) *rig {
 	d := disk.NewDevice(k, "sda", params)
 	irq := hwio.NewIRQ(k, "ahci")
 	h := New(k, "ahci0", d, m, irq)
-	ios := hwio.NewSpace()
+	ios := hwio.NewSpace(k)
 	h.RegisterRegion(ios)
 	r := &rig{k: k, m: m, d: d, h: h, ios: ios, done: k.NewSignal("drv.done")}
 	irq.SetHandler(func() {
@@ -315,7 +315,7 @@ func TestHostBusFaultOutsideMemory(t *testing.T) {
 			if r.is&(ISHBFS|ISTFES) != ISHBFS|ISTFES || r.is&ISDHRS != 0 {
 				t.Errorf("PxIS = %#x, want HBFS|TFES without DHRS", r.is)
 			}
-			if tfd := r.h.IORead(nil, PortBase+PxTFD, 4); tfd&TFDErr == 0 || tfd&TFDBusy != 0 {
+			if tfd := r.h.IORead(PortBase+PxTFD, 4); tfd&TFDErr == 0 || tfd&TFDBusy != 0 {
 				t.Errorf("TFD = %#x, want error, not busy", tfd)
 			}
 			if ci := r.h.OutstandingCI(); ci != 0 {

@@ -74,17 +74,17 @@ func armScheduleRun() string {
 		m.Write(addr, b)
 	}
 
-	port := func(off int64, v uint64) { h.IOWrite(nil, ahci.PortBase+off, 4, v) }
-	h.IOWrite(nil, ahci.RegGHC, 4, ahci.GHCAHCIEnable|ahci.GHCInterruptEnable)
+	port := func(off int64, v uint64) { h.IOWrite(ahci.PortBase+off, 4, v) }
+	h.IOWrite(ahci.RegGHC, 4, ahci.GHCAHCIEnable|ahci.GHCInterruptEnable)
 	port(ahci.PxCLB, armCLB)
 	port(ahci.PxIE, ahci.ISDHRS|ahci.ISTFES|ahci.ISHBFS)
 	port(ahci.PxCMD, ahci.CmdST|ahci.CmdFRE)
 	irqA.SetHandler(func() {
-		is := h.IORead(nil, ahci.PortBase+ahci.PxIS, 4)
+		is := h.IORead(ahci.PortBase+ahci.PxIS, 4)
 		fmt.Fprintf(&log, "%d irq ahci pxis=%#x ci=%#x tfd=%#x head=%d\n",
-			k.Now(), is, h.OutstandingCI(), h.IORead(nil, ahci.PortBase+ahci.PxTFD, 4), d.Head())
+			k.Now(), is, h.OutstandingCI(), h.IORead(ahci.PortBase+ahci.PxTFD, 4), d.Head())
 		port(ahci.PxIS, is)
-		h.IOWrite(nil, ahci.RegIS, 4, 1)
+		h.IOWrite(ahci.RegIS, 4, 1)
 	})
 	ahciIssue := func(x armCmd) {
 		ctba := uint64(armCTBA + x.slot*0x200)
@@ -145,7 +145,7 @@ func armScheduleRun() string {
 		}
 		if x.op != ide.CmdFlushCache {
 			ide.WritePRDTable(m, armPRDT, armIDEBuf, n*disk.SectorSize)
-			bm.IOWrite(nil, ide.BMRegPRDT, 4, armPRDT)
+			bm.IOWrite(ide.BMRegPRDT, 4, armPRDT)
 			switch {
 			case x.write && x.hint == "synth":
 				d.SetNextDMA(armIDEBuf, disk.Synth{Seed: x.lba, Label: "ide-hint"}, false)
@@ -156,26 +156,26 @@ func armScheduleRun() string {
 			}
 		}
 		if x.op == ide.CmdReadDMAExt || x.op == ide.CmdWriteDMAExt {
-			cmdBlk.IOWrite(nil, ide.RegSectorCount, 1, uint64(x.count>>8))
-			cmdBlk.IOWrite(nil, ide.RegLBALow, 1, uint64(x.lba>>24))
-			cmdBlk.IOWrite(nil, ide.RegLBAMid, 1, uint64(x.lba>>32))
-			cmdBlk.IOWrite(nil, ide.RegLBAHigh, 1, uint64(x.lba>>40))
+			cmdBlk.IOWrite(ide.RegSectorCount, 1, uint64(x.count>>8))
+			cmdBlk.IOWrite(ide.RegLBALow, 1, uint64(x.lba>>24))
+			cmdBlk.IOWrite(ide.RegLBAMid, 1, uint64(x.lba>>32))
+			cmdBlk.IOWrite(ide.RegLBAHigh, 1, uint64(x.lba>>40))
 		}
-		cmdBlk.IOWrite(nil, ide.RegSectorCount, 1, uint64(x.count))
-		cmdBlk.IOWrite(nil, ide.RegLBALow, 1, uint64(x.lba))
-		cmdBlk.IOWrite(nil, ide.RegLBAMid, 1, uint64(x.lba>>8))
-		cmdBlk.IOWrite(nil, ide.RegLBAHigh, 1, uint64(x.lba>>16))
-		cmdBlk.IOWrite(nil, ide.RegDevice, 1, ide.DeviceLBA|uint64(x.lba>>24)&0x0F)
+		cmdBlk.IOWrite(ide.RegSectorCount, 1, uint64(x.count))
+		cmdBlk.IOWrite(ide.RegLBALow, 1, uint64(x.lba))
+		cmdBlk.IOWrite(ide.RegLBAMid, 1, uint64(x.lba>>8))
+		cmdBlk.IOWrite(ide.RegLBAHigh, 1, uint64(x.lba>>16))
+		cmdBlk.IOWrite(ide.RegDevice, 1, ide.DeviceLBA|uint64(x.lba>>24)&0x0F)
 		dir := uint64(ide.BMCmdRead)
 		if x.write {
 			dir = 0
 		}
 		fmt.Fprintf(&log, "%d issue ide op=%#x lba=%d count=%d\n", k.Now(), x.op, x.lba, x.count)
-		cmdBlk.IOWrite(nil, ide.RegStatusCmd, 1, uint64(x.op))
+		cmdBlk.IOWrite(ide.RegStatusCmd, 1, uint64(x.op))
 		if x.op == ide.CmdFlushCache {
 			return
 		}
-		start := func() { bm.IOWrite(nil, ide.BMRegCmd, 1, dir|ide.BMCmdStart) }
+		start := func() { bm.IOWrite(ide.BMRegCmd, 1, dir|ide.BMCmdStart) }
 		if x.bmDelay == 0 {
 			start()
 			return
@@ -186,12 +186,12 @@ func armScheduleRun() string {
 		})
 	}
 	irqI.SetHandler(func() {
-		st := cmdBlk.IORead(nil, ide.RegStatusCmd, 1)
-		bs := bm.IORead(nil, ide.BMRegStatus, 1)
+		st := cmdBlk.IORead(ide.RegStatusCmd, 1)
+		bs := bm.IORead(ide.BMRegStatus, 1)
 		fmt.Fprintf(&log, "%d irq ide status=%#x bm=%#x err=%#x head=%d\n",
-			k.Now(), st, bs, cmdBlk.IORead(nil, ide.RegErrFeature, 1), d.Head())
-		bm.IOWrite(nil, ide.BMRegCmd, 1, 0)
-		bm.IOWrite(nil, ide.BMRegStatus, 1, ide.BMStatusIRQ|ide.BMStatusError)
+			k.Now(), st, bs, cmdBlk.IORead(ide.RegErrFeature, 1), d.Head())
+		bm.IOWrite(ide.BMRegCmd, 1, 0)
+		bm.IOWrite(ide.BMRegStatus, 1, ide.BMStatusIRQ|ide.BMStatusError)
 		ideNext()
 	})
 	ideNext = func() {

@@ -151,15 +151,16 @@ type access struct {
 	d          *Device
 	lba, count int64
 	write      bool
-	src        SectorSource // write content
-	pl         Payload      // read content, once serviced
-	m          *mem.Memory  // DMA read: memory to scatter into, nil to discard
-	sg         []mem.Region // DMA read: the buffers to scatter into
-	p          *sim.Proc    // blocking caller, resumed once serviced
-	done       func()       // DMA caller's continuation
-	arm        *sim.Waiter  // waits for the arm when it is taken
-	servicedFn func()       // cached serviced step
-	next       *access      // free list link
+	src        SectorSource  // write content
+	pl         Payload       // read content, once serviced
+	m          *mem.Memory   // DMA read: memory to scatter into, nil to discard
+	sg         []mem.Region  // DMA read: the buffers to scatter into
+	p          *sim.Proc     // blocking caller, resumed once serviced
+	done       func()        // DMA caller's continuation
+	then       func(Payload) // Start caller's continuation
+	arm        *sim.Waiter   // waits for the arm when it is taken
+	servicedFn func()        // cached serviced step
+	next       *access       // free list link
 }
 
 // newAccess takes a record from the drive's pool.
@@ -179,7 +180,7 @@ func (d *Device) newAccess(lba, count int64, write bool) *access {
 // release returns a record to the pool, dropping what it referenced.
 func (a *access) release() {
 	d := a.d
-	a.src, a.pl, a.m, a.sg, a.p, a.done = nil, Payload{}, nil, nil, nil, nil
+	a.src, a.pl, a.m, a.sg, a.p, a.done, a.then = nil, Payload{}, nil, nil, nil, nil, nil
 	a.next, d.free = d.free, a
 }
 
@@ -223,6 +224,12 @@ func (a *access) serviced() {
 		a.p.Resume() // the blocking caller takes the result and the record
 		return
 	}
+	if then := a.then; then != nil {
+		pl := a.pl
+		a.release()
+		then(pl)
+		return
+	}
 	if a.m != nil {
 		d.dmaBuf = a.pl.AppendTo(d.dmaBuf[:0])
 		a.m.Scatter(a.sg, d.dmaBuf)
@@ -255,6 +262,16 @@ func (d *Device) Write(p *sim.Proc, lba, count int64, src SectorSource) {
 	a := d.newAccess(lba, count, true)
 	a.src = src
 	a.await(p)
+}
+
+// Start begins a read (write false) or a write of count sectors at lba
+// in callback form: done receives the content read, or the zero Payload
+// for a write, in the event that ends the access, where the blocking
+// Read or Write would have resumed its caller.
+func (d *Device) Start(lba, count int64, write bool, src SectorSource, done func(Payload)) {
+	a := d.newAccess(lba, count, write)
+	a.src, a.then = src, done
+	a.start()
 }
 
 // Busy reports whether a command is being serviced right now.

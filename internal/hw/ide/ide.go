@@ -195,7 +195,7 @@ func (c *Controller) RegisterRegions(ios *hwio.Space) (cmd, ctl, bm string) {
 	return cmd, ctl, bm
 }
 
-func (b cmdBlock) IORead(_ *sim.Proc, off int64, _ int) uint64 {
+func (b cmdBlock) IORead(off int64, _ int) uint64 {
 	c := b.c
 	switch off {
 	case RegData:
@@ -226,7 +226,7 @@ func (b cmdBlock) IORead(_ *sim.Proc, off int64, _ int) uint64 {
 	return 0xFF
 }
 
-func (b cmdBlock) IOWrite(_ *sim.Proc, off int64, _ int, v uint64) {
+func (b cmdBlock) IOWrite(off int64, _ int, v uint64) {
 	c := b.c
 	x := uint8(v)
 	switch off {
@@ -247,11 +247,11 @@ func (b cmdBlock) IOWrite(_ *sim.Proc, off int64, _ int, v uint64) {
 	}
 }
 
-func (b ctlBlock) IORead(_ *sim.Proc, _ int64, _ int) uint64 {
+func (b ctlBlock) IORead(_ int64, _ int) uint64 {
 	return uint64(b.c.status) // alternate status
 }
 
-func (b ctlBlock) IOWrite(_ *sim.Proc, _ int64, _ int, v uint64) {
+func (b ctlBlock) IOWrite(_ int64, _ int, v uint64) {
 	c := b.c
 	c.nIEN = v&CtlNIEN != 0
 	if v&CtlSRST != 0 {
@@ -259,7 +259,7 @@ func (b ctlBlock) IOWrite(_ *sim.Proc, _ int64, _ int, v uint64) {
 	}
 }
 
-func (b busMaster) IORead(_ *sim.Proc, off int64, size int) uint64 {
+func (b busMaster) IORead(off int64, size int) uint64 {
 	c := b.c
 	switch off {
 	case BMRegCmd:
@@ -273,7 +273,7 @@ func (b busMaster) IORead(_ *sim.Proc, off int64, size int) uint64 {
 	return 0xFF
 }
 
-func (b busMaster) IOWrite(_ *sim.Proc, off int64, _ int, v uint64) {
+func (b busMaster) IOWrite(off int64, _ int, v uint64) {
 	c := b.c
 	switch off {
 	case BMRegCmd:

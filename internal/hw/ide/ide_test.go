@@ -33,7 +33,7 @@ func newRigOn(k *sim.Kernel) *rig {
 	d := disk.NewDevice(k, "sda", p)
 	irq := hwio.NewIRQ(k, "ide")
 	c := New(k, "ide0", d, m, irq)
-	ios := hwio.NewSpace()
+	ios := hwio.NewSpace(k)
 	c.RegisterRegions(ios)
 	r := &rig{k: k, m: m, d: d, c: c, ios: ios,
 		done: k.NewSignal("drv.done"), cmdBase: 0x1F0, ctlBase: 0x3F6, bmBase: 0xC000}
@@ -297,20 +297,20 @@ func TestDeviceAccessorsBypassTap(t *testing.T) {
 		cb := r.c.CmdBlock()
 		bm := r.c.BusMaster()
 		WritePRDTable(r.m, prdTableAddr, dmaBufAddr, disk.SectorSize)
-		bm.IOWrite(p, BMRegPRDT, 4, prdTableAddr)
-		cb.IOWrite(p, RegSectorCount, 1, 0)
-		cb.IOWrite(p, RegSectorCount, 1, 1)
-		cb.IOWrite(p, RegLBALow, 1, 0)
-		cb.IOWrite(p, RegLBALow, 1, 42)
-		cb.IOWrite(p, RegLBAMid, 1, 0)
-		cb.IOWrite(p, RegLBAMid, 1, 0)
-		cb.IOWrite(p, RegLBAHigh, 1, 0)
-		cb.IOWrite(p, RegLBAHigh, 1, 0)
-		cb.IOWrite(p, RegDevice, 1, DeviceLBA)
+		bm.IOWrite(BMRegPRDT, 4, prdTableAddr)
+		cb.IOWrite(RegSectorCount, 1, 0)
+		cb.IOWrite(RegSectorCount, 1, 1)
+		cb.IOWrite(RegLBALow, 1, 0)
+		cb.IOWrite(RegLBALow, 1, 42)
+		cb.IOWrite(RegLBAMid, 1, 0)
+		cb.IOWrite(RegLBAMid, 1, 0)
+		cb.IOWrite(RegLBAHigh, 1, 0)
+		cb.IOWrite(RegLBAHigh, 1, 0)
+		cb.IOWrite(RegDevice, 1, DeviceLBA)
 		r.d.SetNextDMA(dmaBufAddr, disk.Synth{Seed: 3}, false)
-		cb.IOWrite(p, RegStatusCmd, 1, CmdWriteDMAExt)
-		bm.IOWrite(p, BMRegCmd, 1, BMCmdStart)
-		for cb.IORead(p, RegStatusCmd, 1)&StatusBSY != 0 {
+		cb.IOWrite(RegStatusCmd, 1, CmdWriteDMAExt)
+		bm.IOWrite(BMRegCmd, 1, BMCmdStart)
+		for cb.IORead(RegStatusCmd, 1)&StatusBSY != 0 {
 			p.Sleep(50 * sim.Microsecond)
 		}
 	})

@@ -14,6 +14,7 @@ import (
 	"sort"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Kind distinguishes port I/O from memory-mapped I/O.
@@ -33,21 +34,28 @@ func (k Kind) String() string {
 	return "mmio"
 }
 
-// Handler is a device's register bank.
+// Handler is a device's register bank. A register access takes no
+// simulated time of its own.
 type Handler interface {
 	// IORead returns the value of the size-byte register at off.
-	IORead(p *sim.Proc, off int64, size int) uint64
+	IORead(off int64, size int) uint64
 	// IOWrite stores v into the size-byte register at off.
-	IOWrite(p *sim.Proc, off int64, size int, v uint64)
+	IOWrite(off int64, size int, v uint64)
 }
 
-// Tap intercepts accesses to a region, as a VMM trap handler would. A tap
-// that reports handled=false passes the access through to the device.
+// Tap intercepts accesses to a region, as a VMM trap handler would. A
+// trapped access first charges its VM exit (Trap); the guest context that
+// made it stalls for the exit's cost, and then the tap's TapRead or
+// TapWrite takes effect. A tap that reports handled=false passes the
+// access through to the device. cause is the accessing context's causal
+// span.
 type Tap interface {
+	// Trap charges the VM exit of an access to r and returns its cost.
+	Trap(r *Region) sim.Duration
 	// TapRead intercepts a register read.
-	TapRead(p *sim.Proc, r *Region, off int64, size int) (v uint64, handled bool)
+	TapRead(r *Region, off int64, size int, cause *trace.Span) (v uint64, handled bool)
 	// TapWrite intercepts a register write.
-	TapWrite(p *sim.Proc, r *Region, off int64, size int, v uint64) (handled bool)
+	TapWrite(r *Region, off int64, size int, v uint64, cause *trace.Span) (handled bool)
 }
 
 // Region is a registered range of the I/O space.
@@ -71,7 +79,9 @@ func (r *Region) Device() Handler { return r.handler }
 // Space is the I/O address space of one machine. PIO and MMIO live in
 // separate address ranges.
 type Space struct {
+	k       *sim.Kernel
 	regions [2][]*Region // indexed by Kind, sorted by Base
+	free    *access      // pooled access records
 
 	// Traps counts tapped accesses (≈ VM exits due to I/O) and Direct
 	// counts untapped guest accesses.
@@ -79,8 +89,9 @@ type Space struct {
 	Direct int64
 }
 
-// NewSpace returns an empty I/O space.
-func NewSpace() *Space { return &Space{} }
+// NewSpace returns an empty I/O space whose trapped accesses stall on
+// kernel k.
+func NewSpace(k *sim.Kernel) *Space { return &Space{k: k} }
 
 // Register adds a region backed by h. Overlapping regions of the same kind
 // panic.
@@ -139,41 +150,151 @@ func (s *Space) Tapped(name string) bool {
 	return r != nil && r.tap != nil
 }
 
-// Read performs a guest read of the size-byte register at addr.
-func (s *Space) Read(p *sim.Proc, kind Kind, addr int64, size int) uint64 {
-	r := s.Find(kind, addr)
-	if r == nil {
-		// Reads of unimplemented registers float high, as on real buses.
-		return (1 << (8 * uint(size))) - 1
-	}
-	off := addr - r.Base
-	if r.tap != nil {
-		s.Traps++
-		if v, handled := r.tap.TapRead(p, r, off, size); handled {
-			return v
-		}
-	} else {
-		s.Direct++
-	}
-	return r.handler.IORead(p, off, size)
+// access is one guest register access. An access to an untapped region
+// takes effect at once. A trapped access from interrupt context is
+// charged its VM exit but does not stall; from a guest context it stalls
+// for the exit's cost as one After, in the slot a process sleeping
+// through the exit took, and then takes effect and continues its caller:
+// a WriteAsync callback, or the blocking caller parked in Read or Write.
+// Records are pooled per space and their step is bound once, so an
+// access allocates nothing.
+type access struct {
+	s     *Space
+	r     *Region
+	tap   Tap // the region's tap when the access trapped
+	off   int64
+	size  int
+	write bool
+	v     uint64 // the value written, or read
+	cause *trace.Span
+	wrote func()    // callback continuation of a write
+	p     *sim.Proc // blocking caller
+	fire  func()    // cached stalled step
+	next  *access   // free list link
 }
 
-// Write performs a guest write of the size-byte register at addr.
-func (s *Space) Write(p *sim.Proc, kind Kind, addr int64, size int, v uint64) {
+func (s *Space) newAccess(size int, write bool, v uint64, cause *trace.Span) *access {
+	a := s.free
+	if a == nil {
+		a = &access{s: s}
+		a.fire = a.stalled
+	} else {
+		s.free = a.next
+	}
+	a.size, a.write, a.v, a.cause = size, write, v, cause
+	return a
+}
+
+func (a *access) release() {
+	s := a.s
+	a.r, a.tap, a.cause, a.wrote, a.p = nil, nil, nil, nil, nil
+	a.next, s.free = s.free, a
+}
+
+// start runs an access up to its stall. It reports true if the access
+// took effect at once (a read's value is in a.v), false if it stalls for
+// its exit's cost; intr marks interrupt context, which never stalls.
+func (a *access) start(kind Kind, addr int64, intr bool) bool {
+	s := a.s
 	r := s.Find(kind, addr)
 	if r == nil {
-		return // writes to unimplemented registers are ignored
+		// Reads of unimplemented registers float high, as on real buses;
+		// writes are ignored.
+		if !a.write {
+			a.v = (1 << (8 * uint(a.size))) - 1
+		}
+		return true
 	}
-	off := addr - r.Base
-	if r.tap != nil {
-		s.Traps++
-		if r.tap.TapWrite(p, r, off, size, v) {
+	a.r, a.off = r, addr-r.Base
+	if r.tap == nil {
+		s.Direct++
+		a.apply()
+		return true
+	}
+	s.Traps++
+	a.tap = r.tap
+	stall := a.tap.Trap(r)
+	if intr {
+		a.apply()
+		return true
+	}
+	s.k.After(stall, a.fire)
+	return false
+}
+
+// apply makes the access take effect: the tap's handling, if it trapped,
+// then the device unless the tap handled it.
+func (a *access) apply() {
+	if a.write {
+		if a.tap != nil && a.tap.TapWrite(a.r, a.off, a.size, a.v, a.cause) {
 			return
 		}
-	} else {
-		s.Direct++
+		a.r.handler.IOWrite(a.off, a.size, a.v)
+		return
 	}
-	r.handler.IOWrite(p, off, size, v)
+	if a.tap != nil {
+		if v, handled := a.tap.TapRead(a.r, a.off, a.size, a.cause); handled {
+			a.v = v
+			return
+		}
+	}
+	a.v = a.r.handler.IORead(a.off, a.size)
+}
+
+// stalled ends a trapped access's stall: the access takes effect and its
+// caller continues inline.
+func (a *access) stalled() {
+	a.apply()
+	if a.p != nil {
+		a.p.Resume() // the blocking caller takes the result and the record
+		return
+	}
+	wrote := a.wrote
+	a.release()
+	wrote()
+}
+
+// WriteAsync performs a guest write of the size-byte register at addr in
+// callback form, for a guest context whose causal span is cause. It
+// reports true if the write took effect at once, and done is not called;
+// a trapped write returns false, and done runs once the exit's cost has
+// elapsed.
+func (s *Space) WriteAsync(kind Kind, addr int64, size int, v uint64, cause *trace.Span, done func()) bool {
+	a := s.newAccess(size, true, v, cause)
+	a.wrote = done
+	if !a.start(kind, addr, false) {
+		return false
+	}
+	a.release()
+	return true
+}
+
+// Read performs a guest read of the size-byte register at addr for the
+// process p, parked while a trap stalls it. A nil p reads from interrupt
+// context.
+func (s *Space) Read(p *sim.Proc, kind Kind, addr int64, size int) uint64 {
+	a := s.newAccess(size, false, 0, trace.Cause(p))
+	a.await(p, kind, addr)
+	v := a.v
+	a.release()
+	return v
+}
+
+// Write performs a guest write of the size-byte register at addr for the
+// process p, parked while a trap stalls it. A nil p writes from
+// interrupt context.
+func (s *Space) Write(p *sim.Proc, kind Kind, addr int64, size int, v uint64) {
+	a := s.newAccess(size, true, v, trace.Cause(p))
+	a.await(p, kind, addr)
+	a.release()
+}
+
+// await runs the access for p, parking it while the access stalls.
+func (a *access) await(p *sim.Proc, kind Kind, addr int64) {
+	a.p = p
+	if !a.start(kind, addr, p == nil) {
+		p.Suspend()
+	}
 }
 
 // Regions returns every registered region, PIO first, sorted by base.

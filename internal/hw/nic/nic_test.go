@@ -101,7 +101,7 @@ func ringRig(k *sim.Kernel) (*RingNIC, *NIC, *mem.Memory, *hwio.Space, *hwio.IRQ
 	m := mem.New(16 << 20)
 	irq := hwio.NewIRQ(k, "nic")
 	r := NewRingNIC(k, base, m, irq)
-	ios := hwio.NewSpace()
+	ios := hwio.NewSpace(k)
 	r.RegisterRegion(ios)
 	return r, peer, m, ios, irq
 }

@@ -95,7 +95,7 @@ func (r *RingNIC) RegisterRegion(ios *hwio.Space) string {
 }
 
 // IORead implements io.Handler.
-func (r *RingNIC) IORead(_ *sim.Proc, off int64, _ int) uint64 {
+func (r *RingNIC) IORead(off int64, _ int) uint64 {
 	switch off {
 	case RegCTRL:
 		return uint64(r.ctrl)
@@ -122,7 +122,7 @@ func (r *RingNIC) IORead(_ *sim.Proc, off int64, _ int) uint64 {
 }
 
 // IOWrite implements io.Handler.
-func (r *RingNIC) IOWrite(_ *sim.Proc, off int64, _ int, v uint64) {
+func (r *RingNIC) IOWrite(off int64, _ int, v uint64) {
 	switch off {
 	case RegCTRL:
 		r.ctrl = uint32(v)

@@ -102,7 +102,7 @@ func New(k *sim.Kernel, cfg Config) *Machine {
 		K:       k,
 		Name:    cfg.Name,
 		Mem:     mem.New(cfg.MemBytes),
-		IO:      hwio.NewSpace(),
+		IO:      hwio.NewSpace(k),
 		World:   cpuvirt.NewWorld(k, cfg.NCPU),
 		Storage: cfg.Storage,
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/hw/mem"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // vmmSlot is the command slot the mediator reserves for its own requests.
@@ -90,17 +91,19 @@ func (md *AHCI) Quiesced() bool {
 		len(md.queuedCmd) == 0 && md.devLock.InUse() == 0
 }
 
+// Trap implements io.Tap: a guest access to the ABAR page is an MMIO exit.
+func (md *AHCI) Trap(*hwio.Region) sim.Duration { return md.m.World.Charge(cpuvirt.ExitMMIO) }
+
 // TapRead implements io.Tap: PxCI emulation hides the VMM slot and keeps
 // held/redirected guest slots visibly "in flight".
-func (md *AHCI) TapRead(p *sim.Proc, _ *hwio.Region, off int64, size int) (uint64, bool) {
-	md.m.World.Exit(p, cpuvirt.ExitMMIO)
+func (md *AHCI) TapRead(_ *hwio.Region, off int64, size int, _ *trace.Span) (uint64, bool) {
 	switch off {
 	case ahci.PortBase + ahci.PxCI:
-		real := uint32(md.dev.IORead(p, off, size))
+		real := uint32(md.dev.IORead(off, size))
 		return uint64(real&^(1<<vmmSlot) | md.heldCI | md.redirCI), true
 	case ahci.PortBase + ahci.PxIS:
 		if md.virtIS != 0 {
-			real := uint32(md.dev.IORead(p, off, size))
+			real := uint32(md.dev.IORead(off, size))
 			return uint64(real | md.virtIS), true
 		}
 	}
@@ -108,8 +111,7 @@ func (md *AHCI) TapRead(p *sim.Proc, _ *hwio.Region, off int64, size int) (uint6
 }
 
 // TapWrite implements io.Tap: interpretation of command issues.
-func (md *AHCI) TapWrite(p *sim.Proc, _ *hwio.Region, off int64, size int, v uint64) bool {
-	md.m.World.Exit(p, cpuvirt.ExitMMIO)
+func (md *AHCI) TapWrite(_ *hwio.Region, off int64, size int, v uint64, cause *trace.Span) bool {
 	switch off {
 	case ahci.RegGHC:
 		md.shGHC = uint32(v)
@@ -125,7 +127,7 @@ func (md *AHCI) TapWrite(p *sim.Proc, _ *hwio.Region, off int64, size int, v uin
 			return true // VMM holds the real PxIE masked
 		}
 	case ahci.PortBase + ahci.PxCI:
-		return md.onGuestIssue(p, uint32(v))
+		return md.onGuestIssue(cause, uint32(v))
 	}
 	return false
 }
@@ -133,14 +135,14 @@ func (md *AHCI) TapWrite(p *sim.Proc, _ *hwio.Region, off int64, size int, v uin
 // onGuestIssue interprets newly issued slots; it reports whether the
 // hardware write was swallowed (always true: pass-through bits are
 // re-issued selectively).
-func (md *AHCI) onGuestIssue(p *sim.Proc, ci uint32) bool {
+func (md *AHCI) onGuestIssue(cause *trace.Span, ci uint32) bool {
 	var passMask uint32
 	for slot := 0; slot < ahci.NumSlots; slot++ {
 		if ci&(1<<slot) == 0 {
 			continue
 		}
 		cmd := md.interpret(slot)
-		md.intercept(p, &cmd)
+		md.intercept(cause, &cmd)
 		if md.vmmDepth > 0 {
 			md.stats.QueuedCommands.Inc()
 			md.heldCI |= 1 << slot
@@ -153,7 +155,7 @@ func (md *AHCI) onGuestIssue(p *sim.Proc, ci uint32) bool {
 		passMask |= 1 << slot
 	}
 	if passMask != 0 {
-		md.dev.IOWrite(nil, ahci.PortBase+ahci.PxCI, 4, uint64(passMask))
+		md.dev.IOWrite(ahci.PortBase+ahci.PxCI, 4, uint64(passMask))
 	}
 	return true
 }
@@ -197,7 +199,7 @@ func (md *AHCI) take(o *op, _ bool) bool {
 		md.vmmDepth++
 		o.sub = 1
 	}
-	ci := uint32(md.dev.IORead(nil, ahci.PortBase+ahci.PxCI, 4))
+	ci := uint32(md.dev.IORead(ahci.PortBase+ahci.PxCI, 4))
 	if ci != 0 || md.hba.Busy() {
 		md.stats.Polls.Inc()
 		md.m.World.Exit(nil, cpuvirt.ExitPreemptionTimer)
@@ -226,7 +228,7 @@ func (md *AHCI) give(bool) {
 			}
 		}
 		if passMask != 0 {
-			md.dev.IOWrite(nil, ahci.PortBase+ahci.PxCI, 4, uint64(passMask))
+			md.dev.IOWrite(ahci.PortBase+ahci.PxCI, 4, uint64(passMask))
 		}
 	}
 }
@@ -247,8 +249,8 @@ func (md *AHCI) transfer(o *op, write bool, payload disk.Payload) bool {
 	}
 	// Quietly acknowledge the completion the VMM caused, then restore
 	// the guest's interrupt enable.
-	md.dev.IOWrite(nil, ahci.PortBase+ahci.PxIS, 4, uint64(ahci.ISDHRS))
-	md.dev.IOWrite(nil, ahci.PortBase+ahci.PxIE, 4, uint64(md.shPxIE))
+	md.dev.IOWrite(ahci.PortBase+ahci.PxIS, 4, uint64(ahci.ISDHRS))
+	md.dev.IOWrite(ahci.PortBase+ahci.PxIE, 4, uint64(md.shPxIE))
 	o.sub = 0
 	return true
 }
@@ -277,16 +279,16 @@ func (md *AHCI) issue(write bool, payload disk.Payload, keepIRQ bool) {
 		md.m.Disk.SetNextDMA(buf, nil, true)
 	}
 	if keepIRQ {
-		md.dev.IOWrite(nil, ahci.PortBase+ahci.PxIE, 4, uint64(md.shPxIE))
+		md.dev.IOWrite(ahci.PortBase+ahci.PxIE, 4, uint64(md.shPxIE))
 	} else {
-		md.dev.IOWrite(nil, ahci.PortBase+ahci.PxIE, 4, 0)
+		md.dev.IOWrite(ahci.PortBase+ahci.PxIE, 4, 0)
 	}
-	md.dev.IOWrite(nil, ahci.PortBase+ahci.PxCI, 4, 1<<vmmSlot)
+	md.dev.IOWrite(ahci.PortBase+ahci.PxCI, 4, 1<<vmmSlot)
 }
 
 // vmmBusy reports whether the reserved slot's command is in flight.
 func (md *AHCI) vmmBusy() bool {
-	return uint32(md.dev.IORead(nil, ahci.PortBase+ahci.PxCI, 4))&(1<<vmmSlot) != 0
+	return uint32(md.dev.IORead(ahci.PortBase+ahci.PxCI, 4))&(1<<vmmSlot) != 0
 }
 
 // finish implements controller: clear the emulated CI bit, then have the

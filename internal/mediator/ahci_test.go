@@ -282,7 +282,7 @@ func TestAHCICommandOutsideMemory(t *testing.T) {
 				for r.m.AHCI.OutstandingCI()&(1<<slot) != 0 {
 					p.Sleep(100 * sim.Microsecond)
 				}
-				if tfd := r.m.AHCI.IORead(nil, ahci.PortBase+ahci.PxTFD, 4); tfd&ahci.TFDErr == 0 {
+				if tfd := r.m.AHCI.IORead(ahci.PortBase+ahci.PxTFD, 4); tfd&ahci.TFDErr == 0 {
 					t.Errorf("TFD = %#x, want the error bit", tfd)
 				}
 				if clb != orig {

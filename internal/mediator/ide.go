@@ -10,6 +10,7 @@ import (
 	"repro/internal/hw/mem"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // ideMode is the mediator's high-level state.
@@ -130,9 +131,12 @@ func (md *IDE) regionKind(r *hwio.Region) string {
 	}
 }
 
+// Trap implements io.Tap: a guest access to a controller port is a PIO
+// exit.
+func (md *IDE) Trap(*hwio.Region) sim.Duration { return md.m.World.Charge(cpuvirt.ExitPIO) }
+
 // TapRead implements io.Tap: status emulation.
-func (md *IDE) TapRead(p *sim.Proc, r *hwio.Region, off int64, size int) (uint64, bool) {
-	md.m.World.Exit(p, cpuvirt.ExitPIO)
+func (md *IDE) TapRead(r *hwio.Region, off int64, size int, _ *trace.Span) (uint64, bool) {
 	kind := md.regionKind(r)
 	switch {
 	case kind == "cmd" && off == ide.RegStatusCmd, kind == "ctl" && off == ide.RegDevControl:
@@ -156,8 +160,7 @@ func (md *IDE) TapRead(p *sim.Proc, r *hwio.Region, off int64, size int) (uint64
 }
 
 // TapWrite implements io.Tap: interpretation and interception.
-func (md *IDE) TapWrite(p *sim.Proc, r *hwio.Region, off int64, size int, v uint64) bool {
-	md.m.World.Exit(p, cpuvirt.ExitPIO)
+func (md *IDE) TapWrite(r *hwio.Region, off int64, size int, v uint64, cause *trace.Span) bool {
 	kind := md.regionKind(r)
 	x := uint8(v)
 	swallow := md.mode != idePassthrough
@@ -190,7 +193,7 @@ func (md *IDE) TapWrite(p *sim.Proc, r *hwio.Region, off int64, size int, v uint
 	case ide.RegDevice:
 		md.shDevice = x
 	case ide.RegStatusCmd:
-		return md.onGuestCommand(p, x)
+		return md.onGuestCommand(cause, x)
 	}
 	return swallow
 }
@@ -235,9 +238,9 @@ func (md *IDE) decode(opcode uint8) command {
 
 // onGuestCommand is the interpretation/dispatch point for a command
 // register write. It reports whether the write was swallowed.
-func (md *IDE) onGuestCommand(p *sim.Proc, opcode uint8) bool {
+func (md *IDE) onGuestCommand(cause *trace.Span, opcode uint8) bool {
 	cmd := md.decode(opcode)
-	md.intercept(p, &cmd)
+	md.intercept(cause, &cmd)
 	if md.mode == ideVMMOwns {
 		// I/O multiplexing: hold the guest request until the VMM's
 		// completes, then replay it.
@@ -287,16 +290,16 @@ func (md *IDE) transfer(o *op, write bool, payload disk.Payload) bool {
 	}
 	// Poll for completion at the backend's interval; each poll is a
 	// preemption-timer exit plus a little handler work (paper §4.1).
-	if md.cb.IORead(nil, ide.RegStatusCmd, 1)&ide.StatusBSY != 0 {
+	if md.cb.IORead(ide.RegStatusCmd, 1)&ide.StatusBSY != 0 {
 		md.stats.Polls.Inc()
 		md.m.World.Exit(nil, cpuvirt.ExitPreemptionTimer)
 		md.m.World.RecordVMMWork(2 * sim.Microsecond)
 		o.sleep(md.backend.PollInterval())
 		return false
 	}
-	md.bm.IOWrite(nil, ide.BMRegStatus, 1, ide.BMStatusIRQ) // ack quietly
-	md.bm.IOWrite(nil, ide.BMRegCmd, 1, 0)
-	md.ctl.IOWrite(nil, ide.RegDevControl, 1, md.guestDevControl()) // restore the guest's setting
+	md.bm.IOWrite(ide.BMRegStatus, 1, ide.BMStatusIRQ) // ack quietly
+	md.bm.IOWrite(ide.BMRegCmd, 1, 0)
+	md.ctl.IOWrite(ide.RegDevControl, 1, md.guestDevControl()) // restore the guest's setting
 	o.sub = 0
 	return true
 }
@@ -318,18 +321,18 @@ func (md *IDE) appendSG(dst []mem.Region, cmd command, want int64) []mem.Region 
 // disabled.
 func (md *IDE) issue(write bool, payload disk.Payload, keepIRQ bool) {
 	if !keepIRQ {
-		md.ctl.IOWrite(nil, ide.RegDevControl, 1, ide.CtlNIEN)
+		md.ctl.IOWrite(ide.RegDevControl, 1, ide.CtlNIEN)
 	} else {
 		// Honor the guest's interrupt setting: the restart must raise
 		// the interrupt exactly when the guest's own command would have.
-		md.ctl.IOWrite(nil, ide.RegDevControl, 1, md.guestDevControl())
+		md.ctl.IOWrite(ide.RegDevControl, 1, md.guestDevControl())
 	}
 	// Build a PRD table in VMM scratch memory pointing at the VMM bounce
 	// buffer; content rides the DMA hint, so the buffer is never copied.
 	prd := md.vmmRegion.Start + vmmPRDOff
 	buf := md.vmmRegion.Start + vmmBufOff
 	ide.WritePRDTable(md.m.Mem, prd, buf, payload.Count*disk.SectorSize)
-	md.bm.IOWrite(nil, ide.BMRegPRDT, 4, uint64(prd))
+	md.bm.IOWrite(ide.BMRegPRDT, 4, uint64(prd))
 	if write {
 		md.m.Disk.SetNextDMA(buf, payload.Source, false)
 	} else {
@@ -342,8 +345,8 @@ func (md *IDE) issue(write bool, payload disk.Payload, keepIRQ bool) {
 		opcode = ide.CmdWriteDMAExt
 		dir = 0
 	}
-	md.cb.IOWrite(nil, ide.RegStatusCmd, 1, opcode)
-	md.bm.IOWrite(nil, ide.BMRegCmd, 1, ide.BMCmdStart|dir)
+	md.cb.IOWrite(ide.RegStatusCmd, 1, opcode)
+	md.bm.IOWrite(ide.BMRegCmd, 1, ide.BMCmdStart|dir)
 }
 
 // guestDevControl is the device control value the guest programmed.
@@ -357,15 +360,15 @@ func (md *IDE) guestDevControl() uint64 {
 // writeTaskFile programs a 48-bit LBA and sector count into the command
 // block, high bytes first, and selects LBA addressing.
 func writeTaskFile(cb hwio.Handler, lba, count int64) {
-	cb.IOWrite(nil, ide.RegSectorCount, 1, uint64(count>>8&0xFF))
-	cb.IOWrite(nil, ide.RegSectorCount, 1, uint64(count&0xFF))
-	cb.IOWrite(nil, ide.RegLBALow, 1, uint64(lba>>24&0xFF))
-	cb.IOWrite(nil, ide.RegLBALow, 1, uint64(lba&0xFF))
-	cb.IOWrite(nil, ide.RegLBAMid, 1, uint64(lba>>32&0xFF))
-	cb.IOWrite(nil, ide.RegLBAMid, 1, uint64(lba>>8&0xFF))
-	cb.IOWrite(nil, ide.RegLBAHigh, 1, uint64(lba>>40&0xFF))
-	cb.IOWrite(nil, ide.RegLBAHigh, 1, uint64(lba>>16&0xFF))
-	cb.IOWrite(nil, ide.RegDevice, 1, ide.DeviceLBA)
+	cb.IOWrite(ide.RegSectorCount, 1, uint64(count>>8&0xFF))
+	cb.IOWrite(ide.RegSectorCount, 1, uint64(count&0xFF))
+	cb.IOWrite(ide.RegLBALow, 1, uint64(lba>>24&0xFF))
+	cb.IOWrite(ide.RegLBALow, 1, uint64(lba&0xFF))
+	cb.IOWrite(ide.RegLBAMid, 1, uint64(lba>>32&0xFF))
+	cb.IOWrite(ide.RegLBAMid, 1, uint64(lba>>8&0xFF))
+	cb.IOWrite(ide.RegLBAHigh, 1, uint64(lba>>40&0xFF))
+	cb.IOWrite(ide.RegLBAHigh, 1, uint64(lba>>16&0xFF))
+	cb.IOWrite(ide.RegDevice, 1, ide.DeviceLBA)
 }
 
 // finish implements controller: make the device generate the guest's
@@ -415,10 +418,10 @@ func (md *IDE) replay(cmd command) {
 		return
 	}
 	// Passthrough: program the device with the guest's register values.
-	md.ctl.IOWrite(nil, ide.RegDevControl, 1, md.guestDevControl())
-	md.bm.IOWrite(nil, ide.BMRegPRDT, 4, uint64(cmd.prdt))
+	md.ctl.IOWrite(ide.RegDevControl, 1, md.guestDevControl())
+	md.bm.IOWrite(ide.BMRegPRDT, 4, uint64(cmd.prdt))
 	writeTaskFile(md.cb, cmd.lba, cmd.count)
-	md.cb.IOWrite(nil, ide.RegStatusCmd, 1, uint64(cmd.opcode))
+	md.cb.IOWrite(ide.RegStatusCmd, 1, uint64(cmd.opcode))
 	bmv := uint64(cmd.bmCmd)
 	if bmv&ide.BMCmdStart == 0 {
 		bmv |= ide.BMCmdStart
@@ -426,7 +429,7 @@ func (md *IDE) replay(cmd command) {
 			bmv |= ide.BMCmdRead
 		}
 	}
-	md.bm.IOWrite(nil, ide.BMRegCmd, 1, bmv)
+	md.bm.IOWrite(ide.BMRegCmd, 1, bmv)
 }
 
 var _ Mediator = (*IDE)(nil)

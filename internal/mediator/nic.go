@@ -9,6 +9,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // SharedNIC is the §6 alternative the paper implements but does not
@@ -106,17 +107,17 @@ func (md *SharedNIC) Attach() {
 	for i := uint32(0); i < md.sRXLen; i++ {
 		nic.WriteDesc(md.m.Mem, md.sRXBase, i, md.vmmBuf(int64(i)), 9018)
 	}
-	dev.IOWrite(nil, nic.RegIMS, 4, 0) // VMM polls; no interrupts
-	dev.IOWrite(nil, nic.RegTDBAL, 8, md.sTXBase)
-	dev.IOWrite(nil, nic.RegTDLEN, 4, uint64(md.sTXLen))
-	dev.IOWrite(nil, nic.RegTDH, 4, 0)
-	dev.IOWrite(nil, nic.RegTDT, 4, 0)
-	dev.IOWrite(nil, nic.RegRDBAL, 8, md.sRXBase)
-	dev.IOWrite(nil, nic.RegRDLEN, 4, uint64(md.sRXLen))
-	dev.IOWrite(nil, nic.RegRDH, 4, 0)
+	dev.IOWrite(nic.RegIMS, 4, 0) // VMM polls; no interrupts
+	dev.IOWrite(nic.RegTDBAL, 8, md.sTXBase)
+	dev.IOWrite(nic.RegTDLEN, 4, uint64(md.sTXLen))
+	dev.IOWrite(nic.RegTDH, 4, 0)
+	dev.IOWrite(nic.RegTDT, 4, 0)
+	dev.IOWrite(nic.RegRDBAL, 8, md.sRXBase)
+	dev.IOWrite(nic.RegRDLEN, 4, uint64(md.sRXLen))
+	dev.IOWrite(nic.RegRDH, 4, 0)
 	md.sRDT = md.sRXLen - 1
-	dev.IOWrite(nil, nic.RegRDT, 4, uint64(md.sRDT))
-	dev.IOWrite(nil, nic.RegCTRL, 4, nic.CtrlEnable)
+	dev.IOWrite(nic.RegRDT, 4, uint64(md.sRDT))
+	dev.IOWrite(nic.RegCTRL, 4, nic.CtrlEnable)
 	md.attached = true
 }
 
@@ -135,9 +136,12 @@ func (md *SharedNIC) vmmBuf(i int64) int64 {
 
 // --- io.Tap: guest register virtualization -------------------------------
 
+// Trap implements io.Tap: a guest access to the ring registers is an MMIO
+// exit.
+func (md *SharedNIC) Trap(*hwio.Region) sim.Duration { return md.m.World.Charge(cpuvirt.ExitMMIO) }
+
 // TapRead implements io.Tap: the guest sees its own virtual ring state.
-func (md *SharedNIC) TapRead(p *sim.Proc, _ *hwio.Region, off int64, _ int) (uint64, bool) {
-	md.m.World.Exit(p, cpuvirt.ExitMMIO)
+func (md *SharedNIC) TapRead(_ *hwio.Region, off int64, _ int, _ *trace.Span) (uint64, bool) {
 	md.Traps.Inc()
 	switch off {
 	case nic.RegCTRL:
@@ -165,8 +169,7 @@ func (md *SharedNIC) TapRead(p *sim.Proc, _ *hwio.Region, off int64, _ int) (uin
 }
 
 // TapWrite implements io.Tap.
-func (md *SharedNIC) TapWrite(p *sim.Proc, _ *hwio.Region, off int64, _ int, v uint64) bool {
-	md.m.World.Exit(p, cpuvirt.ExitMMIO)
+func (md *SharedNIC) TapWrite(_ *hwio.Region, off int64, _ int, v uint64, _ *trace.Span) bool {
 	md.Traps.Inc()
 	switch off {
 	case nic.RegCTRL:
@@ -212,7 +215,7 @@ func (md *SharedNIC) forwardGuestTx() {
 		md.gTDH = (md.gTDH + 1) % md.gTDLEN
 		md.GuestTxFrames.Inc()
 	}
-	dev.IOWrite(nil, nic.RegTDT, 4, uint64(md.sTDT))
+	dev.IOWrite(nic.RegTDT, 4, uint64(md.sTDT))
 	if md.gIMS != 0 {
 		md.ring.IRQ.Raise()
 	}
@@ -223,7 +226,7 @@ func (md *SharedNIC) forwardGuestTx() {
 // calls this at its usual interval.
 func (md *SharedNIC) Poll() {
 	dev := md.m.IO.Lookup(md.regName).Device()
-	rdh := uint32(dev.IORead(nil, nic.RegRDH, 4))
+	rdh := uint32(dev.IORead(nic.RegRDH, 4))
 	delivered := false
 	for md.sRDH != rdh {
 		bufAddr := nic.ReadDescAddr(md.m.Mem, md.sRXBase, md.sRDH)
@@ -231,7 +234,7 @@ func (md *SharedNIC) Poll() {
 		nic.SetDescDone(md.m.Mem, md.sRXBase, md.sRDH, false)
 		// Recycle the descriptor for the hardware.
 		md.sRDT = (md.sRDT + 1) % md.sRXLen
-		dev.IOWrite(nil, nic.RegRDT, 4, uint64(md.sRDT))
+		dev.IOWrite(nic.RegRDT, 4, uint64(md.sRDT))
 		md.sRDH = (md.sRDH + 1) % md.sRXLen
 		if !ok {
 			continue
@@ -283,7 +286,7 @@ func (md *SharedNIC) Send(f *ethernet.Frame) {
 	md.ring.StageTxFrame(buf, f)
 	nic.WriteDesc(md.m.Mem, md.sTXBase, md.sTDT, buf, 9018)
 	md.sTDT = (md.sTDT + 1) % md.sTXLen
-	md.m.IO.Lookup(md.regName).Device().IOWrite(nil, nic.RegTDT, 4, uint64(md.sTDT))
+	md.m.IO.Lookup(md.regName).Device().IOWrite(nic.RegTDT, 4, uint64(md.sTDT))
 }
 
 // MTU implements aoe.Transport.

@@ -13,7 +13,7 @@ import (
 // DMA buffers and, for IDE, to replay the command.
 type command struct {
 	lba, count  int64
-	cause       *trace.Span // issuing proc's causal span, captured at interpret time
+	cause       *trace.Span // issuing guest context's causal span, captured at interpret time
 	bufAddr     int64
 	hintSrc     disk.SectorSource
 	opcode      uint8
@@ -102,12 +102,11 @@ func newPipeline(m *machine.Machine, backend Backend, dev controller) pipeline {
 func (pl *pipeline) Stats() *Stats { return &pl.stats }
 
 // intercept counts a newly interpreted guest command and captures what
-// travels with it: the issuing proc's causal span (the redirect and
-// protect bodies run as kernel callbacks, not on that proc) and the DMA
+// travels with it: the issuing guest context's causal span and the DMA
 // hint armed for its buffer.
-func (pl *pipeline) intercept(p *sim.Proc, cmd *command) {
+func (pl *pipeline) intercept(cause *trace.Span, cmd *command) {
 	pl.stats.GuestCommands.Inc()
-	cmd.cause = trace.Cause(p)
+	cmd.cause = cause
 	cmd.hintSrc, cmd.hintDiscard, cmd.hintArmed = pl.m.Disk.TakeDMAHint(cmd.bufAddr)
 }
 

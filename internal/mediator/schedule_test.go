@@ -43,8 +43,7 @@ func ahciSchedRig(t *testing.T) schedRig {
 }
 
 // mediatedScheduleRun drives a fixed scenario through one mediator and
-// returns its schedule: every guest process hook event, every
-// VMM process's spawn and exit, every guest outcome with a checksum of
+// returns its schedule: every guest and VMM process's spawn and exit, every guest outcome with a checksum of
 // the data read, every mediator span with its open and close times, and
 // the final counters. The scenario covers a partly
 // filled read (gaps and runs), protected reads and writes, a pass-through
@@ -56,16 +55,17 @@ func mediatedScheduleRun(t *testing.T, r schedRig) string {
 	var log bytes.Buffer
 	r.m.Trace = trace.NewRecorder(r.k)
 	r.k.SetProcHook(func(at sim.Time, ev sim.ProcEvent, name string) {
-		// How the mediator and the controller run their own work is not
-		// part of the schedule: the processes the mediator may start for
-		// a redirect or protect, a controller's command engine, and the
-		// parks of a VMM process blocked inside an insertion, are left
-		// out. Every guest process event is pinned.
+		// How the mediator, the controller and the guest driver run their
+		// own work is not part of the schedule: the processes the
+		// mediator may start for a redirect or protect, a controller's
+		// command engine, and the parks of a guest or VMM process blocked
+		// inside a driver request or an insertion, are left out. Every
+		// guest and VMM process's spawn and exit is pinned.
 		if strings.HasSuffix(name, ".med.redirect") || strings.HasSuffix(name, ".med.protect") ||
 			strings.HasSuffix(name, ".engine") {
 			return
 		}
-		if name == "vmm" && (ev == sim.ProcPark || ev == sim.ProcWake) {
+		if ev == sim.ProcPark || ev == sim.ProcWake {
 			return
 		}
 		fmt.Fprintf(&log, "%d %s %s\n", at, ev, name)
@@ -174,7 +174,7 @@ func mediatedScheduleRun(t *testing.T, r schedRig) string {
 }
 
 // TestMediatedScheduleGolden pins the event schedule of both mediators:
-// every guest process hook event, guest outcome, mediator
+// every guest and VMM process spawn and exit, guest outcome, mediator
 // span and counter must match the recorded golden byte for byte. Regenerate with -update
 // only for an intended change of the modelled behaviour.
 func TestMediatedScheduleGolden(t *testing.T) {

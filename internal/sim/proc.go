@@ -251,22 +251,25 @@ func (p *Proc) Resume() { p.transfer() }
 // so no dead timer is left in the heap; when the timer wins, the kernel
 // has already recycled its record.
 type Waiter struct {
-	k       *Kernel
-	fn      func(fired bool)
-	w       *waiter
-	s       *Signal
-	timer   Handle
-	wake    func() // cached w.wake target
-	timeout func() // cached timer callback
+	k     *Kernel
+	fn    func(fired bool)
+	w     *waiter // the record on the signal's list: w0, or a fresh one
+	w0    waiter
+	s     *Signal
+	timer Handle
+	// timeout is the cached timer callback, bound at the first
+	// WaitTimeout: a waiter that never times out does not build it.
+	timeout func()
 }
 
 // NewWaiter returns a waiter whose callback is fn; fired reports whether
-// the signal, not the timeout, ended the wait.
+// the signal, not the timeout, ended the wait. It builds two objects: the
+// waiter, which holds its first wait record, and that record's wakeup.
 func (k *Kernel) NewWaiter(fn func(fired bool)) *Waiter {
 	t := &Waiter{k: k, fn: fn}
-	t.wake = t.signaled
-	t.timeout = t.timedOut
-	t.w = newWaiter(t.wake)
+	t.w0.owner = t
+	t.w0.bind()
+	t.w = &t.w0
 	return t
 }
 
@@ -276,7 +279,8 @@ func (t *Waiter) Wait(s *Signal) {
 		// A broadcast wakeup for the previous wait is still scheduled (the
 		// timer won that race at the same instant). That record drains
 		// dead; a fresh one serves this and later waits.
-		t.w = newWaiter(t.wake)
+		t.w = &waiter{owner: t}
+		t.w.bind()
 	}
 	t.s, t.w.done = s, false
 	s.addWaiter(t.w)
@@ -286,6 +290,9 @@ func (t *Waiter) Wait(s *Signal) {
 // callback runs once, when s is broadcast or d elapses, whichever is first.
 func (t *Waiter) WaitTimeout(s *Signal, d Duration) {
 	t.Wait(s)
+	if t.timeout == nil {
+		t.timeout = t.timedOut
+	}
 	t.timer = t.k.After(max(d, 0), t.timeout)
 }
 
@@ -312,30 +319,42 @@ type Signal struct {
 	name    string
 }
 
-// waiter is one parked wait. Records are long-lived (a process reuses one
-// record across all its waits), so the Broadcast wake event is a closure
-// built once at construction, not per broadcast. inflight counts scheduled
-// wake events that have not yet run; a record must not be re-enqueued while
-// one is outstanding or the stale wakeup would fire the next wait early.
+// waiter is one parked wait. Records are long-lived (a process or a
+// Waiter reuses one record across all its waits), so the Broadcast wake
+// event is a closure built once, not per broadcast. The wakeup continues
+// the process (wake) or the Waiter that owns the record. inflight counts
+// scheduled wake events that have not yet run; a record must not be
+// re-enqueued while one is outstanding or the stale wakeup would fire the
+// next wait early.
 type waiter struct {
 	wake     func()
+	owner    *Waiter
 	fire     func() // cached Broadcast wake event
 	done     bool
 	inflight int
 }
 
-// newWaiter builds a waiter whose Broadcast wake event is pre-bound.
+// newWaiter builds a process's waiter record whose wakeup is wake.
 func newWaiter(wake func()) *waiter {
 	w := &waiter{wake: wake}
+	w.bind()
+	return w
+}
+
+// bind builds the record's Broadcast wake event.
+func (w *waiter) bind() {
 	w.fire = func() {
 		w.inflight--
 		if w.done {
 			return
 		}
 		w.done = true
+		if w.owner != nil {
+			w.owner.signaled()
+			return
+		}
 		w.wake()
 	}
-	return w
 }
 
 // NewSignal returns a signal bound to kernel k.

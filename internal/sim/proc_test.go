@@ -436,3 +436,28 @@ func TestResumeFinishedProcPanics(t *testing.T) {
 	}()
 	p.transfer()
 }
+
+// TestNewWaiterAllocs pins what a Waiter costs to build: the waiter,
+// which holds its first wait record, and that record's wakeup. The timer
+// callback is bound at the first WaitTimeout, once.
+func TestNewWaiterAllocs(t *testing.T) {
+	k := New(1)
+	fn := func(bool) {}
+	if allocs := testing.AllocsPerRun(1000, func() { k.NewWaiter(fn) }); allocs != 2 {
+		t.Fatalf("NewWaiter allocates %v objects, want 2", allocs)
+	}
+	s := k.NewSignal("s")
+	w := k.NewWaiter(fn)
+	w.WaitTimeout(s, Millisecond)
+	k.Run()
+	allocs := testing.AllocsPerRun(1000, func() {
+		w.WaitTimeout(s, Millisecond)
+		k.Run() // the timeout fires
+		w.WaitTimeout(s, Millisecond)
+		s.Broadcast()
+		k.Run() // the signal fires and cancels the timer
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm timed wait allocates %v objects, want 0", allocs)
+	}
+}
