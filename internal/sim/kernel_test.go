@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -301,5 +303,128 @@ func TestTimeAddSubProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRankedAheadOfOrdinary: a ranked event fires before every ordinary
+// event at its instant, even ones scheduled before it, and ordinary events
+// keep their FIFO order around it.
+func TestRankedAheadOfOrdinary(t *testing.T) {
+	k := New(1)
+	var order []string
+	at := Time(Second)
+	k.At(at, func() { order = append(order, "a") })
+	k.At(at, func() { order = append(order, "b") })
+	k.AtRanked(at, k.NewRank(), func() {
+		order = append(order, "ranked")
+		if !k.Ranked() {
+			t.Error("Ranked() is false inside a ranked event")
+		}
+	})
+	k.At(at, func() {
+		order = append(order, "c")
+		if k.Ranked() {
+			t.Error("Ranked() is true inside an ordinary event")
+		}
+	})
+	k.Run()
+	if got, want := strings.Join(order, " "), "ranked a b c"; got != want {
+		t.Fatalf("fire order %q, want %q", got, want)
+	}
+}
+
+// TestRankedRankOrder: ranked events at one instant fire in rank order,
+// whatever order they were scheduled in, and a rank can be rescheduled
+// once its event has fired.
+func TestRankedRankOrder(t *testing.T) {
+	k := New(1)
+	r1, r2, r3 := k.NewRank(), k.NewRank(), k.NewRank()
+	if !(r1 < r2 && r2 < r3) {
+		t.Fatalf("ranks %d %d %d not increasing", r1, r2, r3)
+	}
+	var order []Rank
+	at := Time(Millisecond)
+	for _, r := range []Rank{r3, r1, r2} {
+		r := r
+		k.AtRanked(at, r, func() { order = append(order, r) })
+	}
+	k.Run()
+	if fmt.Sprint(order) != fmt.Sprint([]Rank{r1, r2, r3}) {
+		t.Fatalf("ranked fire order %v, want %v", order, []Rank{r1, r2, r3})
+	}
+	fired := 0
+	var tick func()
+	tick = func() {
+		if fired++; fired < 3 {
+			k.AtRanked(k.Now().Add(Millisecond), r2, tick)
+		}
+	}
+	k.AtRanked(k.Now().Add(Millisecond), r2, tick)
+	k.Run()
+	if fired != 3 || k.Now() != Time(4*Millisecond) {
+		t.Fatalf("rescheduled rank fired %d times, clock %v; want 3 at 4ms", fired, k.Now())
+	}
+}
+
+// TestRankedAheadOfStreamHead: a stream entry keeps its ordinary sequence
+// number, so a ranked event at the same instant fires first, and the
+// ranked event draws no sequence number that would reorder the entries.
+func TestRankedAheadOfStreamHead(t *testing.T) {
+	k := New(1)
+	var order []string
+	s := NewStream(k, func(v string) { order = append(order, v) })
+	at := Time(Second)
+	s.At(at, "s1")
+	k.At(at, func() { order = append(order, "a") })
+	k.AtRanked(at, k.NewRank(), func() { order = append(order, "ranked") })
+	s.At(at, "s2")
+	k.Run()
+	if got, want := strings.Join(order, " "), "ranked s1 a s2"; got != want {
+		t.Fatalf("fire order %q, want %q", got, want)
+	}
+}
+
+// TestRankedInShardDomains: ranks are per kernel, so every domain of a
+// shard set hands out its own; a ranked event fires ahead of a
+// cross-domain post delivered at its instant.
+func TestRankedInShardDomains(t *testing.T) {
+	s := NewShardSet(1, 10*Microsecond)
+	a := s.NewDomain("a")
+	b := s.NewDomain("b")
+	ra, rb := a.NewRank(), b.NewRank()
+	if ra != rb {
+		t.Fatalf("domains' first ranks %d and %d differ", ra, rb)
+	}
+	var order []string
+	at := Time(50 * Microsecond)
+	a.At(Time(Microsecond), func() {
+		a.Post(b, at, func() { order = append(order, "post") })
+	})
+	b.At(at, func() { order = append(order, "local") })
+	b.AtRanked(at, rb, func() { order = append(order, "ranked-b") })
+	a.AtRanked(at, ra, func() { order = append(order, "ranked-a") })
+	s.Run(nil)
+	// Domains run one after another within a window: a's events, then b's.
+	if got, want := strings.Join(order, " "), "ranked-a ranked-b local post"; got != want {
+		t.Fatalf("fire order %q, want %q", got, want)
+	}
+}
+
+// TestFiredCountsEveryEvent: Fired counts ordinary, ranked and stream
+// events once each as they fire, and not canceled ones.
+func TestFiredCountsEveryEvent(t *testing.T) {
+	k := New(1)
+	s := NewStream(k, func(int) {})
+	k.After(Second, func() {})
+	k.After(Second, func() {}).Cancel()
+	k.AtRanked(Time(Second), k.NewRank(), func() {})
+	s.At(Time(Second), 1)
+	s.At(Time(2*Second), 2)
+	if k.Fired() != 0 {
+		t.Fatalf("Fired = %d before Run", k.Fired())
+	}
+	k.Run()
+	if k.Fired() != 4 {
+		t.Fatalf("Fired = %d, want 4", k.Fired())
 	}
 }

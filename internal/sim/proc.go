@@ -317,6 +317,7 @@ type Signal struct {
 	waiters []*waiter
 	spare   []*waiter // ping-pong buffer: Broadcast swaps, never reallocates
 	name    string
+	suffix  string // appended to name when printed, so no caller concatenates
 }
 
 // waiter is one parked wait. Records are long-lived (a process or a
@@ -398,4 +399,4 @@ func (s *Signal) Broadcast() {
 func (s *Signal) Waiters() int { return len(s.waiters) }
 
 // String identifies the signal by name.
-func (s *Signal) String() string { return fmt.Sprintf("signal(%s)", s.name) }
+func (s *Signal) String() string { return fmt.Sprintf("signal(%s%s)", s.name, s.suffix) }

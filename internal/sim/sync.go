@@ -79,25 +79,26 @@ func (q *Queue[T]) Closed() bool { return q.closed }
 // event, or any caller that acquires before the retries run, takes the
 // unit ahead of every waiter.
 type Resource struct {
-	k        *Kernel
 	capacity int
 	inUse    int
-	released *Signal
+	released Signal
 }
 
 // NewResource returns a resource admitting capacity simultaneous holders.
+// It builds one object: the release signal, named name+".released", is
+// part of the resource.
 func NewResource(k *Kernel, name string, capacity int) *Resource {
 	if capacity < 1 {
 		panic("sim: resource capacity must be >= 1")
 	}
-	return &Resource{k: k, capacity: capacity, released: k.NewSignal(name + ".released")}
+	return &Resource{capacity: capacity, released: Signal{k: k, name: name, suffix: ".released"}}
 }
 
 // Acquire blocks the process until a unit of the resource is free, then
 // takes it.
 func (r *Resource) Acquire(p *Proc) {
 	for r.inUse >= r.capacity {
-		p.Wait(r.released)
+		p.Wait(&r.released)
 	}
 	r.inUse++
 }
@@ -108,7 +109,7 @@ func (r *Resource) Acquire(p *Proc) {
 // slot a parked Acquire's would take, and should call AcquireWait again.
 func (r *Resource) AcquireWait(w *Waiter) bool {
 	if r.inUse >= r.capacity {
-		w.Wait(r.released)
+		w.Wait(&r.released)
 		return false
 	}
 	r.inUse++

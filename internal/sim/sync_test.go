@@ -143,6 +143,21 @@ func TestResourceReleaseUnheldPanics(t *testing.T) {
 	r.Release()
 }
 
+// TestNewResourceOneAlloc pins NewResource to one object, the resource
+// with its release signal inside, and the signal's printed name to the
+// resource name plus ".released".
+func TestNewResourceOneAlloc(t *testing.T) {
+	k := New(1)
+	name := "sb.mutex"
+	var r *Resource
+	if n := testing.AllocsPerRun(100, func() { r = NewResource(k, name, 1) }); n != 1 {
+		t.Fatalf("NewResource allocates %v objects, want 1", n)
+	}
+	if got, want := r.released.String(), "signal(sb.mutex.released)"; got != want {
+		t.Fatalf("release signal prints as %q, want %q", got, want)
+	}
+}
+
 func TestQueueOrderProperty(t *testing.T) {
 	// Whatever sequence is pushed is popped in the same order.
 	f := func(values []int) bool {

@@ -8,8 +8,11 @@
 # network), builds bmcast-sim, bmcast-experiments, bmcast-obs and
 # bmcast-bench from both trees, runs the artifact matrix below on each
 # build in turn, and prints one line per artifact: "identical" with its
-# hash, or "DIFFERS" followed by every series that moved (bench counts
-# and metrics snapshots) or the first differing line of each side. On each side the chaos
+# hash, or "DIFFERS" with both sides' hashes (BASE's first), followed by
+# every series that moved (bench counts and metrics snapshots) or the
+# first differing line of each side. The hashes let two reports against
+# one BASE be compared line by line, so an intermediate tree need not be
+# committed to check that it matches a later one. On each side the chaos
 # run at -shards 8 must also match the one at -shards 1 (a worker count
 # picks no schedule, DESIGN.md §13). It exits 1 when anything differs or
 # any program exits non-zero, on either side.
@@ -223,7 +226,7 @@ compare() {
 		printf '%-52s identical %s\n' "$1" "$ha"
 		return
 	fi
-	printf '%-52s DIFFERS\n' "$1"
+	printf '%-52s DIFFERS %s %s\n' "$1" "$ha" "$hb"
 	status=1
 	case $1 in
 	*.counts) seriesdiff "$2.gz" "$3.gz" counts ;;
