@@ -68,7 +68,9 @@ func (ft *fakeTransport) Send(f *ethernet.Frame) {
 
 func (ft *fakeTransport) MTU() int64                            { return 9018 }
 func (ft *fakeTransport) SetOnReceive(fn func(*ethernet.Frame)) { ft.onRecv = fn }
+func (ft *fakeTransport) SetOnArrival(func())                   {}
 func (ft *fakeTransport) TryRecv() (*ethernet.Frame, bool)      { return nil, false }
+func (ft *fakeTransport) RxPending() int                        { return 0 }
 
 func TestBackoffResetsAfterProgress(t *testing.T) {
 	// One early silence burst escalates the RTO; once a fragment arrives the

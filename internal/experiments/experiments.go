@@ -60,6 +60,9 @@ type Options struct {
 	// uses it for the open-span leak check and to surface the trace to
 	// the CLI's -trace-out / -metrics-out.
 	observe func(tr *trace.Recorder, snap metrics.Snapshot)
+	// fired, when set, receives the number of events each fleet-cell
+	// run fired, summed over its kernels (sim.Kernel.Fired).
+	fired func(n int64)
 }
 
 // Default returns paper-scale options.

@@ -98,6 +98,27 @@ func TestFleetCacheHitRate(t *testing.T) {
 	}
 }
 
+// TestFleetFiredEvents pins the quick fleet cell's event count (the cell
+// RunAll runs at seed 1, serving cache on) below what it was when the
+// VMM's polling thread fired an event at every tick: 16,055,496 events,
+// 2,979,967 of them ticks that found the rx ring empty. A tick now costs
+// an event only when a frame waits (aoe.Initiator.SetPolled).
+func TestFleetFiredEvents(t *testing.T) {
+	const everyTick, emptyTicks = 16_055_496, 2_979_967
+	opt := Quick()
+	opt.Seed = DeriveSeed(1, "fleet")
+	var fired int64
+	opt.fired = func(n int64) { fired = n }
+	if _, err := FleetRun(opt, opt.FleetInstances, true); err != nil {
+		t.Fatal(err)
+	}
+	if fired > everyTick-emptyTicks {
+		t.Fatalf("quick fleet cell fired %d events, want at most %d (%d less the %d empty ticks)",
+			fired, everyTick-emptyTicks, everyTick, emptyTicks)
+	}
+	t.Logf("quick fleet cell fired %d events", fired)
+}
+
 func TestDeterministicRuns(t *testing.T) {
 	a := Fig7(tiny())[0].String()
 	b := Fig7(tiny())[0].String()

@@ -226,6 +226,13 @@ func FleetRun(opt Options, fleet int, cached bool) (FleetResult, error) {
 	if opt.observe != nil {
 		opt.observe(res.Trace, res.Snapshot)
 	}
+	if opt.fired != nil {
+		var n int64
+		for _, k := range tb.Set.Domains() {
+			n += k.Fired()
+		}
+		opt.fired(n)
+	}
 	return res, nil
 }
 

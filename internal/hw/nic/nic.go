@@ -37,6 +37,7 @@ type NIC struct {
 
 	rx        *sim.Queue[*ethernet.Frame]
 	onReceive func(*ethernet.Frame)
+	onArrival func()
 
 	// Promiscuous disables destination MAC filtering.
 	Promiscuous bool
@@ -79,6 +80,9 @@ func (n *NIC) Deliver(f *ethernet.Frame) {
 		return
 	}
 	n.rx.Push(f)
+	if n.onArrival != nil {
+		n.onArrival()
+	}
 }
 
 // Send transmits a frame. Src is stamped with the NIC's MAC.
@@ -95,6 +99,10 @@ func (n *NIC) MTU() int64 { return n.link.MTU() }
 // SetOnReceive installs a delivery callback, bypassing the rx queue. Pass
 // nil to return to queued (polled) receive.
 func (n *NIC) SetOnReceive(fn func(*ethernet.Frame)) { n.onReceive = fn }
+
+// SetOnArrival installs a hook that runs after each frame is queued on the
+// rx queue (polled receive); the frame stays queued. Pass nil to remove it.
+func (n *NIC) SetOnArrival(fn func()) { n.onArrival = fn }
 
 // Recv blocks the process until a frame arrives (polled driver model).
 func (n *NIC) Recv(p *sim.Proc) *ethernet.Frame {

@@ -33,6 +33,33 @@ func TestSendReceivePolled(t *testing.T) {
 	}
 }
 
+// TestArrivalHook: the arrival hook runs once per frame queued for polled
+// receive, with the frame already on the queue, and not for filtered
+// frames or frames the receive callback consumes.
+func TestArrivalHook(t *testing.T) {
+	k := sim.New(1)
+	a, b := pair(k)
+	var seen []int
+	b.SetOnArrival(func() { seen = append(seen, b.RxPending()) })
+	a.Send(&ethernet.Frame{Dst: 0x0B, Size: 500})
+	a.Send(&ethernet.Frame{Dst: 0x0B, Size: 500})
+	a.Send(&ethernet.Frame{Dst: 0xEE, Size: 500}) // filtered
+	k.Run()
+	if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
+		t.Fatalf("hook saw queue lengths %v, want [1 2]", seen)
+	}
+	b.SetOnReceive(func(f *ethernet.Frame) { f.Release() })
+	a.Send(&ethernet.Frame{Dst: 0x0B, Size: 500})
+	k.Run()
+	b.SetOnReceive(nil)
+	b.SetOnArrival(nil)
+	a.Send(&ethernet.Frame{Dst: 0x0B, Size: 500})
+	k.Run()
+	if len(seen) != 2 || b.RxPending() != 3 {
+		t.Fatalf("hook ran %d times with %d queued, want 2 and 3", len(seen), b.RxPending())
+	}
+}
+
 func TestMACFiltering(t *testing.T) {
 	k := sim.New(1)
 	a, b := pair(k)

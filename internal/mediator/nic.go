@@ -53,6 +53,7 @@ type SharedNIC struct {
 	// VMM-side receive queue (demuxed AoE frames) and transmit staging.
 	vmmRx     []*ethernet.Frame
 	onReceive func(*ethernet.Frame)
+	onArrival func()
 	vmmBufSeq int64
 
 	// Stats.
@@ -245,6 +246,9 @@ func (md *SharedNIC) Poll() {
 				md.onReceive(f)
 			} else {
 				md.vmmRx = append(md.vmmRx, f)
+				if md.onArrival != nil {
+					md.onArrival()
+				}
 			}
 			continue
 		}
@@ -294,6 +298,13 @@ func (md *SharedNIC) MTU() int64 { return md.ring.MTU() }
 
 // SetOnReceive implements aoe.Transport for the VMM's demuxed AoE frames.
 func (md *SharedNIC) SetOnReceive(fn func(*ethernet.Frame)) { md.onReceive = fn }
+
+// SetOnArrival implements aoe.Transport: fn runs after each demuxed AoE
+// frame is queued for TryRecv.
+func (md *SharedNIC) SetOnArrival(fn func()) { md.onArrival = fn }
+
+// RxPending implements aoe.Transport.
+func (md *SharedNIC) RxPending() int { return len(md.vmmRx) }
 
 // TryRecv implements aoe.Transport.
 func (md *SharedNIC) TryRecv() (*ethernet.Frame, bool) {

@@ -141,6 +141,33 @@ func TestSharedNICVMMTraffic(t *testing.T) {
 	}
 }
 
+// TestSharedNICPolledVMM: the VMM's initiator in polled mode over the
+// shared NIC. Demuxed AoE frames queue for it and arm its tick through
+// the mediator's arrival hook.
+func TestSharedNICPolledVMM(t *testing.T) {
+	r := newSNICRig(t)
+	r.init.SetPolled(func() sim.Duration { return 50 * sim.Microsecond })
+	done := false
+	r.k.Spawn("vmm", func(p *sim.Proc) {
+		pl, err := r.init.Read(p, 100, 64)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if string(pl.Bytes()) != string(r.img.Payload(100, 64).Bytes()) {
+			t.Error("polled AoE over shared NIC returned wrong content")
+		}
+		done = true
+	})
+	r.k.RunUntil(sim.Time(sim.Second))
+	if !done {
+		t.Fatal("polled read over the shared NIC did not complete")
+	}
+	if r.med.RxPending() != 0 {
+		t.Fatalf("%d AoE frames left queued", r.med.RxPending())
+	}
+}
+
 func TestSharedNICInterleaving(t *testing.T) {
 	// Guest echo traffic and VMM bulk AoE reads run concurrently over
 	// the one NIC; both must complete, and AoE frames must never reach
