@@ -138,7 +138,6 @@ type pendingReq struct {
 
 	done   func(disk.Payload, error) // callback completion
 	proc   *sim.Proc                 // blocking completion: the caller, until done
-	parked bool                      // proc is suspended on the request
 	out    disk.Payload              // blocking completion's result
 	outErr error
 }
@@ -176,7 +175,7 @@ func (in *Initiator) release(pr *pendingReq) {
 	for i := range pr.parts {
 		pr.parts[i] = disk.Payload{} // drop payload sources for the GC
 	}
-	pr.src, pr.done, pr.parked = nil, nil, false
+	pr.src, pr.done = nil, nil
 	pr.out, pr.outErr = disk.Payload{}, nil
 	in.reqPool = append(in.reqPool, pr)
 }
@@ -512,9 +511,7 @@ func (in *Initiator) complete(pr *pendingReq, err error) {
 	}
 	if p := pr.proc; p != nil {
 		pr.proc, pr.out, pr.outErr = nil, out, err
-		if pr.parked {
-			p.Resume()
-		}
+		p.Resume()
 		return
 	}
 	done := pr.done
@@ -522,15 +519,13 @@ func (in *Initiator) complete(pr *pendingReq, err error) {
 	done(out, err)
 }
 
-// await runs a request for the blocking Read and Write: the calling
-// process parks until the request's final step resumes it.
+// await runs a request for the blocking Read and Write as a root round
+// trip: the calling process suspends until the request's final step
+// resumes it.
 func (in *Initiator) await(p *sim.Proc, pr *pendingReq) (disk.Payload, error) {
 	pr.proc = p
-	in.start(pr, trace.Cause(p))
-	if pr.proc != nil { // not completed at once
-		pr.parked = true
-		p.Suspend()
-	}
+	in.start(pr, nil)
+	p.Suspend()
 	out, err := pr.out, pr.outErr
 	in.release(pr)
 	return out, err
@@ -547,7 +542,7 @@ func (in *Initiator) retransmitMissing(pr *pendingReq, reqID uint32) {
 }
 
 // Read fetches count sectors at lba from the target, blocking the process.
-// The round trip's span parents on the process's causal span.
+// The round trip's span is a root; use ReadAsync to parent it on a cause.
 func (in *Initiator) Read(p *sim.Proc, lba, count int64) (disk.Payload, error) {
 	if count <= 0 {
 		return disk.Payload{}, fmt.Errorf("aoe: non-positive read count %d", count)
@@ -592,6 +587,7 @@ func (in *Initiator) assemble(pr *pendingReq) disk.Payload {
 }
 
 // Write stores the payload's sectors on the target, blocking the process.
+// The round trip's span is a root.
 func (in *Initiator) Write(p *sim.Proc, payload disk.Payload) error {
 	if payload.Count <= 0 {
 		return fmt.Errorf("aoe: non-positive write count %d", payload.Count)

@@ -141,7 +141,7 @@ func TestKVMGuestIOCorrect(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := kvm.OS.Drv.Init(p); err != nil {
+		if err := kvm.OS.Drv.Init(p, nil); err != nil {
 			t.Error(err)
 			return
 		}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/hw/disk"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // ImageCopyResult records the stages of an image-copy deployment, matching
@@ -98,7 +99,7 @@ func DeployImageCopy(p *sim.Proc, m *machine.Machine, o *guest.OS, cfg ImageCopy
 	m.Firmware.PowerOn(p, 0)
 	res.RestartDone = p.Now()
 
-	if err := o.Boot(p, bp); err != nil {
+	if err := o.Boot(p, nil, bp); err != nil {
 		return nil, err
 	}
 	res.GuestBootedAt = p.Now()
@@ -122,7 +123,7 @@ func NewNetbootDriver(remote *RemoteStore) *NetbootDriver {
 func (d *NetbootDriver) Name() string { return "nfs-root" }
 
 // Init implements guest.BlockDriver.
-func (d *NetbootDriver) Init(p *sim.Proc) error {
+func (d *NetbootDriver) Init(p *sim.Proc, _ *trace.Span) error {
 	p.Sleep(5 * sim.Millisecond) // mount
 	return nil
 }
@@ -178,7 +179,7 @@ func (n *netbootReq) done(pl disk.Payload, err error) {
 func BootNetboot(p *sim.Proc, m *machine.Machine, o *guest.OS, remote *RemoteStore, bp guest.BootProfile) error {
 	m.Firmware.PowerOn(p, 1)
 	o.SetDriver(NewNetbootDriver(remote))
-	return o.Boot(p, bp)
+	return o.Boot(p, nil, bp)
 }
 
 var _ guest.BlockDriver = (*NetbootDriver)(nil)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/hw/disk"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // KVMStorage selects the KVM guest's storage backend.
@@ -128,7 +129,7 @@ func StartKVM(p *sim.Proc, m *machine.Machine, cfg KVMConfig, storage KVMStorage
 
 // BootGuest boots the guest OS through virtio.
 func (kvm *KVM) BootGuest(p *sim.Proc, bp guest.BootProfile) error {
-	if err := kvm.OS.Boot(p, bp); err != nil {
+	if err := kvm.OS.Boot(p, nil, bp); err != nil {
 		return err
 	}
 	kvm.GuestBootedAt = p.Now()
@@ -148,7 +149,7 @@ type VirtioDriver struct {
 func (d *VirtioDriver) Name() string { return "virtio-blk/" + d.kvm.Storage.String() }
 
 // Init implements guest.BlockDriver.
-func (d *VirtioDriver) Init(p *sim.Proc) error {
+func (d *VirtioDriver) Init(p *sim.Proc, _ *trace.Span) error {
 	p.Sleep(2 * sim.Millisecond) // virtio feature negotiation
 	return nil
 }

@@ -97,7 +97,6 @@ func (rs *RemoteStore) await(p *sim.Proc, write bool, pl disk.Payload) (disk.Pay
 	o := rs.newOp(write, pl)
 	o.p = p
 	if !o.start() {
-		o.parked = true
 		p.Suspend()
 	}
 	got, err := o.got, o.err
@@ -144,7 +143,6 @@ type remoteOp struct {
 	err    error
 	done   func(disk.Payload, error) // callback issuer
 	p      *sim.Proc                 // blocking issuer
-	parked bool
 	stepFn func()
 	waiter *sim.Waiter // link waits
 }
@@ -164,7 +162,7 @@ func (rs *RemoteStore) newOp(write bool, pl disk.Payload) *remoteOp {
 }
 
 func (rs *RemoteStore) putOp(o *remoteOp) {
-	o.pl, o.got, o.err, o.done, o.p, o.parked = disk.Payload{}, disk.Payload{}, nil, nil, nil, false
+	o.pl, o.got, o.err, o.done, o.p = disk.Payload{}, disk.Payload{}, nil, nil, nil
 	rs.free = append(rs.free, o)
 }
 
@@ -231,9 +229,7 @@ func (o *remoteOp) finish() {
 		o.got = rs.store.ReadPayload(pl.LBA, pl.Count)
 	}
 	if p := o.p; p != nil {
-		if o.parked {
-			p.Resume() // the blocking issuer takes the result and the record
-		}
+		p.Resume() // the blocking issuer takes the result and the record
 		return
 	}
 	got, done := o.got, o.done

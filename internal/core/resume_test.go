@@ -62,7 +62,7 @@ func TestShutdownResumeDeployment(t *testing.T) {
 			t.Errorf("resumed bitmap has %d filled, want %d", got, filledAtShutdown)
 			return
 		}
-		if err := n.OS.Boot(p, bp); err != nil {
+		if err := n.OS.Boot(p, nil, bp); err != nil {
 			t.Error(err)
 			return
 		}

@@ -177,6 +177,18 @@ type VMM struct {
 	fetchDone func(disk.Payload, error)
 	fetchedFn func(disk.Payload, error)
 
+	// The retriever's fetch in flight: the retriever process, suspended
+	// until the cached continuation copyFetchedFn resumes it with the
+	// result in copyPl and copyErr.
+	retrieverProc *sim.Proc
+	copyFetchedFn func(disk.Payload, error)
+	copyPl        disk.Payload
+	copyErr       error
+
+	// runs is writeBlock's scratch list of unfilled runs. One buffer
+	// serves every call: only the writer process calls writeBlock.
+	runs []Run
+
 	// Timings and counters.
 	BootedAt     sim.Time
 	DeployedAt   sim.Time
@@ -217,6 +229,7 @@ func Boot(p *sim.Proc, m *machine.Machine, cfg Config, vmmNIC int, serverMAC eth
 		inflight:     make(map[int64]int64),
 	}
 	v.fetchedFn = v.fetched
+	v.copyFetchedFn = v.copyFetched
 	v.phaseSpan = m.Trace.Begin(m.Name, "phase", PhaseInitialization.SpanName())
 	l := metrics.L("node", m.Name)
 	m.Metrics.RegisterCounter("vmm.fetched_bytes", &v.FetchedBytes, l)
@@ -269,7 +282,7 @@ func Boot(p *sim.Proc, m *machine.Machine, cfg Config, vmmNIC int, serverMAC eth
 	v.BootedAt = p.Now()
 	v.setPhase(PhaseDeployment)
 
-	m.K.Spawn(m.Name+".vmm.retriever", v.retriever)
+	v.retrieverProc = m.K.Spawn(m.Name+".vmm.retriever", v.retriever)
 	m.K.Spawn(m.Name+".vmm.writer", v.writer)
 	if cfg.StallTimeout > 0 || cfg.DeployDeadline > 0 {
 		m.K.Spawn(m.Name+".vmm.watchdog", v.watchdog)
@@ -540,11 +553,11 @@ func (v *VMM) retriever(p *sim.Proc) {
 		}
 		sp := v.M.Trace.BeginChild(v.phaseSpan, v.M.Name, "vmm", "bg-fetch",
 			trace.Int("lba", run.LBA), trace.Int("count", run.Count))
-		// Carry the span as the proc's cause so the AoE round trip it
-		// triggers parents here, not on the guest's critical path.
-		prev := trace.SwapCause(p, sp)
-		pl, err := v.init.Read(p, run.LBA, run.Count)
-		trace.SwapCause(p, prev)
+		// The AoE round trip parents on the fetch span, not on the
+		// guest's critical path.
+		v.init.ReadAsync(sp, run.LBA, run.Count, v.copyFetchedFn)
+		p.Suspend()
+		pl, err := v.copyPl, v.copyErr
 		sp.End()
 		if err != nil {
 			if v.M.Trace != nil { // the error text allocates; skip it when not tracing
@@ -565,6 +578,12 @@ func (v *VMM) retriever(p *sim.Proc) {
 	if !v.fifo.Closed() {
 		v.fifo.Close()
 	}
+}
+
+// copyFetched completes the retriever's fetch and resumes the retriever.
+func (v *VMM) copyFetched(pl disk.Payload, err error) {
+	v.copyPl, v.copyErr = pl, err
+	v.retrieverProc.Resume()
 }
 
 // nextCopyRun finds the next unfilled run not already fetched into the
@@ -611,9 +630,7 @@ func (v *VMM) writer(p *sim.Proc) {
 		p.Sleep(sim.Duration(pace))
 		sp := v.M.Trace.BeginChild(v.phaseSpan, v.M.Name, "vmm", "bg-write",
 			trace.Int("lba", pl.LBA), trace.Int("count", pl.Count))
-		prev := trace.SwapCause(p, sp)
-		v.writeBlock(p, pl)
-		trace.SwapCause(p, prev)
+		v.writeBlock(p, sp, pl)
 		sp.End()
 		delete(v.inflight, pl.LBA)
 	}
@@ -625,22 +642,23 @@ func (v *VMM) writer(p *sim.Proc) {
 
 // writeBlock writes the still-unfilled parts of a fetched block, re-
 // checking the bitmap atomically (via the insertion guard) so a guest
-// write racing with the copy always wins (§3.3).
-func (v *VMM) writeBlock(p *sim.Proc, pl disk.Payload) {
+// write racing with the copy always wins (§3.3). The insertions' spans
+// parent on cause.
+func (v *VMM) writeBlock(p *sim.Proc, cause *trace.Span, pl disk.Payload) {
 	for {
-		runs := v.bitmap.UnfilledRuns(pl.LBA, pl.Count)
-		if len(runs) == 0 {
+		v.runs = v.bitmap.AppendUnfilledRuns(v.runs[:0], pl.LBA, pl.Count)
+		if len(v.runs) == 0 {
 			return
 		}
 		progressed := false
-		for _, run := range runs {
+		for _, run := range v.runs {
 			part := disk.Payload{LBA: run.LBA, Count: run.Count, Source: pl.Source}
 			guard := func() bool {
 				// Atomic re-check after device acquisition: write only
 				// if no sector of the run was filled meanwhile.
 				return v.bitmap.NoneFilled(run.LBA, run.Count)
 			}
-			if v.med.InsertWrite(p, part, guard) {
+			if v.med.InsertWrite(p, cause, part, guard) {
 				v.bitmap.MarkFilled(run.LBA, run.Count)
 				v.CopiedBytes.Add(run.Count * disk.SectorSize)
 				v.M.World.RecordVMMWork(v.Cfg.CopyCPUPerBlock / 2)
@@ -730,7 +748,7 @@ func (v *VMM) SaveBitmap(p *sim.Proc) error {
 	blob := v.bitmap.Marshal()
 	src := disk.NewBuffer(v.saveLBA, blob, "vmm-bitmap")
 	pl := disk.Payload{LBA: v.saveLBA, Count: v.saveSectors, Source: src}
-	if !v.med.InsertWrite(p, pl, nil) {
+	if !v.med.InsertWrite(p, nil, pl, nil) {
 		return fmt.Errorf("core: bitmap save was refused")
 	}
 	return nil
@@ -739,7 +757,7 @@ func (v *VMM) SaveBitmap(p *sim.Proc) error {
 // LoadBitmap restores the bitmap from the protected region, replacing the
 // in-memory state. It fails cleanly if the region holds no valid bitmap.
 func (v *VMM) LoadBitmap(p *sim.Proc) error {
-	pl, ok := v.med.InsertRead(p, v.saveLBA, v.saveSectors)
+	pl, ok := v.med.InsertRead(p, nil, v.saveLBA, v.saveSectors)
 	if !ok {
 		return fmt.Errorf("core: bitmap load was refused")
 	}

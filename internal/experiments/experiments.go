@@ -218,7 +218,7 @@ func prepare(opt Options, pl platform) *rig {
 			}
 			r.kvm = kvm
 			r.os = kvm.OS
-			if err := kvm.OS.Drv.Init(p); err != nil {
+			if err := kvm.OS.Drv.Init(p, nil); err != nil {
 				panic(fmt.Sprintf("experiments: kvm driver init: %v", err))
 			}
 		})

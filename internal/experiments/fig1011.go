@@ -38,7 +38,7 @@ func Fig10(opt Options) []*report.Table {
 	runFio := func(r *rig, initDriver bool) (read, write float64) {
 		runProc(r.tb, "measure", func(p *sim.Proc) {
 			if initDriver {
-				if err := r.os.Drv.Init(p); err != nil {
+				if err := r.os.Drv.Init(p, nil); err != nil {
 					panic(err)
 				}
 			}
@@ -126,7 +126,7 @@ func Fig11(opt Options) []*report.Table {
 		var res workload.IopingResult
 		runProc(r.tb, "measure", func(p *sim.Proc) {
 			if pl == platBaremetal || pl == platDevirt {
-				if err := r.os.Drv.Init(p); err != nil {
+				if err := r.os.Drv.Init(p, nil); err != nil {
 					panic(err)
 				}
 			}

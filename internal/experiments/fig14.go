@@ -57,7 +57,7 @@ func fig14Guest(opt Options, writes bool, _ any) float64 {
 	r := prepare(opt, platBaremetal)
 	var rate float64
 	runProc(r.tb, "measure", func(p *sim.Proc) {
-		if err := r.os.Drv.Init(p); err != nil {
+		if err := r.os.Drv.Init(p, nil); err != nil {
 			panic(err)
 		}
 		res, err := workload.Fio(p, r.os, writes, 200<<20, 1<<20, fioRegionLBA)

@@ -74,7 +74,7 @@ func fig5Steady(opt Options, pl platform, prof workload.DBProfile) dbRun {
 	y := workload.NewYCSB(r.os, prof)
 	runProc(r.tb, "measure", func(p *sim.Proc) {
 		if pl == platBaremetal || pl == platDevirt {
-			if err := r.os.Drv.Init(p); err != nil {
+			if err := r.os.Drv.Init(p, nil); err != nil {
 				panic(err)
 			}
 		}

@@ -53,21 +53,21 @@ func NewAHCIDriver(m *machine.Machine) *AHCIDriver {
 // Name implements BlockDriver.
 func (d *AHCIDriver) Name() string { return "ahci" }
 
-func (d *AHCIDriver) mmw(p *sim.Proc, off int64, v uint64) {
-	d.m.IO.Write(p, hwio.MMIO, ahci.ABAR+off, 4, v)
+func (d *AHCIDriver) mmw(p *sim.Proc, cause *trace.Span, off int64, v uint64) {
+	d.m.IO.Write(p, cause, hwio.MMIO, ahci.ABAR+off, 4, v)
 }
 
 // irqHandler acknowledges completions and wakes slot waiters. It runs in
 // interrupt context.
 func (d *AHCIDriver) irqHandler() {
-	is := d.m.IO.Read(nil, hwio.MMIO, ahci.ABAR+ahci.PortBase+ahci.PxIS, 4)
+	is := d.m.IO.Read(nil, nil, hwio.MMIO, ahci.ABAR+ahci.PortBase+ahci.PxIS, 4)
 	if is == 0 {
 		return
 	}
-	d.m.IO.Write(nil, hwio.MMIO, ahci.ABAR+ahci.PortBase+ahci.PxIS, 4, is)
-	d.m.IO.Write(nil, hwio.MMIO, ahci.ABAR+ahci.RegIS, 4, 1)
-	ci := d.m.IO.Read(nil, hwio.MMIO, ahci.ABAR+ahci.PortBase+ahci.PxCI, 4)
-	tfd := d.m.IO.Read(nil, hwio.MMIO, ahci.ABAR+ahci.PortBase+ahci.PxTFD, 4)
+	d.m.IO.Write(nil, nil, hwio.MMIO, ahci.ABAR+ahci.PortBase+ahci.PxIS, 4, is)
+	d.m.IO.Write(nil, nil, hwio.MMIO, ahci.ABAR+ahci.RegIS, 4, 1)
+	ci := d.m.IO.Read(nil, nil, hwio.MMIO, ahci.ABAR+ahci.PortBase+ahci.PxCI, 4)
+	tfd := d.m.IO.Read(nil, nil, hwio.MMIO, ahci.ABAR+ahci.PortBase+ahci.PxTFD, 4)
 	for slot := 0; slot < ahciSlotCount; slot++ {
 		if !d.slotFree[slot] && !d.slotDone[slot] && ci&(1<<slot) == 0 {
 			d.slotDone[slot] = true
@@ -78,19 +78,18 @@ func (d *AHCIDriver) irqHandler() {
 }
 
 // Init implements BlockDriver: bring the port up and IDENTIFY the drive.
-func (d *AHCIDriver) Init(p *sim.Proc) error {
+func (d *AHCIDriver) Init(p *sim.Proc, cause *trace.Span) error {
 	d.m.StorageIRQ.SetHandler(d.irqHandler)
-	d.mmw(p, ahci.RegGHC, ahci.GHCAHCIEnable|ahci.GHCInterruptEnable)
-	d.mmw(p, ahci.PortBase+ahci.PxCLB, ahciCLB)
-	d.mmw(p, ahci.PortBase+ahci.PxCLBU, 0)
-	d.mmw(p, ahci.PortBase+ahci.PxFB, ahciFISBase)
-	d.mmw(p, ahci.PortBase+ahci.PxFBU, 0)
-	d.mmw(p, ahci.PortBase+ahci.PxIE, ahci.ISDHRS|ahci.ISTFES)
-	d.mmw(p, ahci.PortBase+ahci.PxCMD, ahci.CmdST|ahci.CmdFRE)
-	w := &parker{p: p}
-	r := &Request{Cause: trace.Cause(p), Done: w.wake}
+	d.mmw(p, cause, ahci.RegGHC, ahci.GHCAHCIEnable|ahci.GHCInterruptEnable)
+	d.mmw(p, cause, ahci.PortBase+ahci.PxCLB, ahciCLB)
+	d.mmw(p, cause, ahci.PortBase+ahci.PxCLBU, 0)
+	d.mmw(p, cause, ahci.PortBase+ahci.PxFB, ahciFISBase)
+	d.mmw(p, cause, ahci.PortBase+ahci.PxFBU, 0)
+	d.mmw(p, cause, ahci.PortBase+ahci.PxIE, ahci.ISDHRS|ahci.ISTFES)
+	d.mmw(p, cause, ahci.PortBase+ahci.PxCMD, ahci.CmdST|ahci.CmdFRE)
+	r := &Request{Cause: cause, Done: p.Resume}
 	d.start(r, ahci.CmdIdentify, 0, 1, false, nil, false, nil)
-	w.wait()
+	p.Suspend()
 	if r.Err != nil {
 		return fmt.Errorf("guest/ahci: identify failed: %w", r.Err)
 	}

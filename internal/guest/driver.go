@@ -12,7 +12,7 @@
 // "Event-driven guest"): a driver request, an OS transfer and a boot's op
 // stream are records whose steps each complete or schedule exactly one
 // callback, in the (when, seq) slot a blocked process's wakeup used to
-// take. The blocking calls park their process once and are resumed by
+// take. The blocking calls suspend their process once and are resumed by
 // the final step.
 package guest
 
@@ -31,8 +31,9 @@ const MaxTransferSectors = 2048
 // BlockDriver is the guest kernel's storage driver interface.
 type BlockDriver interface {
 	// Init probes and initializes the device; it must be called once
-	// before I/O.
-	Init(p *sim.Proc) error
+	// before I/O. cause is the initializing context's causal span: the
+	// driver's register accesses and commands carry it.
+	Init(p *sim.Proc, cause *trace.Span) error
 	// Submit starts r. The driver runs it as kernel callbacks and calls
 	// r.Done once r completes, with the outcome in r.Data and r.Err. A
 	// request the driver rejects outright completes before Submit returns.
@@ -88,32 +89,4 @@ func validateRange(lba, count int64) error {
 		return fmt.Errorf("guest: transfer of %d sectors exceeds driver max %d", count, MaxTransferSectors)
 	}
 	return nil
-}
-
-// parker parks a process until a callback-form operation it started
-// completes. The operation may complete before the process parks, in
-// which case the process does not park at all.
-type parker struct {
-	p      *sim.Proc
-	parked bool
-	done   bool
-}
-
-// wait parks the process unless the operation already completed.
-func (w *parker) wait() {
-	if !w.done {
-		w.parked = true
-		w.p.Suspend()
-	}
-	w.done = false
-}
-
-// wake marks the operation complete and resumes the process inline if it
-// parked. Only a scheduled callback may call it after the process parked.
-func (w *parker) wake() {
-	w.done = true
-	if w.parked {
-		w.parked = false
-		w.p.Resume()
-	}
 }

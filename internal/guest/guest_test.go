@@ -33,7 +33,7 @@ func driversUnderTest(t *testing.T, fn func(t *testing.T, k *sim.Kernel, m *mach
 func TestDriverInit(t *testing.T) {
 	driversUnderTest(t, func(t *testing.T, k *sim.Kernel, m *machine.Machine, o *OS) {
 		k.Spawn("os", func(p *sim.Proc) {
-			if err := o.Drv.Init(p); err != nil {
+			if err := o.Drv.Init(p, nil); err != nil {
 				t.Error(err)
 			}
 		})
@@ -45,7 +45,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	driversUnderTest(t, func(t *testing.T, k *sim.Kernel, m *machine.Machine, o *OS) {
 		data := bytes.Repeat([]byte{0x42, 0x24}, 2*disk.SectorSize) // 4 sectors
 		k.Spawn("os", func(p *sim.Proc) {
-			if err := o.Drv.Init(p); err != nil {
+			if err := o.Drv.Init(p, nil); err != nil {
 				t.Error(err)
 				return
 			}
@@ -70,7 +70,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 func TestLargeTransferSplit(t *testing.T) {
 	driversUnderTest(t, func(t *testing.T, k *sim.Kernel, m *machine.Machine, o *OS) {
 		k.Spawn("os", func(p *sim.Proc) {
-			if err := o.Drv.Init(p); err != nil {
+			if err := o.Drv.Init(p, nil); err != nil {
 				t.Error(err)
 				return
 			}
@@ -98,7 +98,7 @@ func TestSymbolicWriteStaysSymbolic(t *testing.T) {
 	driversUnderTest(t, func(t *testing.T, k *sim.Kernel, m *machine.Machine, o *OS) {
 		src := disk.Synth{Seed: 9, Label: "workload"}
 		k.Spawn("os", func(p *sim.Proc) {
-			if err := o.Drv.Init(p); err != nil {
+			if err := o.Drv.Init(p, nil); err != nil {
 				t.Error(err)
 				return
 			}
@@ -119,7 +119,7 @@ func TestConcurrentAHCIRequests(t *testing.T) {
 	var initDone bool
 	sig := k.NewSignal("init")
 	k.Spawn("init", func(p *sim.Proc) {
-		if err := o.Drv.Init(p); err != nil {
+		if err := o.Drv.Init(p, nil); err != nil {
 			t.Error(err)
 			return
 		}
@@ -167,7 +167,7 @@ func TestBootOnPreloadedDisk(t *testing.T) {
 	bp.CPUTime = 2 * sim.Second
 	bp.SpanSectors = 1 << 20
 	k.Spawn("os", func(p *sim.Proc) {
-		if err := o.Boot(p, bp); err != nil {
+		if err := o.Boot(p, nil, bp); err != nil {
 			t.Error(err)
 		}
 	})
@@ -256,7 +256,7 @@ func TestBareMetalBootTime(t *testing.T) {
 	o := NewOS("ubuntu", m)
 	bp := DefaultBootProfile()
 	k.Spawn("os", func(p *sim.Proc) {
-		if err := o.Boot(p, bp); err != nil {
+		if err := o.Boot(p, nil, bp); err != nil {
 			t.Error(err)
 		}
 	})
@@ -284,7 +284,7 @@ func TestFlush(t *testing.T) {
 	driversUnderTest(t, func(t *testing.T, k *sim.Kernel, m *machine.Machine, o *OS) {
 		var took sim.Duration
 		k.Spawn("os", func(p *sim.Proc) {
-			if err := o.Drv.Init(p); err != nil {
+			if err := o.Drv.Init(p, nil); err != nil {
 				t.Error(err)
 				return
 			}

@@ -8,6 +8,7 @@ import (
 	hwio "repro/internal/hw/io"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Guest-physical addresses the IDE driver allocates for its structures.
@@ -49,19 +50,19 @@ func NewIDEDriver(m *machine.Machine) *IDEDriver {
 // Name implements BlockDriver.
 func (d *IDEDriver) Name() string { return "ide" }
 
-func (d *IDEDriver) outb(p *sim.Proc, addr int64, v uint64) {
-	d.m.IO.Write(p, hwio.PIO, addr, 1, v)
+func (d *IDEDriver) outb(p *sim.Proc, cause *trace.Span, addr int64, v uint64) {
+	d.m.IO.Write(p, cause, hwio.PIO, addr, 1, v)
 }
 
-func (d *IDEDriver) inb(p *sim.Proc, addr int64) uint64 {
-	return d.m.IO.Read(p, hwio.PIO, addr, 1)
+func (d *IDEDriver) inb(p *sim.Proc, cause *trace.Span, addr int64) uint64 {
+	return d.m.IO.Read(p, cause, hwio.PIO, addr, 1)
 }
 
 // irqHandler is the driver's top half: acknowledge the controller and wake
 // the waiting request. It runs in interrupt context (no proc).
 func (d *IDEDriver) irqHandler() {
-	status := d.m.IO.Read(nil, hwio.PIO, ideCmdBase+ide.RegStatusCmd, 1)
-	d.m.IO.Write(nil, hwio.PIO, ideBMBase+ide.BMRegStatus, 1, ide.BMStatusIRQ)
+	status := d.m.IO.Read(nil, nil, hwio.PIO, ideCmdBase+ide.RegStatusCmd, 1)
+	d.m.IO.Write(nil, nil, hwio.PIO, ideBMBase+ide.BMRegStatus, 1, ide.BMStatusIRQ)
 	d.errSeen = status&ide.StatusERR != 0
 	d.irqSeen = true
 	d.done.Broadcast()
@@ -69,10 +70,10 @@ func (d *IDEDriver) irqHandler() {
 
 // Init implements BlockDriver: install the interrupt handler and IDENTIFY
 // the drive.
-func (d *IDEDriver) Init(p *sim.Proc) error {
+func (d *IDEDriver) Init(p *sim.Proc, cause *trace.Span) error {
 	d.m.StorageIRQ.SetHandler(d.irqHandler)
 	d.irqSeen = false
-	d.outb(p, ideCmdBase+ide.RegStatusCmd, ide.CmdIdentify)
+	d.outb(p, cause, ideCmdBase+ide.RegStatusCmd, ide.CmdIdentify)
 	p.WaitCond(d.done, func() bool { return d.irqSeen })
 	if d.errSeen {
 		return fmt.Errorf("guest/ide: identify failed")
@@ -80,7 +81,7 @@ func (d *IDEDriver) Init(p *sim.Proc) error {
 	var sectors int64
 	words := make([]uint16, 256)
 	for i := range words {
-		words[i] = uint16(d.inb(p, ideCmdBase+ide.RegData))
+		words[i] = uint16(d.inb(p, cause, ideCmdBase+ide.RegData))
 	}
 	for i := 0; i < 4; i++ {
 		sectors |= int64(words[100+i]) << (16 * i)

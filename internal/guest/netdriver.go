@@ -8,6 +8,7 @@ import (
 	"repro/internal/hw/nic"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Guest-physical addresses for the network driver's rings and buffers.
@@ -43,27 +44,28 @@ func NewNetDriver(m *machine.Machine, ring *nic.RingNIC, irq *hwio.IRQ) *NetDriv
 	return d
 }
 
-func (d *NetDriver) mmw(p *sim.Proc, off int64, v uint64) {
-	d.m.IO.Write(p, hwio.MMIO, nic.RingBase+off, 4, v)
+func (d *NetDriver) mmw(p *sim.Proc, cause *trace.Span, off int64, v uint64) {
+	d.m.IO.Write(p, cause, hwio.MMIO, nic.RingBase+off, 4, v)
 }
 
-// Init programs the rings and enables the device.
-func (d *NetDriver) Init(p *sim.Proc) error {
+// Init programs the rings and enables the device. cause is the
+// initializing context's causal span, carried by its register writes.
+func (d *NetDriver) Init(p *sim.Proc, cause *trace.Span) error {
 	d.irq.SetHandler(func() { d.rxReady.Broadcast() })
 	for i := uint32(0); i < netRingLen; i++ {
 		nic.WriteDesc(d.m.Mem, netRXRing, i, d.rxBuf(i), netBufSize)
 	}
-	d.mmw(p, nic.RegIMS, 1)
-	d.mmw(p, nic.RegTDBAL, netTXRing)
-	d.mmw(p, nic.RegTDLEN, netRingLen)
-	d.mmw(p, nic.RegTDH, 0)
-	d.mmw(p, nic.RegTDT, 0)
-	d.mmw(p, nic.RegRDBAL, netRXRing)
-	d.mmw(p, nic.RegRDLEN, netRingLen)
-	d.mmw(p, nic.RegRDH, 0)
+	d.mmw(p, cause, nic.RegIMS, 1)
+	d.mmw(p, cause, nic.RegTDBAL, netTXRing)
+	d.mmw(p, cause, nic.RegTDLEN, netRingLen)
+	d.mmw(p, cause, nic.RegTDH, 0)
+	d.mmw(p, cause, nic.RegTDT, 0)
+	d.mmw(p, cause, nic.RegRDBAL, netRXRing)
+	d.mmw(p, cause, nic.RegRDLEN, netRingLen)
+	d.mmw(p, cause, nic.RegRDH, 0)
 	d.rdt = netRingLen - 1
-	d.mmw(p, nic.RegRDT, uint64(d.rdt))
-	d.mmw(p, nic.RegCTRL, nic.CtrlEnable)
+	d.mmw(p, cause, nic.RegRDT, uint64(d.rdt))
+	d.mmw(p, cause, nic.RegCTRL, nic.CtrlEnable)
 	return nil
 }
 
@@ -81,7 +83,7 @@ func (d *NetDriver) Send(p *sim.Proc, f *ethernet.Frame) {
 	nic.WriteDesc(d.m.Mem, netTXRing, slot, buf, uint16(f.Size))
 	d.tdt = (d.tdt + 1) % netRingLen
 	d.txSeq++
-	d.mmw(p, nic.RegTDT, uint64(d.tdt))
+	d.mmw(p, nil, nic.RegTDT, uint64(d.tdt))
 }
 
 // TryRecv returns the next received frame without blocking.
@@ -95,7 +97,7 @@ func (d *NetDriver) TryRecv() (*ethernet.Frame, bool) {
 	d.rxNext = (d.rxNext + 1) % netRingLen
 	// Return the buffer to the hardware.
 	d.rdt = (d.rdt + 1) % netRingLen
-	d.m.IO.Write(nil, hwio.MMIO, nic.RingBase+nic.RegRDT, 4, uint64(d.rdt))
+	d.m.IO.Write(nil, nil, hwio.MMIO, nic.RingBase+nic.RegRDT, 4, uint64(d.rdt))
 	if !ok {
 		return nil, false
 	}

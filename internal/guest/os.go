@@ -51,23 +51,20 @@ var bootWrites disk.SectorSource = disk.Synth{Seed: 0xB007, Label: "boot-writes"
 
 // Boot runs the OS boot sequence: driver initialization followed by the
 // profile's op stream, reads and writes with interleaved compute. The op
-// stream runs as kernel callbacks; the calling process parks once, until
-// the stream ends.
-func (o *OS) Boot(p *sim.Proc, bp BootProfile) error {
+// stream runs as kernel callbacks; the calling process suspends once,
+// until the stream ends. The boot span parents on cause, the span of
+// whatever drove the boot, or is a root for a nil cause.
+func (o *OS) Boot(p *sim.Proc, cause *trace.Span, bp BootProfile) error {
 	start := p.Now()
-	// The boot span is the guest's side of the causal DAG: mediated
-	// commands issued by the boot parent under it, and it parents under
-	// whatever drove the deployment.
+	// The boot span is the guest's side of the causal DAG: the driver's
+	// initialization and the mediated commands the boot issues parent
+	// under it.
 	var sp *trace.Span
 	if o.M.Trace != nil {
-		sp = o.M.Trace.BeginChild(trace.Cause(p), o.M.Name, "guest", "boot",
+		sp = o.M.Trace.BeginChild(cause, o.M.Name, "guest", "boot",
 			trace.Int("bytes", bp.TotalBytes))
 	}
-	prevCause := trace.SwapCause(p, sp)
-	defer func() {
-		trace.SwapCause(p, prevCause)
-		sp.End()
-	}()
+	defer sp.End()
 	// SMP bring-up: when a VMM is underneath, each AP's startup IPI and
 	// the kernel's early CR0/CR4 writes trap (paper §4.1 lists exactly
 	// these events as required VM exits).
@@ -79,16 +76,16 @@ func (o *OS) Boot(p *sim.Proc, bp BootProfile) error {
 			o.M.World.Exit(p, cpuvirt.ExitCR)
 		}
 	}
-	if err := o.Drv.Init(p); err != nil {
+	if err := o.Drv.Init(p, sp); err != nil {
 		return fmt.Errorf("guest: driver init: %w", err)
 	}
 	b := &boot{o: o, ops: bp.Ops(), sp: sp}
 	b.stepFn = b.step
 	b.x.bind(o)
 	b.x.then = b.stepFn
-	b.wait.p = p
+	b.p = p
 	b.step()
-	b.wait.wait()
+	p.Suspend()
 	if b.err != nil {
 		return b.err
 	}
@@ -117,7 +114,7 @@ type boot struct {
 	x      xfer
 	sp     *trace.Span
 	err    error
-	wait   parker
+	p      *sim.Proc // the booting process, suspended until the stream ends
 	stepFn func()
 }
 
@@ -129,7 +126,7 @@ func (b *boot) step() {
 		case bootNext:
 			op, ok := b.ops.Next()
 			if !ok {
-				b.wait.wake()
+				b.p.Resume()
 				return
 			}
 			b.op, b.pc = op, bootIO
@@ -152,7 +149,7 @@ func (b *boot) step() {
 					kind = "write"
 				}
 				b.err = fmt.Errorf("guest: boot %s at %d: %w", kind, b.op.LBA, err)
-				b.wait.wake()
+				b.p.Resume()
 				return
 			}
 			b.pc = bootNext
@@ -181,8 +178,8 @@ type xfer struct {
 	lba, count int64   // the range still to transfer
 	out        []byte  // read data gathered, unless discarding
 	err        error
-	then       func() // continues a callback issuer once the transfer ends
-	wait       parker // a blocking issuer
+	then       func()    // continues a callback issuer once the transfer ends
+	p          *sim.Proc // a blocking issuer
 }
 
 // bind ties a transfer record to its OS and binds its continuation.
@@ -254,11 +251,11 @@ func (x *xfer) end() {
 		x.then()
 		return
 	}
-	x.wait.wake()
+	x.p.Resume()
 }
 
-// blocking runs a transfer for the process p and parks p until it ends.
-// It returns the gathered data and the outcome.
+// blocking runs a transfer for the process p and suspends p until it
+// ends. It returns the gathered data and the outcome.
 func (o *OS) blocking(p *sim.Proc, op Op, lba, count int64, discard bool, src disk.SectorSource, out []byte) ([]byte, error) {
 	var x *xfer
 	if n := len(o.free) - 1; n >= 0 {
@@ -268,11 +265,11 @@ func (o *OS) blocking(p *sim.Proc, op Op, lba, count int64, discard bool, src di
 		x = &xfer{}
 		x.bind(o)
 	}
-	x.wait.p, x.out = p, out
-	x.start(op, lba, count, discard, src, trace.Cause(p))
-	x.wait.wait()
+	x.p, x.out = p, out
+	x.start(op, lba, count, discard, src, nil)
+	p.Suspend()
 	out, err := x.out, x.err
-	x.wait.p, x.out, x.err = nil, nil, nil
+	x.p, x.out, x.err = nil, nil, nil
 	o.free = append(o.free, x)
 	return out, err
 }

@@ -45,17 +45,21 @@ func newRigOn(k *sim.Kernel) *rig {
 	r := &rig{k: k, m: m, d: d, h: h, ios: ios, done: k.NewSignal("drv.done")}
 	irq.SetHandler(func() {
 		r.irqs++
-		is := r.ios.Read(nil, hwio.MMIO, port0Base+PxIS, 4)
+		is := r.ios.Read(nil, nil, hwio.MMIO, port0Base+PxIS, 4)
 		r.is = is
-		r.ios.Write(nil, hwio.MMIO, port0Base+PxIS, 4, is) // ack
-		r.ios.Write(nil, hwio.MMIO, abarMMIO+RegIS, 4, 1)
+		r.ios.Write(nil, nil, hwio.MMIO, port0Base+PxIS, 4, is) // ack
+		r.ios.Write(nil, nil, hwio.MMIO, abarMMIO+RegIS, 4, 1)
 		r.done.Broadcast()
 	})
 	return r
 }
 
-func (r *rig) mmw(p *sim.Proc, off int64, v uint64) { r.ios.Write(p, hwio.MMIO, abarMMIO+off, 4, v) }
-func (r *rig) mmr(p *sim.Proc, off int64) uint64    { return r.ios.Read(p, hwio.MMIO, abarMMIO+off, 4) }
+func (r *rig) mmw(p *sim.Proc, off int64, v uint64) {
+	r.ios.Write(p, nil, hwio.MMIO, abarMMIO+off, 4, v)
+}
+func (r *rig) mmr(p *sim.Proc, off int64) uint64 {
+	return r.ios.Read(p, nil, hwio.MMIO, abarMMIO+off, 4)
+}
 
 // initPort brings the port up the way libahci does.
 func (r *rig) initPort(p *sim.Proc) {

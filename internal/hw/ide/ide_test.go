@@ -40,8 +40,8 @@ func newRigOn(k *sim.Kernel) *rig {
 	irq.SetHandler(func() {
 		r.irqs++
 		// Real handlers read status (ack) and clear the BM IRQ bit.
-		r.ios.Read(nil, hwio.PIO, r.cmdBase+RegStatusCmd, 1)
-		r.ios.Write(nil, hwio.PIO, r.bmBase+BMRegStatus, 1, BMStatusIRQ)
+		r.ios.Read(nil, nil, hwio.PIO, r.cmdBase+RegStatusCmd, 1)
+		r.ios.Write(nil, nil, hwio.PIO, r.bmBase+BMRegStatus, 1, BMStatusIRQ)
 		r.done.Broadcast()
 	})
 	return r
@@ -52,13 +52,13 @@ const (
 	dmaBufAddr   = 0x20000
 )
 
-func (r *rig) out(p *sim.Proc, addr int64, v uint64) { r.ios.Write(p, hwio.PIO, addr, 1, v) }
-func (r *rig) in(p *sim.Proc, addr int64) uint64     { return r.ios.Read(p, hwio.PIO, addr, 1) }
+func (r *rig) out(p *sim.Proc, addr int64, v uint64) { r.ios.Write(p, nil, hwio.PIO, addr, 1, v) }
+func (r *rig) in(p *sim.Proc, addr int64) uint64     { return r.ios.Read(p, nil, hwio.PIO, addr, 1) }
 
 // dmaCmd issues an LBA48 DMA transfer and waits for the completion IRQ.
 func (r *rig) dmaCmd(p *sim.Proc, cmd uint8, lba, count int64) {
 	WritePRDTable(r.m, prdTableAddr, dmaBufAddr, count*disk.SectorSize)
-	r.ios.Write(p, hwio.PIO, r.bmBase+BMRegPRDT, 4, uint64(prdTableAddr))
+	r.ios.Write(p, nil, hwio.PIO, r.bmBase+BMRegPRDT, 4, uint64(prdTableAddr))
 	r.out(p, r.cmdBase+RegSectorCount, uint64(count>>8))
 	r.out(p, r.cmdBase+RegSectorCount, uint64(count&0xFF))
 	r.out(p, r.cmdBase+RegLBALow, uint64(lba>>24&0xFF))
@@ -123,7 +123,7 @@ func TestLegacyLBA28Command(t *testing.T) {
 	r := newRig()
 	r.k.Spawn("drv", func(p *sim.Proc) {
 		WritePRDTable(r.m, prdTableAddr, dmaBufAddr, disk.SectorSize)
-		r.ios.Write(p, hwio.PIO, r.bmBase+BMRegPRDT, 4, prdTableAddr)
+		r.ios.Write(p, nil, hwio.PIO, r.bmBase+BMRegPRDT, 4, prdTableAddr)
 		r.out(p, r.cmdBase+RegSectorCount, 1)
 		r.out(p, r.cmdBase+RegLBALow, 0x11)
 		r.out(p, r.cmdBase+RegLBAMid, 0x22)
@@ -146,7 +146,7 @@ func TestBusyUntilComplete(t *testing.T) {
 	var during, after uint64
 	r.k.Spawn("drv", func(p *sim.Proc) {
 		WritePRDTable(r.m, prdTableAddr, dmaBufAddr, disk.SectorSize)
-		r.ios.Write(p, hwio.PIO, r.bmBase+BMRegPRDT, 4, prdTableAddr)
+		r.ios.Write(p, nil, hwio.PIO, r.bmBase+BMRegPRDT, 4, prdTableAddr)
 		r.out(p, r.cmdBase+RegSectorCount, 1)
 		r.out(p, r.cmdBase+RegLBALow, 9)
 		r.out(p, r.cmdBase+RegLBAMid, 0)
@@ -172,7 +172,7 @@ func TestNIENSuppressesIRQ(t *testing.T) {
 	r.k.Spawn("drv", func(p *sim.Proc) {
 		r.out(p, r.ctlBase+RegDevControl, CtlNIEN)
 		WritePRDTable(r.m, prdTableAddr, dmaBufAddr, disk.SectorSize)
-		r.ios.Write(p, hwio.PIO, r.bmBase+BMRegPRDT, 4, prdTableAddr)
+		r.ios.Write(p, nil, hwio.PIO, r.bmBase+BMRegPRDT, 4, prdTableAddr)
 		r.out(p, r.cmdBase+RegSectorCount, 1)
 		r.out(p, r.cmdBase+RegLBALow, 1)
 		r.out(p, r.cmdBase+RegLBAMid, 0)
@@ -345,7 +345,7 @@ func TestEngineRunsWithoutProcess(t *testing.T) {
 	})
 	r := newRigOn(k)
 	WritePRDTable(r.m, prdTableAddr, dmaBufAddr, 8*disk.SectorSize)
-	r.ios.Write(nil, hwio.PIO, r.bmBase+BMRegPRDT, 4, prdTableAddr)
+	r.ios.Write(nil, nil, hwio.PIO, r.bmBase+BMRegPRDT, 4, prdTableAddr)
 	read := func() {
 		r.d.SetNextDMA(dmaBufAddr, nil, true)
 		r.out(nil, r.cmdBase+RegSectorCount, 8)
@@ -382,7 +382,7 @@ func TestEngineRunsWithoutProcess(t *testing.T) {
 func TestIssueSchedulesOneStep(t *testing.T) {
 	r := newRig()
 	WritePRDTable(r.m, prdTableAddr, dmaBufAddr, 8*disk.SectorSize)
-	r.ios.Write(nil, hwio.PIO, r.bmBase+BMRegPRDT, 4, prdTableAddr)
+	r.ios.Write(nil, nil, hwio.PIO, r.bmBase+BMRegPRDT, 4, prdTableAddr)
 	command := func() {
 		r.out(nil, r.cmdBase+RegSectorCount, 8)
 		r.out(nil, r.cmdBase+RegDevice, DeviceLBA)

@@ -270,10 +270,11 @@ func (s *Space) WriteAsync(kind Kind, addr int64, size int, v uint64, cause *tra
 }
 
 // Read performs a guest read of the size-byte register at addr for the
-// process p, parked while a trap stalls it. A nil p reads from interrupt
-// context.
-func (s *Space) Read(p *sim.Proc, kind Kind, addr int64, size int) uint64 {
-	a := s.newAccess(size, false, 0, trace.Cause(p))
+// process p, parked while a trap stalls it; cause is the process's
+// causal span, handed to the tap. A nil p reads from interrupt context,
+// with a nil cause.
+func (s *Space) Read(p *sim.Proc, cause *trace.Span, kind Kind, addr int64, size int) uint64 {
+	a := s.newAccess(size, false, 0, cause)
 	a.await(p, kind, addr)
 	v := a.v
 	a.release()
@@ -281,10 +282,11 @@ func (s *Space) Read(p *sim.Proc, kind Kind, addr int64, size int) uint64 {
 }
 
 // Write performs a guest write of the size-byte register at addr for the
-// process p, parked while a trap stalls it. A nil p writes from
-// interrupt context.
-func (s *Space) Write(p *sim.Proc, kind Kind, addr int64, size int, v uint64) {
-	a := s.newAccess(size, true, v, trace.Cause(p))
+// process p, parked while a trap stalls it; cause is the process's
+// causal span, handed to the tap. A nil p writes from interrupt context,
+// with a nil cause.
+func (s *Space) Write(p *sim.Proc, cause *trace.Span, kind Kind, addr int64, size int, v uint64) {
+	a := s.newAccess(size, true, v, cause)
 	a.await(p, kind, addr)
 	a.release()
 }

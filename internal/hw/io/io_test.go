@@ -23,8 +23,8 @@ func TestRegisterAndRoute(t *testing.T) {
 	s := NewSpace(sim.New(1))
 	b := newRegbank()
 	s.Register("ide", PIO, 0x1F0, 8, b)
-	s.Write(nil, PIO, 0x1F2, 1, 42)
-	if got := s.Read(nil, PIO, 0x1F2, 1); got != 42 {
+	s.Write(nil, nil, PIO, 0x1F2, 1, 42)
+	if got := s.Read(nil, nil, PIO, 0x1F2, 1); got != 42 {
 		t.Fatalf("Read = %d, want 42", got)
 	}
 	if b.regs[2] != 42 {
@@ -34,13 +34,13 @@ func TestRegisterAndRoute(t *testing.T) {
 
 func TestUnmappedAccess(t *testing.T) {
 	s := NewSpace(sim.New(1))
-	if got := s.Read(nil, PIO, 0x9999, 1); got != 0xFF {
+	if got := s.Read(nil, nil, PIO, 0x9999, 1); got != 0xFF {
 		t.Fatalf("unmapped 1-byte read = %#x, want 0xFF", got)
 	}
-	if got := s.Read(nil, MMIO, 0x9999, 4); got != 0xFFFFFFFF {
+	if got := s.Read(nil, nil, MMIO, 0x9999, 4); got != 0xFFFFFFFF {
 		t.Fatalf("unmapped 4-byte read = %#x, want 0xFFFFFFFF", got)
 	}
-	s.Write(nil, PIO, 0x9999, 1, 1) // must not panic
+	s.Write(nil, nil, PIO, 0x9999, 1, 1) // must not panic
 }
 
 func TestOverlapPanics(t *testing.T) {
@@ -60,8 +60,8 @@ func TestPIOandMMIOSeparate(t *testing.T) {
 	mmio := newRegbank()
 	s.Register("p", PIO, 0x100, 8, pio)
 	s.Register("m", MMIO, 0x100, 8, mmio) // same base, different kind: fine
-	s.Write(nil, PIO, 0x100, 1, 1)
-	s.Write(nil, MMIO, 0x100, 1, 2)
+	s.Write(nil, nil, PIO, 0x100, 1, 1)
+	s.Write(nil, nil, MMIO, 0x100, 1, 2)
 	if pio.regs[0] != 1 || mmio.regs[0] != 2 {
 		t.Fatal("PIO and MMIO spaces not independent")
 	}
@@ -97,14 +97,14 @@ func TestTapInterception(t *testing.T) {
 	tap := &countingTap{swallowWrites: true}
 	s.SetTap("dev", tap)
 
-	s.Write(nil, MMIO, 0x1000, 4, 99)
+	s.Write(nil, nil, MMIO, 0x1000, 4, 99)
 	if tap.writes != 1 {
 		t.Fatal("tap did not see the write")
 	}
 	if b.regs[0] == 99 {
 		t.Fatal("swallowed write reached the device")
 	}
-	s.Read(nil, MMIO, 0x1000, 4)
+	s.Read(nil, nil, MMIO, 0x1000, 4)
 	if tap.reads != 1 {
 		t.Fatal("tap did not see the read")
 	}
@@ -118,7 +118,7 @@ func TestTapPassThrough(t *testing.T) {
 	b := newRegbank()
 	s.Register("dev", PIO, 0, 8, b)
 	s.SetTap("dev", &countingTap{swallowWrites: false})
-	s.Write(nil, PIO, 0, 1, 7)
+	s.Write(nil, nil, PIO, 0, 1, 7)
 	if b.regs[0] != 7 {
 		t.Fatal("unhandled write did not pass through to the device")
 	}
@@ -130,12 +130,12 @@ func TestDetapRestoresDirectAccess(t *testing.T) {
 	s.Register("dev", PIO, 0, 8, b)
 	tap := &countingTap{}
 	s.SetTap("dev", tap)
-	s.Read(nil, PIO, 0, 1)
+	s.Read(nil, nil, PIO, 0, 1)
 	s.SetTap("dev", nil) // de-virtualization
 	if s.Tapped("dev") {
 		t.Fatal("Tapped after removal")
 	}
-	s.Read(nil, PIO, 0, 1)
+	s.Read(nil, nil, PIO, 0, 1)
 	if tap.reads != 1 {
 		t.Fatal("tap saw access after removal")
 	}
@@ -228,15 +228,15 @@ func TestTrappedAccessStalls(t *testing.T) {
 	if !s.WriteAsync(PIO, 8, 1, 1, nil, nil) {
 		t.Fatal("an untapped write stalled")
 	}
-	s.Write(nil, PIO, 1, 1, 9) // interrupt context
+	s.Write(nil, nil, PIO, 1, 1, 9) // interrupt context
 	if b.regs[1] != 9 || k.Now() != 1200 {
 		t.Fatal("an interrupt-context write stalled")
 	}
 
 	var got uint64
 	k.Spawn("guest", func(p *sim.Proc) {
-		s.Write(p, PIO, 2, 1, 5)
-		got = s.Read(p, PIO, 2, 1)
+		s.Write(p, nil, PIO, 2, 1, 5)
+		got = s.Read(p, nil, PIO, 2, 1)
 	})
 	k.Run()
 	if got != 5 || k.Now() != 3600 || tap.traps != 4 {

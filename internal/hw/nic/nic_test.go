@@ -139,10 +139,10 @@ func TestRingTransmit(t *testing.T) {
 	const txRing, buf = 0x1000, 0x8000
 	WriteDesc(m, txRing, 0, buf, 500)
 	r.StageTxFrame(buf, &ethernet.Frame{Dst: 0x0B, Size: 500, Payload: "x"})
-	ios.Write(nil, hwio.MMIO, RingBase+RegTDBAL, 8, txRing)
-	ios.Write(nil, hwio.MMIO, RingBase+RegTDLEN, 4, 8)
-	ios.Write(nil, hwio.MMIO, RingBase+RegCTRL, 4, CtrlEnable)
-	ios.Write(nil, hwio.MMIO, RingBase+RegTDT, 4, 1)
+	ios.Write(nil, nil, hwio.MMIO, RingBase+RegTDBAL, 8, txRing)
+	ios.Write(nil, nil, hwio.MMIO, RingBase+RegTDLEN, 4, 8)
+	ios.Write(nil, nil, hwio.MMIO, RingBase+RegCTRL, 4, CtrlEnable)
+	ios.Write(nil, nil, hwio.MMIO, RingBase+RegTDT, 4, 1)
 	k.Run()
 	if peer.RxPending() != 1 {
 		t.Fatal("ring transmit did not deliver")
@@ -163,11 +163,11 @@ func TestRingReceive(t *testing.T) {
 	const rxRing, buf = 0x2000, 0x9000
 	WriteDesc(m, rxRing, 0, buf, 9018)
 	WriteDesc(m, rxRing, 1, buf+0x2400, 9018)
-	ios.Write(nil, hwio.MMIO, RingBase+RegIMS, 4, 1)
-	ios.Write(nil, hwio.MMIO, RingBase+RegRDBAL, 8, rxRing)
-	ios.Write(nil, hwio.MMIO, RingBase+RegRDLEN, 4, 2)
-	ios.Write(nil, hwio.MMIO, RingBase+RegRDT, 4, 1)
-	ios.Write(nil, hwio.MMIO, RingBase+RegCTRL, 4, CtrlEnable)
+	ios.Write(nil, nil, hwio.MMIO, RingBase+RegIMS, 4, 1)
+	ios.Write(nil, nil, hwio.MMIO, RingBase+RegRDBAL, 8, rxRing)
+	ios.Write(nil, nil, hwio.MMIO, RingBase+RegRDLEN, 4, 2)
+	ios.Write(nil, nil, hwio.MMIO, RingBase+RegRDT, 4, 1)
+	ios.Write(nil, nil, hwio.MMIO, RingBase+RegCTRL, 4, CtrlEnable)
 	peer.Send(&ethernet.Frame{Dst: 0x0A, Size: 800, Payload: "in"})
 	k.Run()
 	if !DescDone(m, rxRing, 0) {
@@ -187,10 +187,10 @@ func TestRingRxDropWhenFull(t *testing.T) {
 	r, peer, m, ios, _ := ringRig(k)
 	const rxRing = 0x2000
 	WriteDesc(m, rxRing, 0, 0x9000, 9018)
-	ios.Write(nil, hwio.MMIO, RingBase+RegRDBAL, 8, rxRing)
-	ios.Write(nil, hwio.MMIO, RingBase+RegRDLEN, 4, 2)
-	ios.Write(nil, hwio.MMIO, RingBase+RegRDT, 4, 0) // head == tail: no buffers
-	ios.Write(nil, hwio.MMIO, RingBase+RegCTRL, 4, CtrlEnable)
+	ios.Write(nil, nil, hwio.MMIO, RingBase+RegRDBAL, 8, rxRing)
+	ios.Write(nil, nil, hwio.MMIO, RingBase+RegRDLEN, 4, 2)
+	ios.Write(nil, nil, hwio.MMIO, RingBase+RegRDT, 4, 0) // head == tail: no buffers
+	ios.Write(nil, nil, hwio.MMIO, RingBase+RegCTRL, 4, CtrlEnable)
 	peer.Send(&ethernet.Frame{Dst: 0x0A, Size: 100})
 	k.Run()
 	if r.RxDropped != 1 {

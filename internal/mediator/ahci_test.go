@@ -43,7 +43,7 @@ func newAHCIRig(t *testing.T) *ahciRig {
 func (r *ahciRig) run(t *testing.T, fn func(p *sim.Proc)) {
 	t.Helper()
 	r.k.Spawn("guest", func(p *sim.Proc) {
-		if err := r.o.Drv.Init(p); err != nil {
+		if err := r.o.Drv.Init(p, nil); err != nil {
 			t.Error(err)
 			return
 		}
@@ -87,7 +87,7 @@ func TestAHCIConcurrentSlotsWithRedirects(t *testing.T) {
 	r.m.Disk.Store().Write(0, 1000, r.img)
 	results := make([]bool, 6)
 	r.k.Spawn("init", func(p *sim.Proc) {
-		if err := r.o.Drv.Init(p); err != nil {
+		if err := r.o.Drv.Init(p, nil); err != nil {
 			t.Error(err)
 			return
 		}
@@ -129,12 +129,12 @@ func TestAHCIGuestQueuedDuringInsertion(t *testing.T) {
 	gsrc := disk.Synth{Seed: 4, Label: "guest"}
 	var insertDone, guestDone sim.Time
 	r.k.Spawn("guest", func(p *sim.Proc) {
-		if err := r.o.Drv.Init(p); err != nil {
+		if err := r.o.Drv.Init(p, nil); err != nil {
 			t.Error(err)
 			return
 		}
 		r.k.Spawn("vmm", func(vp *sim.Proc) {
-			r.md.InsertWrite(vp, r.img.Payload(8000, 2048), nil)
+			r.md.InsertWrite(vp, nil, r.img.Payload(8000, 2048), nil)
 			insertDone = vp.Now()
 		})
 		p.Sleep(2 * sim.Millisecond)
@@ -211,15 +211,15 @@ func TestAHCIVMMSlotHiddenFromGuest(t *testing.T) {
 	// show the VMM's slot 31.
 	r := newAHCIRig(t)
 	r.k.Spawn("guest", func(p *sim.Proc) {
-		if err := r.o.Drv.Init(p); err != nil {
+		if err := r.o.Drv.Init(p, nil); err != nil {
 			t.Error(err)
 			return
 		}
 		r.k.Spawn("vmm", func(vp *sim.Proc) {
-			r.md.InsertWrite(vp, r.img.Payload(4000, 2048), nil)
+			r.md.InsertWrite(vp, nil, r.img.Payload(4000, 2048), nil)
 		})
 		p.Sleep(3 * sim.Millisecond) // insertion in flight
-		ci := r.m.IO.Read(p, 1, 0xF000_0000+0x100+0x38, 4)
+		ci := r.m.IO.Read(p, nil, 1, 0xF000_0000+0x100+0x38, 4)
 		if ci&(1<<31) != 0 {
 			t.Error("guest sees the VMM's command slot")
 		}
@@ -231,11 +231,11 @@ func TestAHCIInsertReadRoundTrip(t *testing.T) {
 	r := newAHCIRig(t)
 	src := disk.Synth{Seed: 21, Label: "x"}
 	r.run(t, func(p *sim.Proc) {
-		if ok := r.md.InsertWrite(p, disk.Payload{LBA: 3000, Count: 64, Source: src}, nil); !ok {
+		if ok := r.md.InsertWrite(p, nil, disk.Payload{LBA: 3000, Count: 64, Source: src}, nil); !ok {
 			t.Error("insert write refused")
 			return
 		}
-		pl, ok := r.md.InsertRead(p, 3000, 64)
+		pl, ok := r.md.InsertRead(p, nil, 3000, 64)
 		if !ok {
 			t.Error("insert read refused")
 			return
@@ -272,13 +272,13 @@ func TestAHCICommandOutsideMemory(t *testing.T) {
 				clb, hd := tc.hd(orig)
 				if clb != orig {
 					// The guest moves its command list past memory.
-					r.m.IO.Write(p, hwio.MMIO, ahci.ABAR+ahci.PortBase+ahci.PxCLB, 4, clb)
+					r.m.IO.Write(p, nil, hwio.MMIO, ahci.ABAR+ahci.PortBase+ahci.PxCLB, 4, clb)
 				} else {
 					ahci.WriteFIS(r.m.Mem, 0x7000, ahci.FIS{Command: ahci.CmdReadDMAExt, LBA: 5000, Count: 8})
 					ahci.WritePRDT(r.m.Mem, 0x7000, []mem.Region{{Start: int64(size) - 512, Size: 4096}})
 					ahci.WriteCmdHeader(r.m.Mem, clb, slot, hd)
 				}
-				r.m.IO.Write(p, hwio.MMIO, ahci.ABAR+ahci.PortBase+ahci.PxCI, 4, 1<<slot)
+				r.m.IO.Write(p, nil, hwio.MMIO, ahci.ABAR+ahci.PortBase+ahci.PxCI, 4, 1<<slot)
 				for r.m.AHCI.OutstandingCI()&(1<<slot) != 0 {
 					p.Sleep(100 * sim.Microsecond)
 				}
@@ -286,7 +286,7 @@ func TestAHCICommandOutsideMemory(t *testing.T) {
 					t.Errorf("TFD = %#x, want the error bit", tfd)
 				}
 				if clb != orig {
-					r.m.IO.Write(p, hwio.MMIO, ahci.ABAR+ahci.PortBase+ahci.PxCLB, 4, orig)
+					r.m.IO.Write(p, nil, hwio.MMIO, ahci.ABAR+ahci.PortBase+ahci.PxCLB, 4, orig)
 				}
 				if _, err := r.o.ReadSectors(p, 200, 8, false); err != nil {
 					t.Errorf("guest read after the fault: %v", err)

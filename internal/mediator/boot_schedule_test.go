@@ -95,8 +95,7 @@ func bootScheduleRun(t *testing.T, r bootRig) string {
 	}
 	r.k.Spawn("deploy", func(p *sim.Proc) {
 		sp := r.m.Trace.Begin(r.m.Name, "test", "deploy")
-		trace.SwapCause(p, sp)
-		err := r.o.Boot(p, bp)
+		err := r.o.Boot(p, sp, bp)
 		sp.End()
 		fmt.Fprintf(&log, "boot done=%d err=%v booted=%v took=%d\n", p.Now(), err, r.o.Booted, r.o.BootTook)
 	})
@@ -231,7 +230,7 @@ func TestBootParksCallerOnce(t *testing.T) {
 					}
 				})
 				r.k.Spawn("deploy", func(p *sim.Proc) {
-					if err := r.o.Boot(p, bp); err != nil {
+					if err := r.o.Boot(p, nil, bp); err != nil {
 						t.Error(err)
 					}
 				})
@@ -257,7 +256,7 @@ func TestBootParksCallerOnce(t *testing.T) {
 				}
 				reqs := sim.NewQueue[bool](r.k, "req")
 				r.k.Spawn("guest", func(p *sim.Proc) {
-					if err := r.o.Drv.Init(p); err != nil {
+					if err := r.o.Drv.Init(p, nil); err != nil {
 						t.Error(err)
 						return
 					}

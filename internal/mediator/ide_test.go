@@ -126,7 +126,7 @@ func newIDERig(t *testing.T) *ideRig {
 func (r *ideRig) run(t *testing.T, fn func(p *sim.Proc)) {
 	t.Helper()
 	r.k.Spawn("guest", func(p *sim.Proc) {
-		if err := r.o.Drv.Init(p); err != nil {
+		if err := r.o.Drv.Init(p, nil); err != nil {
 			t.Error(err)
 			return
 		}
@@ -234,7 +234,7 @@ func TestInsertWriteWhileGuestIdle(t *testing.T) {
 	r := newIDERig(t)
 	irqsBefore := r.m.StorageIRQ.Raised
 	r.run(t, func(p *sim.Proc) {
-		ok := r.md.InsertWrite(p, r.img.Payload(2000, 128), nil)
+		ok := r.md.InsertWrite(p, nil, r.img.Payload(2000, 128), nil)
 		if !ok {
 			t.Error("InsertWrite refused")
 		}
@@ -255,7 +255,7 @@ func TestInsertWriteWhileGuestIdle(t *testing.T) {
 func TestInsertWriteGuardAborts(t *testing.T) {
 	r := newIDERig(t)
 	r.run(t, func(p *sim.Proc) {
-		if r.md.InsertWrite(p, r.img.Payload(2000, 8), func() bool { return false }) {
+		if r.md.InsertWrite(p, nil, r.img.Payload(2000, 8), func() bool { return false }) {
 			t.Error("guarded InsertWrite proceeded")
 		}
 	})
@@ -269,14 +269,14 @@ func TestGuestCommandQueuedDuringInsertion(t *testing.T) {
 	gsrc := disk.Synth{Seed: 4, Label: "guest"}
 	var insertDone, guestDone sim.Time
 	r.k.Spawn("guest", func(p *sim.Proc) {
-		if err := r.o.Drv.Init(p); err != nil {
+		if err := r.o.Drv.Init(p, nil); err != nil {
 			t.Error(err)
 			return
 		}
 		// Start a large VMM insertion, then immediately issue a guest
 		// write; the write must be queued and execute after.
 		r.k.Spawn("vmm", func(vp *sim.Proc) {
-			r.md.InsertWrite(vp, r.img.Payload(4000, 2048), nil) // 1 MB
+			r.md.InsertWrite(vp, nil, r.img.Payload(4000, 2048), nil) // 1 MB
 			insertDone = vp.Now()
 		})
 		p.Sleep(2 * sim.Millisecond) // insertion now owns the device
@@ -387,9 +387,9 @@ func TestIDECommandOutsideMemory(t *testing.T) {
 			r := newIDERig(t)
 			r.run(t, func(p *sim.Proc) {
 				ide.WritePRDTable(r.m.Mem, 0x7000, size-512, 4096)
-				out := func(addr int64, v uint64) { r.m.IO.Write(p, hwio.PIO, addr, 1, v) }
-				in := func(addr int64) uint64 { return r.m.IO.Read(p, hwio.PIO, addr, 1) }
-				r.m.IO.Write(p, hwio.PIO, 0xC000+ide.BMRegPRDT, 4, tc.prdt)
+				out := func(addr int64, v uint64) { r.m.IO.Write(p, nil, hwio.PIO, addr, 1, v) }
+				in := func(addr int64) uint64 { return r.m.IO.Read(p, nil, hwio.PIO, addr, 1) }
+				r.m.IO.Write(p, nil, hwio.PIO, 0xC000+ide.BMRegPRDT, 4, tc.prdt)
 				out(0x1F0+ide.RegSectorCount, 8)
 				out(0x1F0+ide.RegLBALow, 0x88)
 				out(0x1F0+ide.RegLBAMid, 0x13)

@@ -85,11 +85,11 @@ type Mediator interface {
 	// local disk as a VMM request. The guard, if non-nil, runs after the
 	// device has been acquired and can cancel the insertion (used for
 	// the atomic bitmap re-check); InsertWrite reports whether the write
-	// was performed.
-	InsertWrite(p *sim.Proc, payload disk.Payload, guard func() bool) bool
+	// was performed. The insertion's span parents on cause.
+	InsertWrite(p *sim.Proc, cause *trace.Span, payload disk.Payload, guard func() bool) bool
 	// InsertRead performs I/O multiplexing for a VMM read of the local
-	// disk (used for bitmap recovery at boot).
-	InsertRead(p *sim.Proc, lba, count int64) (disk.Payload, bool)
+	// disk (used for bitmap recovery at boot). Its span parents on cause.
+	InsertRead(p *sim.Proc, cause *trace.Span, lba, count int64) (disk.Payload, bool)
 	// Quiesced reports whether the mediator holds no in-flight mediated
 	// state, i.e. a consistent hardware state for de-virtualization.
 	Quiesced() bool

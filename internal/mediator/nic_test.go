@@ -90,7 +90,7 @@ func TestSharedNICGuestTraffic(t *testing.T) {
 	r := newSNICRig(t)
 	got := 0
 	r.k.Spawn("guest", func(p *sim.Proc) {
-		if err := r.drv.Init(p); err != nil {
+		if err := r.drv.Init(p, nil); err != nil {
 			t.Error(err)
 			return
 		}
@@ -175,7 +175,7 @@ func TestSharedNICInterleaving(t *testing.T) {
 	r := newSNICRig(t)
 	guestDone, vmmDone := false, false
 	r.k.Spawn("guest", func(p *sim.Proc) {
-		if err := r.drv.Init(p); err != nil {
+		if err := r.drv.Init(p, nil); err != nil {
 			t.Error(err)
 			return
 		}
@@ -223,7 +223,7 @@ func TestSharedNICLatencyPenalty(t *testing.T) {
 		}
 	})
 	r.k.Spawn("guest", func(p *sim.Proc) {
-		if err := r.drv.Init(p); err != nil {
+		if err := r.drv.Init(p, nil); err != nil {
 			t.Error(err)
 			return
 		}

@@ -178,37 +178,34 @@ func (pl *pipeline) copyToGuest(cmd command, parts []disk.Payload) {
 
 // InsertWrite implements Mediator: background-copy multiplexing. The
 // insertion runs as the same kind of operation record as a redirect; the
-// calling process parks until its final step resumes it.
-func (pl *pipeline) InsertWrite(p *sim.Proc, payload disk.Payload, guard func() bool) bool {
+// calling process suspends until its final step resumes it.
+func (pl *pipeline) InsertWrite(p *sim.Proc, cause *trace.Span, payload disk.Payload, guard func() bool) bool {
 	o := pl.newOp(opInsertWrite)
 	o.cmd.lba, o.cmd.count = payload.LBA, payload.Count
 	o.payload, o.guard = payload, guard
-	pl.await(p, o)
+	pl.await(p, cause, o)
 	ok := o.ok
 	pl.putOp(o)
 	return ok
 }
 
 // InsertRead implements Mediator.
-func (pl *pipeline) InsertRead(p *sim.Proc, lba, count int64) (disk.Payload, bool) {
+func (pl *pipeline) InsertRead(p *sim.Proc, cause *trace.Span, lba, count int64) (disk.Payload, bool) {
 	o := pl.newOp(opInsertRead)
 	o.cmd.lba, o.cmd.count = lba, count
-	pl.await(p, o)
+	pl.await(p, cause, o)
 	got, ok := o.payload, o.ok
 	pl.putOp(o)
 	return got, ok
 }
 
-// await runs an insertion for the process p, parking p unless the
-// insertion completes at once. Its span parents on p's causal span.
-func (pl *pipeline) await(p *sim.Proc, o *op) {
-	o.cmd.cause = trace.Cause(p)
+// await runs an insertion for the process p, suspending p until the
+// insertion completes. Its span parents on cause.
+func (pl *pipeline) await(p *sim.Proc, cause *trace.Span, o *op) {
+	o.cmd.cause = cause
 	o.proc = p
 	o.step()
-	if o.proc != nil {
-		o.parked = true
-		p.Suspend()
-	}
+	p.Suspend()
 }
 
 // opKind is what a mediated operation does.
@@ -272,7 +269,6 @@ type op struct {
 	guard   func() bool
 	ok      bool
 	proc    *sim.Proc
-	parked  bool
 
 	// Continuations, built once per record.
 	stepFn    func()
@@ -300,7 +296,6 @@ func (pl *pipeline) newOp(kind opKind) *op {
 // putOp returns a finished record to the pool, dropping its references.
 func (pl *pipeline) putOp(o *op) {
 	o.cmd, o.payload, o.guard, o.ok = command{}, disk.Payload{}, nil, false
-	o.parked = false
 	pl.free = append(pl.free, o)
 }
 
@@ -476,16 +471,14 @@ func (o *op) gap() {
 }
 
 // end closes the operation's span and retires it: an insertion's result
-// goes to its process, which is resumed inline if it parked; a redirect
-// or protect record returns to the pool.
+// goes to its process, which is resumed; a redirect or protect record
+// returns to the pool.
 func (o *op) end() {
 	o.sp.End()
 	o.sp = nil
 	if p := o.proc; p != nil {
 		o.proc = nil
-		if o.parked {
-			p.Resume()
-		}
+		p.Resume()
 		return
 	}
 	o.pl.putOp(o)

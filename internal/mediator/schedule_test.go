@@ -95,13 +95,13 @@ func mediatedScheduleRun(t *testing.T, r schedRig) string {
 	}
 	insert := func(lba, count int64, guard func() bool) {
 		r.k.Spawn("vmm", func(p *sim.Proc) {
-			ok := r.md.InsertWrite(p, r.img.Payload(lba, count), guard)
+			ok := r.md.InsertWrite(p, nil, r.img.Payload(lba, count), guard)
 			fmt.Fprintf(&log, "vmm insert-write lba=%d count=%d done=%d ok=%v\n", lba, count, p.Now(), ok)
 		})
 	}
 
 	r.k.Spawn("guest", func(p *sim.Proc) {
-		if err := r.o.Drv.Init(p); err != nil {
+		if err := r.o.Drv.Init(p, nil); err != nil {
 			t.Error(err)
 			return
 		}
@@ -135,7 +135,7 @@ func mediatedScheduleRun(t *testing.T, r schedRig) string {
 		insert(30000, 64, func() bool { return false })
 		p.Sleep(20 * sim.Millisecond)
 		r.k.Spawn("vmm", func(vp *sim.Proc) {
-			pl, ok := r.md.InsertRead(vp, 30000, 64)
+			pl, ok := r.md.InsertRead(vp, nil, 30000, 64)
 			fmt.Fprintf(&log, "vmm insert-read lba=%d count=%d done=%d ok=%v src=%s\n",
 				pl.LBA, pl.Count, vp.Now(), ok, pl.Source.Name())
 		})
@@ -247,7 +247,7 @@ func TestRedirectAllocs(t *testing.T) {
 			reqs := sim.NewQueue[int64](r.k, "req")
 			completed := 0
 			r.k.Spawn("guest", func(p *sim.Proc) {
-				if err := r.o.Drv.Init(p); err != nil {
+				if err := r.o.Drv.Init(p, nil); err != nil {
 					t.Error(err)
 					return
 				}

@@ -39,11 +39,9 @@ type Proc struct {
 	// fired carries the outcome of its last round back to the process.
 	tw    *Waiter
 	fired bool
-
-	// annotation is an opaque per-process slot for layers above the kernel
-	// (the tracer stores the current causal span here). Storing a pointer
-	// in the interface does not allocate.
-	annotation any
+	// suspended marks a process parked in Suspend; resumed, a Resume
+	// that the next Suspend has not yet taken.
+	suspended, resumed bool
 }
 
 // carrier is a pooled coroutine that runs process bodies one after
@@ -102,12 +100,6 @@ func putCarrier(c *carrier) {
 	carriers.mu.Unlock()
 	c.stop()
 }
-
-// Annotation returns the process's opaque annotation slot.
-func (p *Proc) Annotation() any { return p.annotation }
-
-// SetAnnotation replaces the process's opaque annotation slot.
-func (p *Proc) SetAnnotation(v any) { p.annotation = v }
 
 // Spawn starts fn as a new process. The process begins executing at the
 // current simulation time, after already-scheduled events for this instant.
@@ -233,15 +225,26 @@ func (p *Proc) WaitTimeout(s *Signal, d Duration) bool {
 
 // Suspend parks the process until a callback calls Resume. It is the
 // blocking half of an operation that runs as scheduled callbacks: the
-// process starts the operation, suspends if it did not complete at once,
-// and the operation's final step resumes it.
-func (p *Proc) Suspend() { p.park() }
+// process starts the operation and suspends, and the operation's final
+// step resumes it. If that step already ran, Suspend returns at once.
+func (p *Proc) Suspend() {
+	if !p.resumed {
+		p.suspended = true
+		p.park()
+	}
+	p.resumed = false
+}
 
 // Resume continues a process parked in Suspend inline, inside the event
 // that calls it: the process runs until it next blocks or returns, as it
-// would have had it been woken by that event. Only a scheduled callback
-// may call it, never a process body.
-func (p *Proc) Resume() { p.transfer() }
+// would have had it been woken by that event. An operation that completes
+// at once calls it before Suspend, which then returns without parking.
+func (p *Proc) Resume() {
+	if p.resumed = true; p.suspended {
+		p.suspended = false
+		p.transfer()
+	}
+}
 
 // Waiter is the callback form of Proc.Wait and Proc.WaitTimeout: a
 // reusable record whose callback runs when the signal it waits on is

@@ -425,6 +425,46 @@ func TestProcPanicPropagatesToRun(t *testing.T) {
 	}
 }
 
+// TestSuspendResume pins both orders of the Suspend/Resume handshake: an
+// operation that completes at once resumes the process before it
+// suspends, and Suspend then returns without parking; one that
+// completes in a later event resumes the parked process inline, inside
+// that event.
+func TestSuspendResume(t *testing.T) {
+	k := New(1)
+	parks := 0
+	k.SetProcHook(func(_ Time, ev ProcEvent, _ string) {
+		if ev == ProcPark {
+			parks++
+		}
+	})
+	var log []string
+	k.Spawn("issuer", func(p *Proc) {
+		p.Resume() // completed at once
+		p.Suspend()
+		log = append(log, fmt.Sprintf("inline %d parks=%d", p.Now(), parks))
+		k.After(Second, func() {
+			p.Resume()
+			log = append(log, "after resume")
+		})
+		p.Suspend()
+		log = append(log, fmt.Sprintf("resumed %d parks=%d", p.Now(), parks))
+		p.Resume() // a second round completes at once too
+		p.Suspend()
+		log = append(log, fmt.Sprintf("inline %d parks=%d", p.Now(), parks))
+	})
+	k.Run()
+	want := []string{
+		"inline 0 parks=0",
+		fmt.Sprintf("resumed %d parks=1", Time(Second)),
+		fmt.Sprintf("inline %d parks=1", Time(Second)),
+		"after resume",
+	}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("log = %q, want %q", log, want)
+	}
+}
+
 func TestResumeFinishedProcPanics(t *testing.T) {
 	k := New(1)
 	p := k.Spawn("short", func(p *Proc) {})

@@ -8,6 +8,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/guest"
+	"repro/internal/hw/ahci"
+	hwio "repro/internal/hw/io"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -17,9 +20,19 @@ import (
 // and its result.
 func deploy(t *testing.T, cfg Config) (*Testbed, *Node, *BMcastResult) {
 	t.Helper()
+	return deployWith(t, cfg, nil)
+}
+
+// deployWith is deploy with setup, if non-nil, applied to the node before
+// the deployment starts.
+func deployWith(t *testing.T, cfg Config, setup func(n *Node)) (*Testbed, *Node, *BMcastResult) {
+	t.Helper()
 	tb := New(cfg)
 	n := tb.AddNode(cfg)
 	n.M.Firmware.InitTime = sim.Second
+	if setup != nil {
+		setup(n)
+	}
 	var res *BMcastResult
 	tb.K.Spawn("deploy", func(p *sim.Proc) {
 		r, err := tb.DeployBMcast(p, n, core.DefaultConfig(), quickBoot(cfg))
@@ -168,7 +181,11 @@ func TestDevirtTraceInvariant(t *testing.T) {
 func TestCausalEdges(t *testing.T) {
 	cfg := small()
 	cfg.EnableTrace = true
-	_, _, res := deploy(t, cfg)
+	var initDrv *initCauseDriver
+	_, _, res := deployWith(t, cfg, func(n *Node) {
+		initDrv = &initCauseDriver{BlockDriver: n.OS.Drv, n: n}
+		n.OS.SetDriver(initDrv)
+	})
 	tr := res.Trace
 
 	byID := map[int64]*trace.Span{}
@@ -222,6 +239,68 @@ func TestCausalEdges(t *testing.T) {
 		}
 	}
 
+	// Each bg-fetch span parents exactly one span: the AoE read of its
+	// run.
+	children := map[int64][]*trace.Span{}
+	for _, s := range tr.Spans() {
+		children[s.Parent] = append(children[s.Parent], s)
+	}
+	fetches := tr.SpansNamed("bg-fetch")
+	if len(fetches) == 0 {
+		t.Fatal("no bg-fetch spans recorded")
+	}
+	for _, f := range fetches {
+		kids := children[f.ID]
+		if len(kids) != 1 || kids[0].Cat != "aoe" || kids[0].Name != "read" ||
+			attr(kids[0], "lba") != attr(f, "lba") || attr(kids[0], "count") != attr(f, "count") {
+			t.Fatalf("bg-fetch %d (lba %v) children = %v, want its one AoE read", f.ID, attr(f, "lba"), names(kids))
+		}
+	}
+
+	// Each bg-write span parents the insert-write mediator spans of its
+	// unfilled runs, and every insert-write parents under a bg-write.
+	writes := tr.SpansNamed("bg-write")
+	if len(writes) == 0 {
+		t.Fatal("no bg-write spans recorded")
+	}
+	for _, w := range writes {
+		kids := children[w.ID]
+		if len(kids) == 0 {
+			t.Fatalf("bg-write %d (lba %v) parents no insert-write span", w.ID, attr(w, "lba"))
+		}
+		for _, k := range kids {
+			if k.Cat != "mediator" || k.Name != "insert-write" {
+				t.Fatalf("bg-write %d child = %s/%s, want mediator/insert-write", w.ID, k.Cat, k.Name)
+			}
+		}
+	}
+	for _, sp := range tr.SpansNamed("insert-write") {
+		if p := byID[sp.Parent]; p == nil || p.Name != "bg-write" {
+			t.Fatalf("insert-write %d parent = %+v, want a bg-write span", sp.ID, p)
+		}
+	}
+
+	// The register writes the AHCI driver's Init programs, the IDENTIFY
+	// command's PxCI issue among them, carry the boot span into the
+	// mediator.
+	if len(initDrv.writes) == 0 {
+		t.Fatal("no trapped register write recorded during driver Init")
+	}
+	issued := false
+	for _, w := range initDrv.writes {
+		if !initWriteRegs[w.off] {
+			continue // interrupt context: no guest cause
+		}
+		if w.cause != boot {
+			t.Fatalf("Init write to ABAR+%#x carried cause %v, want the boot span %d",
+				w.off, w.cause.SpanID(), boot.ID)
+		}
+		issued = issued || w.off == ahci.PortBase+ahci.PxCI
+	}
+	if !issued {
+		t.Fatal("no IDENTIFY issue recorded during driver Init")
+	}
+
 	// Every serve span on the server links back to an initiator-side span
 	// via a flow edge.
 	serves := tr.SpansNamed("serve")
@@ -241,6 +320,76 @@ func TestCausalEdges(t *testing.T) {
 	if dep == nil || ini == nil || dep.FlowFrom != ini.ID {
 		t.Fatal("Deployment phase does not flow from Initialization")
 	}
+}
+
+// attr returns the value of the span's integer argument named key, or -1.
+func attr(s *trace.Span, key string) int64 {
+	for _, a := range s.Args {
+		if a.Key == key && a.Kind == trace.IntAttr {
+			return a.Num
+		}
+	}
+	return -1
+}
+
+// names lists spans as cat/name, for failure messages.
+func names(spans []*trace.Span) []string {
+	out := make([]string, len(spans))
+	for i, s := range spans {
+		out[i] = s.Cat + "/" + s.Name
+	}
+	return out
+}
+
+// initWriteRegs are the AHCI registers (offsets from ABAR) the guest
+// driver's Init writes from the booting process: port setup and the
+// IDENTIFY's PxCI issue. Its interrupt handler's acknowledgements are
+// not among them.
+var initWriteRegs = map[int64]bool{
+	ahci.RegGHC:                 true,
+	ahci.PortBase + ahci.PxCLB:  true,
+	ahci.PortBase + ahci.PxCLBU: true,
+	ahci.PortBase + ahci.PxFB:   true,
+	ahci.PortBase + ahci.PxFBU:  true,
+	ahci.PortBase + ahci.PxIE:   true,
+	ahci.PortBase + ahci.PxCMD:  true,
+	ahci.PortBase + ahci.PxCI:   true,
+}
+
+// initWrite is one trapped register write seen during driver Init.
+type initWrite struct {
+	off   int64
+	cause *trace.Span
+}
+
+// initCauseDriver wraps the guest's block driver. For the length of its
+// Init it interposes a recording tap in front of the mediator's on the
+// AHCI register region, so the test sees the causal span each trapped
+// write carries.
+type initCauseDriver struct {
+	guest.BlockDriver
+	n      *Node
+	writes []initWrite
+}
+
+func (d *initCauseDriver) Init(p *sim.Proc, cause *trace.Span) error {
+	region := d.n.M.IO.Find(hwio.MMIO, ahci.ABAR).Name
+	med := d.n.VMM.Mediator().(hwio.Tap)
+	d.n.M.IO.SetTap(region, &recordingTap{Tap: med, d: d})
+	defer d.n.M.IO.SetTap(region, med)
+	return d.BlockDriver.Init(p, cause)
+}
+
+// recordingTap records each write's offset and cause, then hands the
+// access to the tap it wraps.
+type recordingTap struct {
+	hwio.Tap
+	d *initCauseDriver
+}
+
+func (t *recordingTap) TapWrite(r *hwio.Region, off int64, size int, v uint64, cause *trace.Span) bool {
+	t.d.writes = append(t.d.writes, initWrite{off, cause})
+	return t.Tap.TapWrite(r, off, size, v, cause)
 }
 
 func TestMetricsSnapshotSubsystems(t *testing.T) {

@@ -307,13 +307,9 @@ func (tb *Testbed) DeployBMcast(p *sim.Proc, n *Node, vcfg core.Config, bp guest
 		vmm.Initiator().AddTarget(sec.MAC, 0, 0)
 	}
 	res.VMMBooted = p.Now()
-	// The guest boots inside the Deployment phase; carrying the phase span
-	// as the proc's cause roots the guest's boot span (and everything the
-	// boot's I/O causes) under it.
-	prevCause := trace.SwapCause(p, vmm.PhaseSpan())
-	err = n.OS.Boot(p, bp)
-	trace.SwapCause(p, prevCause)
-	if err != nil {
+	// The guest boots inside the Deployment phase; the phase span roots
+	// the guest's boot span (and everything the boot's I/O causes).
+	if err := n.OS.Boot(p, vmm.PhaseSpan(), bp); err != nil {
 		return nil, err
 	}
 	res.GuestBooted = p.Now()
@@ -333,7 +329,7 @@ func (tb *Testbed) WaitBareMetal(p *sim.Proc, n *Node, res *BMcastResult) {
 func (tb *Testbed) BootBareMetal(p *sim.Proc, n *Node, bp guest.BootProfile) error {
 	n.M.SetDiskImage(tb.Image)
 	n.M.Firmware.PowerOn(p, 0)
-	return n.OS.Boot(p, bp)
+	return n.OS.Boot(p, nil, bp)
 }
 
 // VerifyDeployment checks that node n's local disk is byte-equivalent to

@@ -336,33 +336,6 @@ func (r *Recorder) Durations(name string) *metrics.Histogram {
 	return h
 }
 
-// --- proc-carried cause ---------------------------------------------------
-
-// Cause returns the causal span carried by process p, or nil. Layers set
-// a cause with SwapCause around work done on behalf of a request so that
-// downstream spans (an AoE round trip issued deep inside the initiator)
-// can parent themselves without threading a span through every call
-// signature in between.
-func Cause(p *sim.Proc) *Span {
-	if p == nil {
-		return nil
-	}
-	sp, _ := p.Annotation().(*Span)
-	return sp
-}
-
-// SwapCause installs sp as p's causal span and returns the previous one,
-// so callers can restore it when the request scope ends. Storing the
-// span pointer in the proc's annotation slot does not allocate.
-func SwapCause(p *sim.Proc, sp *Span) *Span {
-	if p == nil {
-		return nil
-	}
-	prev, _ := p.Annotation().(*Span)
-	p.SetAnnotation(sp)
-	return prev
-}
-
 // --- trace import ---------------------------------------------------------
 
 // FixedClock is a Clock pinned at one instant, for recorders rebuilt

@@ -23,7 +23,7 @@ func TestFioBareMetalRates(t *testing.T) {
 	k, _, o := bareMachine(1)
 	var read, write workload.FioResult
 	k.Spawn("fio", func(p *sim.Proc) {
-		if err := o.Drv.Init(p); err != nil {
+		if err := o.Drv.Init(p, nil); err != nil {
 			t.Error(err)
 			return
 		}
@@ -51,7 +51,7 @@ func TestIopingBareMetal(t *testing.T) {
 	k, _, o := bareMachine(1)
 	var res workload.IopingResult
 	k.Spawn("ioping", func(p *sim.Proc) {
-		if err := o.Drv.Init(p); err != nil {
+		if err := o.Drv.Init(p, nil); err != nil {
 			t.Error(err)
 			return
 		}
@@ -75,7 +75,7 @@ func TestKernbenchBareMetal(t *testing.T) {
 	k, _, o := bareMachine(1)
 	var res workload.KernbenchResult
 	k.Spawn("kb", func(p *sim.Proc) {
-		if err := o.Drv.Init(p); err != nil {
+		if err := o.Drv.Init(p, nil); err != nil {
 			t.Error(err)
 			return
 		}
@@ -157,7 +157,7 @@ func TestYCSBMemcachedBareMetal(t *testing.T) {
 	k, _, o := bareMachine(1)
 	y := workload.NewYCSB(o, workload.Memcached())
 	k.Spawn("ycsb", func(p *sim.Proc) {
-		if err := o.Drv.Init(p); err != nil {
+		if err := o.Drv.Init(p, nil); err != nil {
 			t.Error(err)
 			return
 		}
@@ -178,7 +178,7 @@ func TestYCSBCassandraWritesDisk(t *testing.T) {
 	k, m, o := bareMachine(1)
 	y := workload.NewYCSB(o, workload.Cassandra())
 	k.Spawn("ycsb", func(p *sim.Proc) {
-		if err := o.Drv.Init(p); err != nil {
+		if err := o.Drv.Init(p, nil); err != nil {
 			t.Error(err)
 			return
 		}
