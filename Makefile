@@ -57,7 +57,7 @@ elasticity:
 # lint builds the repository's own vet tool and runs the bmcastlint
 # analyzer suite — the syntactic checks (walltime, seededrand, simdrift,
 # mapiter — DESIGN.md §7) and the CFG-based dataflow checks (spanleak,
-# causerestore, framebalance, pooledrelease — DESIGN.md §11) — over
+# framebalance, pooledrelease — DESIGN.md §11) — over
 # every package via the go vet driver, including cmd/ and the lint
 # packages themselves, then the third-party checkers when available. CI
 # installs staticcheck and govulncheck at pinned versions

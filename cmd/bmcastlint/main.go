@@ -1,7 +1,7 @@
 // Command bmcastlint is the repository's vet tool: it runs the
 // internal/lint analyzer suite — the syntactic checks (walltime,
 // seededrand, simdrift, mapiter) and the CFG-based dataflow checks
-// (spanleak, causerestore, framebalance, pooledrelease) — over every
+// (spanleak, framebalance, pooledrelease) — over every
 // package, driven by the go command:
 //
 //	go build -o bin/bmcastlint ./cmd/bmcastlint

@@ -71,10 +71,6 @@ func TestSpanLeak(t *testing.T) {
 	linttest.Run(t, "testdata/src/spanleak", moduleFixturePath, lint.SpanLeakAnalyzer)
 }
 
-func TestCauseRestore(t *testing.T) {
-	linttest.Run(t, "testdata/src/causerestore", moduleFixturePath, lint.CauseRestoreAnalyzer)
-}
-
 func TestFrameBalance(t *testing.T) {
 	linttest.Run(t, "testdata/src/framebalance", moduleFixturePath, lint.FrameBalanceAnalyzer)
 }
@@ -85,7 +81,7 @@ func TestSpanLeakSkipsForeignPackages(t *testing.T) {
 	// the exempt fixture (which models no tracked APIs) for the flow
 	// analyzers and rely on scoping tests in lint.InModule for the rest.
 	linttest.Run(t, "testdata/src/exempt", "example.com/outside",
-		lint.SpanLeakAnalyzer, lint.CauseRestoreAnalyzer, lint.FrameBalanceAnalyzer)
+		lint.SpanLeakAnalyzer, lint.FrameBalanceAnalyzer)
 }
 
 func TestIsSimPackage(t *testing.T) {

@@ -1,8 +1,8 @@
 // Package cfg builds intra-function control-flow graphs over go/ast and
 // runs forward dataflow analyses over them. It is the foundation of the
-// path-sensitive bmcastlint analyzers (spanleak, causerestore,
-// framebalance, pooledrelease): where the original analyzers reasoned
-// about straight-line statement order, these reason about every path a
+// path-sensitive bmcastlint analyzers (spanleak, framebalance,
+// pooledrelease): where the original analyzers reasoned about
+// straight-line statement order, these reason about every path a
 // function can take — early returns, goto, labeled break/continue,
 // switch fallthrough, select arms — and prove an invariant on all of
 // them.

@@ -11,20 +11,19 @@ import (
 )
 
 // This file is the shared engine behind the path-sensitive analyzers.
-// Three of them (spanleak, causerestore, framebalance) prove the same
+// Two of them (spanleak, framebalance) prove the same
 // shape of invariant — a value acquired here must be settled on every
 // path out of the function — and differ only in what acquires and what
-// settles. The fourth, pooledrelease, inverts the obligation: acquiring
+// settles. The third, pooledrelease, inverts the obligation: acquiring
 // means releasing a record to its pool, and every later occurrence of
 // the variable is the violation.
 //
 //	analyzer      acquires                      settles / is violated by
 //	spanleak      sp := r.Begin/BeginChild(..)  sp.End(), or sp escapes
-//	causerestore  prev := SwapCause(p, sp)      SwapCause(_, prev), or prev escapes
 //	framebalance  f, _ := pool.Get(); f.Retain  f.Release(), or f escapes
 //	pooledrelease p.release(r), append(free, r) any later use of r
 //
-// "Escapes" is deliberately broad and identical for the three leak
+// "Escapes" is deliberately broad and identical for the two leak
 // analyzers: returning the value, storing it into anything that is not
 // a plain local (field, map, slice, global), passing it as a call
 // argument, sending it on a channel, capturing it in a closure, or

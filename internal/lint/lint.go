@@ -16,11 +16,9 @@
 //     pool, disk buffers) must not be touched after release.
 //   - spanleak: a *trace.Span from Begin/BeginChild reaches End (or
 //     escapes to a new owner) on every path out of the function.
-//   - causerestore: a captured trace.SwapCause result is restored on
-//     every path out of the function.
 //   - framebalance: FramePool retains and releases balance on every path.
 //
-// The last four are path-sensitive: each is a flowRules value run by one
+// The last three are path-sensitive: each is a flowRules value run by one
 // flow harness (runFlow, flow.go), a forward dataflow analysis over the
 // intra-function CFG built by repro/internal/lint/cfg, so early returns
 // and branchy error paths are proven, not sampled (DESIGN.md §11).
@@ -44,7 +42,6 @@ var Analyzers = []*analysis.Analyzer{
 	MapIterAnalyzer,
 	PooledReleaseAnalyzer,
 	SpanLeakAnalyzer,
-	CauseRestoreAnalyzer,
 	FrameBalanceAnalyzer,
 }
 

@@ -16,7 +16,7 @@ import (
 var SpanLeakAnalyzer = &analysis.Analyzer{
 	Name: "spanleak",
 	Doc: "report *trace.Span values from Begin/BeginChild that miss End on some path out of the function; " +
-		"returning, storing, or handing the span to trace.SwapCause settles it",
+		"returning, storing, or passing the span to a call settles it",
 	Run: runSpanLeak,
 }
 

@@ -7,13 +7,11 @@ type Span struct{ Open bool }
 
 func (s *Span) End() {}
 
-type Proc struct{ cause *Span }
-
 type Recorder struct{}
 
 func (r *Recorder) Begin(name string) *Span             { return &Span{Open: true} }
 func (r *Recorder) BeginChild(p *Span, nm string) *Span { return &Span{Open: true} }
-func SwapCause(p *Proc, sp *Span) *Span                 { old := p.cause; p.cause = sp; return old }
+func (r *Recorder) Adopt(sp *Span)                      {}
 
 type holder struct{ sp *Span }
 
@@ -92,9 +90,9 @@ func goodEscapeStore(r *Recorder, h *holder) {
 	h.sp = sp // the holder owns it now
 }
 
-func goodSwapCauseHandoff(r *Recorder, p *Proc) {
+func goodCallHandoff(r *Recorder) {
 	sp := r.Begin("deploy")
-	SwapCause(p, sp) // the proc annotation owns it now
+	r.Adopt(sp) // the callee owns it now
 }
 
 func goodPanicPathExempt(r *Recorder, broken bool) {
