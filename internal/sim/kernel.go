@@ -61,7 +61,8 @@ func (h Handle) Cancel() {
 // concurrent use; its processes run on whichever goroutine is driving it.
 type Kernel struct {
 	now      Time
-	heap     []*event  // 4-ary min-heap ordered by (when, seq)
+	heap     []*event  // binary min-heap ordered by (when, seq)
+	hole     bool      // the firing event vacated heap[0] (see min)
 	free     []*event  // recycled fired and canceled records, reused by At
 	xfree    []*xevent // recycled post delivery records (shard.go)
 	seq      uint64    // last ordinary sequence number drawn; starts at seqBase
@@ -157,7 +158,13 @@ func (k *Kernel) schedule(t Time, seq uint64, fn func()) Handle {
 		e = &event{}
 	}
 	e.when, e.seq, e.fn = t, seq, fn
-	k.push(e)
+	if k.hole { // the first event a callback schedules takes the vacated root
+		k.hole = false
+		k.heap[0] = e
+		k.siftDown(0)
+	} else {
+		k.push(e)
+	}
 	return Handle{k: k, e: e, seq: seq}
 }
 
@@ -199,17 +206,19 @@ func (k *Kernel) After(d Duration, fn func()) Handle {
 func (k *Kernel) Stop() { k.stopped = true }
 
 // step fires the earliest pending event. It reports false when no events
-// remain. The fired record is recycled before its callback runs, so a
-// callback that immediately reschedules (the common timer-tick pattern)
-// reuses the same cache-hot record.
+// remain. The fired record is recycled, and the root vacated, before its
+// callback runs, so a callback that immediately reschedules (the common
+// timer-tick pattern) reuses the same cache-hot record and root.
 func (k *Kernel) step() bool {
-	if len(k.heap) == 0 {
+	e := k.min()
+	if e == nil {
 		return false
 	}
-	e := k.popMin()
 	if e.when < k.now {
 		panic("sim: event heap time went backwards")
 	}
+	k.hole = true
+	e.index = -1
 	k.now = e.when
 	k.ranked = e.seq < seqBase
 	k.fired++
@@ -238,7 +247,7 @@ func (k *Kernel) Run() {
 func (k *Kernel) RunUntil(t Time) {
 	k.stopped = false
 	for !k.stopped {
-		if len(k.heap) == 0 || k.heap[0].when > t {
+		if e := k.min(); e == nil || e.when > t {
 			break
 		}
 		k.step()
@@ -251,14 +260,17 @@ func (k *Kernel) RunUntil(t Time) {
 // Pending reports the number of scheduled events, stream entries
 // included. Canceled events are removed from the heap eagerly, so every
 // counted event will fire.
-func (k *Kernel) Pending() int { return len(k.heap) + k.queued }
+func (k *Kernel) Pending() int { k.min(); return len(k.heap) + k.queued }
 
-// --- 4-ary event heap ------------------------------------------------------
+// --- Binary event heap -----------------------------------------------------
 //
-// A 4-ary layout halves the tree depth of the binary container/heap it
-// replaced and keeps sibling comparisons inside one or two cache lines.
-// Entries are concrete *event pointers — no interface boxing on push/pop —
-// and the index field supports O(log n) removal for Cancel.
+// Entries are *event pointers, so every comparison loads a record and a
+// wider (4-ary) node saves no cache misses; the index field supports
+// O(log n) removal for Cancel. step leaves the root vacated (hole) while
+// the callback runs, and the callback's first, usually near-term, event
+// is written into the root and sifted down: one short sift per event, not
+// a pop's root-to-leaf sift plus a push. If the callback schedules
+// nothing, min fills the hole with the last entry at the next read.
 
 func eventLess(a, b *event) bool {
 	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
@@ -270,25 +282,32 @@ func (k *Kernel) push(e *event) {
 	k.siftUp(int(e.index))
 }
 
-// popMin removes and returns the earliest event, leaving index == -1.
-func (k *Kernel) popMin() *event {
-	h := k.heap
-	e := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	k.heap = h[:n]
+// min returns the earliest event, or nil when none is scheduled, after
+// filling a vacated root.
+func (k *Kernel) min() *event {
+	if k.hole {
+		k.fill()
+	}
+	if len(k.heap) == 0 {
+		return nil
+	}
+	return k.heap[0]
+}
+
+// fill moves the last entry into the vacated root and sifts it down.
+func (k *Kernel) fill() {
+	n := len(k.heap) - 1
+	k.hole, k.heap[0] = false, k.heap[n]
+	k.heap[n] = nil
+	k.heap = k.heap[:n]
 	if n > 0 {
-		h[0] = last
-		last.index = 0
 		k.siftDown(0)
 	}
-	e.index = -1
-	return e
 }
 
 // remove deletes e from an arbitrary heap position.
 func (k *Kernel) remove(e *event) {
+	k.min() // the sifts below assume a whole heap, and a fill may move e
 	i := int(e.index)
 	h := k.heap
 	n := len(h) - 1
@@ -308,7 +327,7 @@ func (k *Kernel) siftUp(i int) {
 	h := k.heap
 	e := h[i]
 	for i > 0 {
-		parent := (i - 1) >> 2
+		parent := (i - 1) >> 1
 		p := h[parent]
 		if !eventLess(e, p) {
 			break
@@ -326,26 +345,19 @@ func (k *Kernel) siftDown(i int) {
 	n := len(h)
 	e := h[i]
 	for {
-		first := i<<2 + 1
-		if first >= n {
+		c := i<<1 + 1
+		if c >= n {
 			break
 		}
-		best := first
-		limit := first + 4
-		if limit > n {
-			limit = n
+		if c+1 < n && eventLess(h[c+1], h[c]) {
+			c++
 		}
-		for c := first + 1; c < limit; c++ {
-			if eventLess(h[c], h[best]) {
-				best = c
-			}
-		}
-		if !eventLess(h[best], e) {
+		if !eventLess(h[c], e) {
 			break
 		}
-		h[i] = h[best]
+		h[i] = h[c]
 		h[i].index = int32(i)
-		i = best
+		i = c
 	}
 	h[i] = e
 	e.index = int32(i)

@@ -192,7 +192,7 @@ func (k *Kernel) post(dst *Kernel, at Time, h XHandler, payload any, fn func()) 
 func (k *Kernel) runWindow(end Time) {
 	k.stopped = false
 	for !k.stopped {
-		if len(k.heap) == 0 || k.heap[0].when >= end {
+		if e := k.min(); e == nil || e.when >= end {
 			return
 		}
 		k.step()
@@ -201,10 +201,10 @@ func (k *Kernel) runWindow(end Time) {
 
 // nextWhen reports the earliest scheduled event, if any.
 func (k *Kernel) nextWhen() (Time, bool) {
-	if len(k.heap) == 0 {
-		return 0, false
+	if e := k.min(); e != nil {
+		return e.when, true
 	}
-	return k.heap[0].when, true
+	return 0, false
 }
 
 // deliverPost schedules one post (merged at a barrier, or local) as a
@@ -285,7 +285,7 @@ func (s *ShardSet) RunUntil(horizon Time, stop func() bool) {
 // Kernel.Run, and unlike Kernel.RunUntil, it never warps the clock.
 func (s *ShardSet) runSerial(horizon Time, stop func() bool) {
 	k := s.domains[0]
-	for (stop == nil || !stop()) && len(k.heap) > 0 {
+	for (stop == nil || !stop()) && k.min() != nil {
 		if k.heap[0].when >= horizon {
 			s.frontier = horizon
 			return

@@ -68,6 +68,7 @@ func (s *Stream[T]) At(t Time, v T) {
 	case i == 0:
 		// A new head: re-key the slot to it. Its key only decreases.
 		k.queued++
+		k.min() // the sift up can reach a vacated root: fill it first
 		s.slot.when, s.slot.seq = t, k.seq
 		k.siftUp(int(s.slot.index))
 	default:
@@ -84,9 +85,9 @@ func (s *Stream[T]) grow() {
 	s.ring, s.head = ring, 0
 }
 
-// pop fires the head entry. The kernel has already popped and recycled the
-// slot's record; the next head, if any, takes a fresh slot before the
-// handler runs, so a handler may schedule on this stream.
+// pop fires the head entry. The kernel has already taken and recycled the
+// slot's record; the next head, if any, takes a fresh slot (the vacated
+// root) before the handler runs, so a handler may schedule on this stream.
 func (s *Stream[T]) pop() {
 	e := &s.ring[s.head]
 	v := e.v
