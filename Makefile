@@ -9,7 +9,7 @@ GO ?= go
 # only ever adds wall time, so min-of-3 estimates the true cost and keeps
 # the ±20% compare gate from flapping. That triples the wall time of a
 # gated bench run; bench-smoke stays single-shot.
-MICRO ?= BenchmarkSimEventThroughput|BenchmarkSimEventHeap|BenchmarkProcSwitch|BenchmarkProcSpawn|BenchmarkTrace|BenchmarkAoEHeaderMarshal|BenchmarkBitmap|BenchmarkStoreWrite|BenchmarkStoreWriteFragmented|BenchmarkMediatedReadRedirect|BenchmarkHistogramPercentile
+MICRO ?= BenchmarkSimEventThroughput|BenchmarkSimEventHeap|BenchmarkShardWindowSparse|BenchmarkProcSwitch|BenchmarkProcSpawn|BenchmarkTrace|BenchmarkAoEHeaderMarshal|BenchmarkBitmap|BenchmarkStoreWrite|BenchmarkStoreWriteFragmented|BenchmarkMediatedReadRedirect|BenchmarkHistogramPercentile
 MACRO ?= BenchmarkRegistrySweep|BenchmarkDeployment|BenchmarkFleetDeploy|BenchmarkElasticity|BenchmarkAblation
 
 BMCASTLINT := bin/bmcastlint

@@ -552,6 +552,38 @@ func BenchmarkProcSpawn(b *testing.B) {
 	}
 }
 
+// BenchmarkShardWindowSparse times one barrier window of a mostly idle
+// partition, the shape of the per-node fleet between bursts: 33 domains at
+// the fleet's 100 µs window, of which one ticks once a window and posts to
+// domain 0. One op is one tick and one window, in which the ticking domain
+// and domain 0, firing the last tick's post, run. The steady state
+// allocates nothing.
+func BenchmarkShardWindowSparse(b *testing.B) {
+	const window = 100 * sim.Microsecond
+	s := sim.NewShardSet(1, window)
+	doms := make([]*sim.Kernel, 33)
+	for i := range doms {
+		doms[i] = s.NewDomain(fmt.Sprintf("d%d", i))
+	}
+	k, hub := doms[len(doms)-1], doms[0]
+	n, delivered := 0, 0
+	deliver := func() { delivered++ }
+	var tick func()
+	tick = func() {
+		k.Post(hub, k.Now().Add(2*sim.Microsecond), deliver)
+		if n++; n < b.N {
+			k.After(window, tick)
+		}
+	}
+	k.After(sim.Microsecond, tick)
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run(nil)
+	if delivered != b.N {
+		b.Fatalf("delivered %d posts, want %d", delivered, b.N)
+	}
+}
+
 func BenchmarkMediatedReadRedirect(b *testing.B) {
 	// Cost of one copy-on-read redirect (4 KB), end to end through
 	// mediator, AoE, server, and local write-through.

@@ -1,8 +1,6 @@
 package aoe
 
 import (
-	"sync"
-
 	"repro/internal/ethernet"
 	"repro/internal/hw/disk"
 )
@@ -15,23 +13,13 @@ import (
 // initiator/target pair, so recycling these two records removes the
 // dominant per-fragment allocations.
 //
-// Pools are single-owner by default: the sim is single-threaded, and
-// Get/ReleaseFrame never straddle a yield point, so no locking is needed.
-// Under the sharded kernel (DESIGN.md §13) an endpoint's frames are
-// released by the peer's shard domain, so sharded testbeds call Share to
-// guard the free list with a mutex. Only the free list needs guarding:
-// a pair's contents are written solely by whichever side holds its one
-// live reference, with the pool handoff as the ordering edge, and Get
-// zeroes the pair anyway — free-list order never affects simulation
-// output.
+// A pool needs no lock: every shard domain runs on the goroutine driving
+// its ShardSet (DESIGN.md §13), so a peer domain that releases a frame
+// does so on the same goroutine as the Get. Get zeroes the pair, so
+// free-list order never affects simulation output.
 type FramePool struct {
 	free []*framePair
-	mu   *sync.Mutex
 }
-
-// Share makes the pool safe for cross-shard release. Must be called
-// before the pool sees traffic.
-func (p *FramePool) Share() { p.mu = &sync.Mutex{} }
 
 // framePair is one recyclable frame with its embedded message payload.
 type framePair struct {
@@ -45,14 +33,7 @@ type framePair struct {
 // pins sector data for the GC.
 func (fp *framePair) ReleaseFrame(*ethernet.Frame) {
 	fp.msg.Payload = disk.Payload{}
-	p := fp.pool
-	if p.mu != nil {
-		p.mu.Lock()
-		p.free = append(p.free, fp)
-		p.mu.Unlock()
-		return
-	}
-	p.free = append(p.free, fp)
+	fp.pool.free = append(fp.pool.free, fp)
 }
 
 // Get returns a zeroed frame/message pair with the frame's payload already
@@ -60,18 +41,10 @@ func (fp *framePair) ReleaseFrame(*ethernet.Frame) {
 // in addressing and header fields and hands the frame to a transport.
 func (p *FramePool) Get() (*ethernet.Frame, *Message) {
 	var fp *framePair
-	if p.mu != nil {
-		p.mu.Lock()
-	}
 	if n := len(p.free) - 1; n >= 0 {
 		fp = p.free[n]
 		p.free[n] = nil
 		p.free = p.free[:n]
-	}
-	if p.mu != nil {
-		p.mu.Unlock()
-	}
-	if fp != nil {
 		fp.frame = ethernet.Frame{}
 		fp.msg = Message{}
 	} else {

@@ -197,11 +197,6 @@ func resetSlice[T any](s []T, n int) []T {
 // NewInitiator returns an initiator speaking through n to the target with
 // the given MAC and shelf/slot address. Frames are delivered immediately
 // (interrupt-style); see SetPolled for the VMM's polled-driver mode.
-// ShareFramePool makes the initiator's frame pool safe for cross-shard
-// release (the vblade server releases request frames from its own shard
-// domain). Sharded testbeds call this right after boot.
-func (i *Initiator) ShareFramePool() { i.framePool.Share() }
-
 func NewInitiator(k *sim.Kernel, n Transport, server ethernet.MAC, major uint16, minor uint8) *Initiator {
 	in := &Initiator{
 		k:          k,

@@ -252,9 +252,6 @@ func Boot(p *sim.Proc, m *machine.Machine, cfg Config, vmmNIC int, serverMAC eth
 	m.World.Overheads.SchedJitter = cfg.DeployJitter
 
 	v.init = aoe.NewInitiator(m.K, m.NICs[vmmNIC], serverMAC, major, minor)
-	if m.SharedPools {
-		v.init.ShareFramePool()
-	}
 	v.init.Instrument(m.Metrics, m.Trace, m.Name)
 	v.init.SetPolled(v.PollInterval) // the VMM's NIC drivers are polled (§4.3)
 	v.bitmap = NewBitmap(imageSectors)

@@ -7,7 +7,6 @@ package ethernet
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -62,11 +61,11 @@ type FrameOwner interface{ ReleaseFrame(f *Frame) }
 func (f *Frame) InitRef(owner FrameOwner) { f.owner, f.refs = owner, 1 }
 
 // Retain adds a reference to a managed frame (no-op when unmanaged).
-// The count is atomic so copies of one frame fanned out across shard
-// domains (switch flood) may release concurrently.
+// The count is plain: copies of one frame fanned out across shard domains
+// (switch flood) are released on the one goroutine that runs every domain.
 func (f *Frame) Retain() {
 	if f.owner != nil {
-		atomic.AddInt32(&f.refs, 1)
+		f.refs++
 	}
 }
 
@@ -77,11 +76,11 @@ func (f *Frame) Release() {
 	if f == nil || f.owner == nil {
 		return
 	}
-	n := atomic.AddInt32(&f.refs, -1)
-	if n > 0 {
+	f.refs--
+	if f.refs > 0 {
 		return
 	}
-	if n < 0 {
+	if f.refs < 0 {
 		panic("ethernet: frame released more times than retained")
 	}
 	o := f.owner

@@ -88,12 +88,6 @@ type Machine struct {
 	// mediators) record into them; all recording is nil-safe.
 	Trace   *trace.Recorder
 	Metrics *metrics.Registry
-
-	// SharedPools marks the machine as living in a shard domain of a
-	// parallel testbed (DESIGN.md §13): frame pools created for its
-	// endpoints must be Share()d because the storage server releases
-	// request frames from another domain.
-	SharedPools bool
 }
 
 // New assembles a machine on kernel k.

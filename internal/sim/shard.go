@@ -81,8 +81,13 @@ type ShardSet struct {
 	frontier  Time // end of the last executed window
 	windowEnd Time // end of the window currently executing
 
+	next    []Time  // each domain's earliest event time, idle when none (see RunUntil)
+	dirty   []int32 // domains whose outbox holds posts, in first-post order
 	scratch []xpost // barrier merge buffer, reused across windows
 }
+
+// idle is the next-time entry of a domain with no events.
+const idle = Time(1<<63 - 1)
 
 // NewShardSet returns an empty shard set. window is the barrier width W;
 // see the package comment for how W relates to cross-domain latency.
@@ -182,29 +187,27 @@ func (k *Kernel) post(dst *Kernel, at Time, h XHandler, payload any, fn func()) 
 	if at < s.windowEnd {
 		at = s.windowEnd
 	}
+	if len(d.outbox) == 0 {
+		s.dirty = append(s.dirty, d.id)
+	}
 	d.seq++
 	d.outbox = append(d.outbox, xpost{at: at, src: d.id, seq: d.seq, dst: dst, h: h, payload: payload, fn: fn})
 }
 
-// runWindow fires every local event strictly before end. Unlike RunUntil it
-// never warps the clock: a domain's Now stays at its last executed event,
-// so timestamps are execution artifacts, not barrier artifacts.
-func (k *Kernel) runWindow(end Time) {
+// runWindow fires every local event strictly before end, or up to a Stop,
+// and returns the time of the earliest event left (idle when none). Unlike
+// RunUntil it never warps the clock: a domain's Now stays at its last
+// executed event, so timestamps are execution artifacts, not barrier
+// artifacts.
+func (k *Kernel) runWindow(end Time) Time {
 	k.stopped = false
-	for !k.stopped {
-		if e := k.min(); e == nil || e.when >= end {
-			return
+	for e := k.min(); e != nil; e = k.min() {
+		if e.when >= end || k.stopped {
+			return e.when
 		}
 		k.step()
 	}
-}
-
-// nextWhen reports the earliest scheduled event, if any.
-func (k *Kernel) nextWhen() (Time, bool) {
-	if e := k.min(); e != nil {
-		return e.when, true
-	}
-	return 0, false
+	return idle
 }
 
 // deliverPost schedules one post (merged at a barrier, or local) as a
@@ -248,20 +251,27 @@ func (s *ShardSet) RunUntil(horizon Time, stop func() bool) {
 		s.runSerial(horizon, stop)
 		return
 	}
+	// Events scheduled between runs are seen here; from then on a domain's
+	// entry changes only when it runs a window or a merged post lands on it.
+	s.next = s.next[:0]
+	for _, k := range s.domains {
+		t := idle
+		if e := k.min(); e != nil {
+			t = e.when
+		}
+		s.next = append(s.next, t)
+	}
 	for stop == nil || !stop() {
 		// Find the next populated window. Every event and undelivered post
 		// is at or after the frontier, so the grid floor of the earliest
 		// event is the next window that will fire anything.
-		t := Time(0)
-		ok := false
-		for _, k := range s.domains {
-			if w, kok := k.nextWhen(); kok && (!ok || w < t) {
-				t, ok = w, true
-			}
+		t := idle
+		for _, w := range s.next {
+			t = min(t, w)
 		}
-		if !ok || t >= horizon {
+		if t == idle || t >= horizon {
 			s.frontier = horizon
-			if !ok {
+			if t == idle {
 				s.frontier = s.windowEnd
 			}
 			return
@@ -269,11 +279,13 @@ func (s *ShardSet) RunUntil(horizon Time, stop func() bool) {
 		T := Time(int64(t) - int64(t)%int64(s.window))
 		end := T.Add(s.window)
 		s.windowEnd = end
-		// A domain with nothing before end returns at once, and posts
-		// land only at the barrier, so no domain's window depends on the
-		// domains run before it.
-		for _, k := range s.domains {
-			k.runWindow(end)
+		// Posts land only at the barrier, so no domain's window depends on
+		// the domains run before it, and a domain with nothing before end
+		// is not visited.
+		for i, w := range s.next {
+			if w < end {
+				s.next[i] = s.domains[i].runWindow(end)
+			}
 		}
 		s.frontier = end
 		s.mergePosts()
@@ -295,26 +307,24 @@ func (s *ShardSet) runSerial(horizon Time, stop func() bool) {
 	s.frontier = k.now
 }
 
-// mergePosts drains every domain's outbox and schedules the posts on their
-// destinations in canonical (time, source domain, sequence) order, so the
-// destination heap order — and therefore the whole next window — is
-// independent of execution interleaving. The key is unique per post, so
-// the unstable sort still yields exactly one order.
+// mergePosts drains every outbox written to since the last barrier and
+// schedules the posts on their destinations in canonical (time, source
+// domain, sequence) order, so the destination heap order — and therefore
+// the whole next window — is independent of execution interleaving. The
+// key is unique per post, so the unstable sort still yields exactly one
+// order.
 func (s *ShardSet) mergePosts() {
-	s.scratch = s.scratch[:0]
-	for _, k := range s.domains {
-		d := k.dom
-		if len(d.outbox) > 0 {
-			s.scratch = append(s.scratch, d.outbox...)
-			for i := range d.outbox {
-				d.outbox[i] = xpost{}
-			}
-			d.outbox = d.outbox[:0]
-		}
-	}
-	if len(s.scratch) == 0 {
+	if len(s.dirty) == 0 {
 		return
 	}
+	s.scratch = s.scratch[:0]
+	for _, id := range s.dirty {
+		d := s.domains[id].dom
+		s.scratch = append(s.scratch, d.outbox...)
+		clear(d.outbox)
+		d.outbox = d.outbox[:0]
+	}
+	s.dirty = s.dirty[:0]
 	slices.SortFunc(s.scratch, func(a, b xpost) int {
 		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
 	})
@@ -323,5 +333,7 @@ func (s *ShardSet) mergePosts() {
 			panic(fmt.Sprintf("sim: cross-domain post at %v behind destination clock %v", x.at, x.dst.now))
 		}
 		x.dst.deliverPost(x)
+		id := x.dst.dom.id
+		s.next[id] = min(s.next[id], x.at)
 	}
 }

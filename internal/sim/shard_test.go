@@ -375,3 +375,30 @@ func TestShardDomainGoexitReachesCaller(t *testing.T) {
 		t.Fatal("Run returned normally after a Goexit")
 	}
 }
+
+func TestShardScheduleBetweenRuns(t *testing.T) {
+	// Work that reaches an idle domain from outside any window must fire
+	// at its own instant: an event put straight onto the domain between
+	// two runs, and a post made before the first run (the path a testbed
+	// takes to start a process on a node domain).
+	s := NewShardSet(1, 100*Microsecond)
+	hub := s.NewDomain("hub")
+	node := s.NewDomain("node")
+	idle := s.NewDomain("idle")
+	var got []string
+	log := func(k *Kernel, what string) func() {
+		return func() { got = append(got, fmt.Sprintf("%s %d", what, k.Now())) }
+	}
+	hub.At(Time(30*Microsecond), log(hub, "hub"))
+	hub.Post(node, Time(20*Microsecond), log(node, "post"))
+	s.RunUntil(Time(Millisecond), nil)
+	if want := "[hub 30000 post 20000]"; fmt.Sprint(got) != want {
+		t.Fatalf("first run fired %v, want %v", got, want)
+	}
+	hub.At(Time(5*Millisecond), log(hub, "hub"))
+	idle.At(Time(2*Millisecond), log(idle, "direct"))
+	s.RunUntil(Time(10*Millisecond), nil)
+	if want := "[hub 30000 post 20000 direct 2000000 hub 5000000]"; fmt.Sprint(got) != want {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+}

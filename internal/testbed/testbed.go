@@ -153,9 +153,6 @@ func New(cfg Config) *Testbed {
 	tb.ServerLink = link
 	tb.ServerNIC = nic.New(k, "server.eth0", nic.IntelX540, ServerMAC, link)
 	tb.Server = vblade.NewServer(k, tb.ServerNIC, cfg.ServerThreads)
-	if tb.perNode {
-		tb.Server.ShareFramePool()
-	}
 	tb.Server.Instrument(tb.Metrics, tb.Trace, "server")
 	tb.Server.AddTarget(0, 0, tb.Image)
 	tb.Server.Start()
@@ -194,9 +191,6 @@ func (tb *Testbed) AddSecondaryServer(cfg Config) *Secondary {
 	link := tb.connect(tb.K, name, mac)
 	n := nic.New(tb.K, name+".eth0", nic.IntelX540, mac, link)
 	s := vblade.NewServer(tb.K, n, cfg.ServerThreads)
-	if tb.perNode {
-		s.ShareFramePool()
-	}
 	s.Instrument(tb.Metrics, tb.Trace, name)
 	s.AddTarget(0, 0, tb.Image)
 	s.Start()
@@ -230,7 +224,6 @@ func (tb *Testbed) AddNode(cfg Config) *Node {
 	m := machine.New(nk, mcfg)
 	m.Trace = lane
 	m.Metrics = tb.Metrics
-	m.SharedPools = tb.perNode
 	base := ethernet.MAC(0x0200_0000_0000) + ethernet.MAC(idx)*0x10
 	l0 := tb.connect(nk, m.Name+".guest", base)
 	l1 := tb.connect(nk, m.Name+".vmm", base+1)

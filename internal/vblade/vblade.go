@@ -154,11 +154,6 @@ func NewServer(k *sim.Kernel, n *nic.NIC, threads int) *Server {
 	}
 }
 
-// ShareFramePool makes the server's response-frame pool safe for
-// cross-shard release (initiators release response frames from their own
-// shard domains). Sharded testbeds call this before traffic starts.
-func (s *Server) ShareFramePool() { s.pool.Share() }
-
 func targetKey(major uint16, minor uint8) uint32 { return uint32(major)<<8 | uint32(minor) }
 
 // AddTarget exports image at shelf major, slot minor.
